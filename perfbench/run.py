@@ -28,16 +28,18 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
-# single-threaded BLAS here (for the calibration task) and in the worker
+# single-threaded BLAS in the worker and in the setup spawns
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 from checks import check_op  # noqa: E402
-from speed import calibrate, normalised  # noqa: E402
+from speed import normalised  # noqa: E402
 from tracer import METRICS, layer_metrics  # noqa: E402
 from workloads import ops_for  # noqa: E402
 
-SETUP_SPAWNS = 11       # interpreter spawns timed for setup_s
+SETUP_SPAWNS = 6        # pairs of spawns timed for setup_s, before and
+                        # again after the worker: 12 pairs in all
+SETUP_REF_S = 0.17      # reference spawn time that setup_s is rescaled to
 WORKER_GRACE_S = 140    # worker time allowed beyond --seconds
 
 
@@ -45,16 +47,23 @@ def worker_env() -> dict:
     return dict(os.environ, PYTHONPATH="src", ERGOLAB_THREADS="1")
 
 
-def setup_seconds(env: dict) -> float:
-    """Median time from spawning an interpreter to `import ergolab` returning,
-    normalised by the median of calibrations run between the spawns."""
-    times, cals = [], []
-    for _ in range(SETUP_SPAWNS):
-        t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-c", "import ergolab"], env=env, check=True)
-        times.append(time.perf_counter() - t0)
-        cals.append(calibrate())
-    return statistics.median(normalised(times, cals))
+def spawn_seconds(env: dict, code: str) -> float:
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    return time.perf_counter() - t0
+
+
+def setup_times(env: dict) -> list:
+    """Times from spawning an interpreter to `import ergolab` returning, each
+    rescaled by the time of a reference spawn, made right after it, that
+    imports only numpy (ergolab's one heavy dependency).
+
+    A spawn follows the machine's load the way the reference spawn does,
+    not the way the calibration task of speed.py does.  The load changes
+    over tens of seconds, so one window of spawns is timed before the
+    worker and one after it, and setup_s is the median of both."""
+    return [spawn_seconds(env, "import ergolab") * SETUP_REF_S
+            / spawn_seconds(env, "import numpy") for _ in range(SETUP_SPAWNS)]
 
 
 def pass_times(passes: list) -> list:
@@ -70,30 +79,37 @@ def read_files(d: Path) -> dict:
 
 
 def count_failures(ops, run: Path, passes: list) -> tuple:
-    """(attempted, failed, unexpected failure reasons) over measured passes."""
+    """(attempted, failed, unexpected failure reasons, failed (pass, op) keys)
+    over the measured passes.
+
+    An op fails in a pass when its pass-0 output fails its check, or when it
+    raises in that pass or writes output that differs from pass 0.  Only a
+    known-fault op's pass-0 check failure is expected; every error and every
+    difference from pass 0 is unexpected, known-fault ops included."""
     ref = {op.name: read_files(run / "p0" / op.name) for op in ops}
-    reasons = {op.name: check_op(op, ref[op.name]) for op in ops}
-    for op in ops:
-        if passes[0]["errors"].get(op.name):
-            reasons[op.name] = passes[0]["errors"][op.name]
-    attempted = failed = 0
     unexpected = []
+    reasons = {}
+    for op in ops:
+        err = passes[0]["errors"].get(op.name)
+        reasons[op.name] = err or check_op(op, ref[op.name])
+        if reasons[op.name]:
+            tag = "known fault" if op.fault and not err else "FAILED"
+            print(f"{tag}: {op.name}: {reasons[op.name]}", file=sys.stderr)
+            if tag == "FAILED":
+                unexpected.append(f"{op.name} (pass 0): {reasons[op.name]}")
+    attempted = 0
+    failed = set()
     for k, p in enumerate(passes[1:], start=1):
         for op in ops:
             attempted += 1
-            why = reasons[op.name] or p["errors"].get(op.name)
+            why = p["errors"].get(op.name)
             if why is None and read_files(run / f"p{k}" / op.name) != ref[op.name]:
-                why = f"pass {k} output differs from pass 0"
-            if why is None:
-                continue
-            failed += 1
-            if op.fault is None or why.startswith("pass "):
+                why = "output differs from pass 0"
+            if why is not None:
                 unexpected.append(f"{op.name} (pass {k}): {why}")
-    for op in ops:
-        if reasons[op.name]:
-            tag = "known fault" if op.fault else "FAILED"
-            print(f"{tag}: {op.name}: {reasons[op.name]}", file=sys.stderr)
-    return attempted, failed, unexpected
+            if why is not None or reasons[op.name]:
+                failed.add((k, op.name))
+    return attempted, len(failed), unexpected, failed
 
 
 def main(argv=None) -> int:
@@ -115,15 +131,17 @@ def main(argv=None) -> int:
     shutil.rmtree(run, ignore_errors=True)
     run.mkdir(parents=True)
     try:
-        setup_s = None if args.trace else setup_seconds(env)
+        setup = [] if args.trace else setup_times(env)
         subprocess.run(
             [sys.executable, str(HERE / "worker.py"), "--workload", args.workload,
              "--seed", str(args.seed), "--seconds", str(args.seconds),
              "--trace", str(args.trace), "--run", str(run)],
             env=env, check=True, timeout=args.seconds + WORKER_GRACE_S)
+        if not args.trace:
+            setup += setup_times(env)
         report = json.loads((run / "worker.json").read_text())
         passes = report["passes"]
-        attempted, failed, unexpected = count_failures(ops, run, passes)
+        attempted, failed, unexpected, failed_ops = count_failures(ops, run, passes)
         for line in unexpected:
             print(f"unexpected failure: {line}", file=sys.stderr)
         if args.trace:
@@ -138,10 +156,12 @@ def main(argv=None) -> int:
             metrics = {
                 "pass_s": {"value": statistics.median(sum(p) for p in ops_s),
                            "unit": "s"},
-                "op_p50_s": {"value": statistics.median(t for p in ops_s for t in p),
-                             "unit": "s"},
+                "op_p50_s": {"value": statistics.median(
+                    t for k, p in enumerate(ops_s, start=1)
+                    for op, t in zip(ops, p) if (k, op.name) not in failed_ops),
+                    "unit": "s"},
                 "peak_rss_mb": {"value": report["peak_rss_kb"] / 1024, "unit": "MB"},
-                "setup_s": {"value": setup_s, "unit": "s"},
+                "setup_s": {"value": statistics.median(setup), "unit": "s"},
             }
     except (subprocess.SubprocessError, OSError, ValueError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

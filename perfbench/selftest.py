@@ -4,7 +4,9 @@ Runs each workload's ops once (the worker's warm-up pass plus one pass),
 checks that the untouched outputs pass (the two known faults fail), then
 feeds the checks copies of the outputs with one field mutated: a K off by
 one, a cluster pair moved above eps, a verdict flipped, one byte of a CSV
-changed, and so on.  Exits 1 if any mutation passes its check.
+changed, and so on.  Last, it gives the checks the known-fault curve with
+the verdicts a fixed classifier may report, which must pass.  Exits 1 if
+any mutation passes its check or any such repair fails it.
 
     python3 perfbench/selftest.py          # from the repository root
 """
@@ -51,6 +53,17 @@ def _set_verdict(label, value):
         bundle["verdicts"] = [[k, value if k == label else v]
                               for k, v in bundle["verdicts"]]
     return edit
+
+
+def _fix_verdict(value):
+    """Set the complexity verdict in bundle.json and on stdout, as a fixed
+    classifier would report it."""
+    def mutate(files):
+        files = _edit_json("bundle.json", _set_verdict("complexity", value))(files)
+        out = files["stdout.txt"].decode().replace("complexity: bounded",
+                                                   f"complexity: {value}")
+        return {**files, "stdout.txt": out.encode()}
+    return mutate
 
 
 def _k_off_by_one(point):
@@ -133,6 +146,17 @@ def mutations(ops: dict) -> list:
     ]
 
 
+def repairs(ops: dict) -> list:
+    """(op, description, mutate(files) -> files) that must pass their check:
+    a known-fault op's output as it would read once the fault is fixed."""
+    return [
+        (ops["bernoulli16-ceiling"], "ceiling verdict set to inconclusive",
+         _fix_verdict("inconclusive")),
+        (ops["bernoulli16-ceiling"], "ceiling verdict set to growing",
+         _fix_verdict("growing")),
+    ]
+
+
 def main() -> int:
     run = Path.cwd() / ".bench_run" / f"selftest-{os.getpid()}"
     shutil.rmtree(run, ignore_errors=True)
@@ -157,6 +181,12 @@ def main() -> int:
             if why is None:
                 bad += 1
             print(f"{'caught' if why else 'MISSED'}: {op.name}: {what}"
+                  + (f" -> {why}" if why else ""))
+        for op, what, mutate in repairs(ops):
+            why = checks.check_op(op, mutate(outputs[op.name]))
+            if why is not None:
+                bad += 1
+            print(f"{'REJECTED' if why else 'accepted'}: {op.name}: {what}"
                   + (f" -> {why}" if why else ""))
     finally:
         shutil.rmtree(run, ignore_errors=True)

@@ -6,6 +6,11 @@ data, so the worker (which imports ergolab) and the checks (which never do)
 read the same description.  ``Op.argv`` takes the output directory of
 the op in the current pass.
 
+Op sizes are set so that in each workload one CLI op sits at the median
+time of the ops that do not fail, well apart from its neighbours, since
+``op_p50_s`` then reads that op's time (``cuts3``, ``hamming-equi``,
+``sturmian``; see README.md).
+
 Two ops carry ``fault``: they fail today because of a program fault, on
 inputs that do not depend on the workload seed, and are counted as failed
 rather than making the run incorrect.
@@ -52,9 +57,11 @@ def cover_curves(seed: int) -> list:
     return [
         _cli("halves", "curve", seed, "complexity", system="rotation:golden",
              target="halves", eps=0.1, horizons=[8, 64, 256, 1024], samples=600),
+        _cli("halves-small", "curve", seed, "complexity", system="rotation:golden",
+             target="halves", eps=0.2, horizons=[16, 64, 256], samples=300),
         _cli("cuts3", "curve", seed, "complexity", system="rotation:golden",
              target="cuts:0:0.3:0.7", eps=0.1, horizons=[8, 64, 256, 1024],
-             samples=600),
+             samples=700),
         _cli("fbar-char", "curve", seed, "complexity", system="rotation:golden",
              target="character:1", eps=0.2, horizons=[16, 64, 256], samples=500),
         _api("fhat-cover", "fhat_cover", seed, "fhat_cover",
@@ -78,7 +85,9 @@ def cluster_rows(seed: int) -> list:
              target="character:1", eps=0.5, samples=800, horizon=128),
         _cli("hamming-equi", "meanequi", seed, "meanequi",
              system="rotation:golden", target="halves", eps=0.2, samples=1000,
-             horizon=1024),
+             horizon=2048),
+        _cli("cuts3-equi", "meanequi", seed, "meanequi", system="rotation:golden",
+             target="cuts:0:0.3:0.7", eps=0.3, samples=300, horizon=256),
         _cli("doubling-equi-failure", "meanequi_failure", FAULT_SEED, "meanequi",
              fault="report._run_meanequi writes null for an "
                    "EquipartitionFailure",
@@ -119,9 +128,9 @@ def symbolic_orbits(seed: int) -> list:
         _cli("name-bernoulli", "name", seed, "name", system="bernoulli:0.5",
              target="cylinder:0", n=4096),
         _cli("name-odometer", "name", seed, "name", system="odometer:2",
-             target="cylinder:0,1,2:2", n=256),
+             target="cylinder:0,1,2:2", n=6144),
         _api("eigen-doubling", "eigen", seed, "eigen", system="doubling",
-             target="character:1", lam=1.0, samples=2000),
+             target="character:1", lam=1.0, samples=12000),
         _api("eigen-rotation", "eigen", seed, "eigen", system="rotation:golden",
              target="character:1", lam="theta", samples=4000),
     ]
