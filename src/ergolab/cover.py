@@ -11,15 +11,18 @@ measure strictly above 1 - eps.  Two routes are provided:
   finite word distribution; the independent small-instance oracle.
 
 Strict inequalities (< eps for ball membership, > 1-eps for covered
-mass) follow the definitions exactly; mass comparisons are done in
-exact rational arithmetic so boundary ties resolve to "not covered".
+mass) follow the definitions exactly.  Hamming counts come from float32
+indicator-plane products (exact while n < 2**24), fbar/fhat fill mirrored
+tiles bit for bit, greedy gains are exact integers and masses compare in
+rational arithmetic, so boundary ties resolve to "not covered".
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,11 +34,11 @@ from .errors import (
 )
 from .metrics import fbar_n, fhat_n, hamming_avg
 from .observables import Observable
-from .partitions import NameWord, Partition, name_symbols, name_word
+from .partitions import NameWord, Partition, cylinder, name_symbols, name_word
 from .rng import RandomPlan
 from .systems import SystemHandle
 
-_CHUNK = 64
+_CHUNK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -80,67 +83,61 @@ def _sample_features(kind, system, samples, n) -> np.ndarray:
     return np.stack([f.orbit_values(system, s, n) for s in samples])
 
 
-def _popcount(a: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(a)
-    lut = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(1)
-    return lut[a]
-
-
 def _pairwise_hamming(labels: np.ndarray) -> np.ndarray:
-    """Fraction of differing positions for every row pair."""
+    """Fraction of differing positions for every row pair.
+
+    Agreements are summed as P_s @ P_s.T over the indicator planes
+    P_s = (labels == s).  Every partial sum is an integer <= n, so float32
+    is exact while n < 2**24, whatever the BLAS blocking or thread count.
+    """
     m, n = labels.shape
-    alpha = int(labels.max()) + 1 if m else 1
-    mismatches = np.zeros((m, m), dtype=np.int64)
-    if alpha <= 8:
-        # pack the per-symbol indicator planes and count agreements by popcount
-        agree = np.zeros((m, m), dtype=np.int64)
-        planes = [np.packbits(labels == s, axis=1) for s in range(alpha)]
-        for lo in range(0, m, _CHUNK):
-            hi = min(lo + _CHUNK, m)
-            for plane in planes:
-                agree[lo:hi] += _popcount(
-                    plane[lo:hi, None, :] & plane[None, :, :]
-                ).sum(axis=2, dtype=np.int64)
-        mismatches = n - agree
-    else:
-        for lo in range(0, m, _CHUNK):
-            hi = min(lo + _CHUNK, m)
-            mismatches[lo:hi] = (labels[lo:hi, None, :] != labels[None, :, :]).sum(
-                axis=2
-            )
-    return mismatches / n
+    dtype = np.float32 if n < 2**24 else np.float64
+    agree = np.zeros((m, m), dtype=dtype)
+    for s in range(int(labels.max()) + 1 if m else 0):
+        plane = (labels == s).astype(dtype)
+        agree += plane @ plane.T
+    return np.true_divide(np.subtract(n, agree, out=agree), n, dtype=np.float64)
+
+
+def _pairwise_gaps(values: np.ndarray, reduce, chunk: int) -> np.ndarray:
+    """reduce(|v_i - v_j|) over the time axis for every row pair.
+
+    Only the tiles on and above the diagonal are computed: |v_i - v_j| and
+    |v_j - v_i| are bitwise equal and each pair reduces one contiguous row,
+    so a mirrored tile equals a directly computed one.
+    """
+    m = values.shape[0]
+    out = np.empty((m, m))
+    for lo in range(0, m, chunk):
+        rows = values[lo : lo + chunk, None, :]
+        for lo2 in range(lo, m, chunk):
+            tile = reduce(np.abs(rows - values[None, lo2 : lo2 + chunk, :]))
+            out[lo : lo + chunk, lo2 : lo2 + chunk] = tile
+            out[lo2 : lo2 + chunk, lo : lo + chunk] = tile.T
+    return out
 
 
 def _pairwise_fbar(values: np.ndarray) -> np.ndarray:
-    m = values.shape[0]
-    out = np.zeros((m, m))
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        out[lo:hi] = np.abs(values[lo:hi, None, :] - values[None, :, :]).mean(axis=2)
-    return out
+    return _pairwise_gaps(values, lambda gaps: gaps.mean(axis=2), _CHUNK)
 
 
 def _pairwise_fhat(values: np.ndarray) -> np.ndarray:
-    m, n = values.shape
-    inv = 1.0 / np.arange(1, n + 1)
-    out = np.zeros((m, m))
-    chunk = max(1, _CHUNK // 4)
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        gaps = np.abs(values[lo:hi, None, :] - values[None, :, :])
-        prefix = np.cumsum(gaps, axis=2) * inv
-        out[lo:hi] = prefix.max(axis=2)
-    return out
+    inv = 1.0 / np.arange(1, values.shape[1] + 1)
+    return _pairwise_gaps(
+        values, lambda gaps: (np.cumsum(gaps, axis=2) * inv).max(axis=2), _CHUNK // 2
+    )
 
 
-def pairwise_distances(kind: MetricKind, system, samples, n: int) -> np.ndarray:
-    feats = _sample_features(kind, system, samples, n)
+def _distance_matrix(kind: MetricKind, feats: np.ndarray) -> np.ndarray:
     if isinstance(kind, HammingKind):
         return _pairwise_hamming(feats)
     if isinstance(kind, FbarKind):
         return _pairwise_fbar(feats)
     return _pairwise_fhat(feats)
+
+
+def pairwise_distances(kind: MetricKind, system, samples, n: int) -> np.ndarray:
+    return _distance_matrix(kind, _sample_features(kind, system, samples, n))
 
 
 def distance(kind: MetricKind, system, x, y, n: int) -> float:
@@ -165,53 +162,62 @@ def ball_member(center, candidate, n: int, eps: float, kind: MetricKind,
 # Greedy cover
 
 
-def _mass_exceeds(covered_units: int, total_units: int, eps: float) -> bool:
-    # covered/total > 1 - eps, decided exactly
+def _units_needed(total_units: int, eps: float) -> int:
+    """Least covered units c with c / total_units > 1 - eps, decided exactly."""
     feps = Fraction(eps)
-    return covered_units * feps.denominator > total_units * (
-        feps.denominator - feps.numerator
-    )
+    short = total_units * (feps.denominator - feps.numerator)
+    return max(0, short // feps.denominator + 1)
 
 
-def _greedy_cover(balls: np.ndarray, counts: np.ndarray, eps: float,
+def _ball_members(balls: np.ndarray) -> list:
+    """Each row of the bool ball matrix as a list of member indices; the
+    lists share one int object per index, so an entry costs one pointer."""
+    index = list(range(len(balls))).__getitem__
+    return [list(map(index, np.flatnonzero(row).tolist())) for row in balls]
+
+
+def _greedy_cover(members: list, counts: list, gains: list, eps: float,
                   max_centers: int) -> tuple[list, int, int]:
     """Greedy weighted set cover; returns (centers, covered_units, total_units).
 
-    Candidates are restricted to still-uncovered samples, which keeps the
-    chosen centers pairwise at least eps apart and the run deterministic
-    (ties break toward the lowest index).  Raises when the budget runs out.
+    ``members[i]`` lists the ball around sample i, ``counts`` the integer
+    sample masses and ``gains[i]`` the mass of ball i.  Candidates are
+    restricted to still-uncovered samples, which keeps the chosen centers
+    pairwise at least eps apart.  Each step takes the lowest index among
+    the largest gains: a heap holds (-gain bound, index), and a popped
+    candidate whose refreshed gain equals its bound is taken.  Raises
+    when the budget runs out.
     """
-    m = balls.shape[0]
-    total = int(counts.sum())
-    uncovered = np.ones(m, dtype=bool)
-    # upper bounds on gains; lazily refreshed (gains only ever shrink)
-    gains = balls @ counts.astype(np.float64)
+    left = list(counts)  # mass of each sample not yet covered
+    total = sum(left)
+    uncovered = [True] * len(left)
+    heap = [(-g, i) for i, g in enumerate(gains)]
+    heapq.heapify(heap)
+    need = _units_needed(total, eps)
     covered = 0
     centers: list[int] = []
-    while not _mass_exceeds(covered, total, eps):
-        masked = np.where(uncovered, gains, -1.0)
+
+    def exhausted(why: str) -> BudgetExhaustedError:
+        return BudgetExhaustedError(why, centers=centers, covered_mass=covered / total)
+
+    while covered < need:
         while True:
-            i = int(np.argmax(masked))
-            if masked[i] < 0:
-                raise BudgetExhaustedError(
-                    "no uncovered candidate can extend the cover",
-                    centers=centers,
-                    covered_mass=covered / total,
-                )
-            true_gain = int(counts[balls[i] & uncovered].sum())
-            if true_gain >= masked[i] - 1e-9:
+            if not heap:
+                raise exhausted("no uncovered candidate can extend the cover")
+            bound, i = heapq.heappop(heap)
+            if not uncovered[i]:
+                continue
+            gain = sum(map(left.__getitem__, members[i]))
+            if gain == -bound:
                 break
-            gains[i] = true_gain
-            masked[i] = true_gain
+            heapq.heappush(heap, (-gain, i))
         if len(centers) >= max_centers:
-            raise BudgetExhaustedError(
-                f"center budget {max_centers} exhausted",
-                centers=centers,
-                covered_mass=covered / total,
-            )
+            raise exhausted(f"center budget {max_centers} exhausted")
         centers.append(i)
-        covered += true_gain
-        uncovered &= ~balls[i]
+        covered += gain
+        for j in members[i]:
+            left[j] = 0
+            uncovered[j] = False
     return centers, covered, total
 
 
@@ -250,19 +256,17 @@ def estimate_cover_number(
     if eps <= 0:
         raise InvalidParameterError("eps must be positive")
     m = len(samples)
-    D = pairwise_distances(kind, system, samples, n)
-    balls = D < eps
+    members = _ball_members(pairwise_distances(kind, system, samples, n) < eps)
     if weights is None:
-        counts = np.ones(m, dtype=np.int64)
+        counts = [1] * m
     else:
         # scale rational weights to integer units for exact mass comparisons
         fracs = [Fraction(float(w)) for w in weights]
-        denom = 1
-        for f in fracs:
-            denom = denom * f.denominator // gcd(denom, f.denominator)
-        counts = np.array([int(f * denom) for f in fracs], dtype=object)
+        denom = lcm(*(f.denominator for f in fracs))
+        counts = [int(f * denom) for f in fracs]
+    gains = [sum(map(counts.__getitem__, mem)) for mem in members]
     budget = m if max_centers is None else max_centers
-    centers, covered, total = _greedy_cover(balls, counts, eps, budget)
+    centers, covered, total = _greedy_cover(members, counts, gains, eps, budget)
     return CoverResult(
         centers=tuple(centers),
         radius=eps,
@@ -315,7 +319,6 @@ def exact_cover_number_small(word_distribution, n: int, eps: float) -> int:
     order = sorted(range(W), key=lambda i: (-ball_mass[i], i))
     sets_o = [ball_sets[i] for i in order]
     mass_f = [float(ball_mass[i]) for i in order]
-    mass_x = np.array([float(m) for m in masses])
 
     def union_mass(bits: int) -> Fraction:
         tot = Fraction(0)
@@ -348,26 +351,19 @@ def exact_cover_number_small(word_distribution, n: int, eps: float) -> int:
 
         return rec(0, 0, 0)
 
-    # greedy upper bound guarantees termination
+    # greedy upper bound guarantees termination; hamming distance between
+    # NameWords ignores the partition, so any cylinder stand-in works
     greedy = estimate_cover_number(
         [NameWord(tuple(int(s) for s in w), int(mat.max()) + 1) for w in words],
         n,
         eps,
-        HammingKind(trivial_partition_for(mat)),
+        HammingKind(cylinder([0], max(2, int(mat.max()) + 1))),
         weights=[float(m) for m in masses],
     )
     for k in range(1, greedy.count + 1):
         if feasible(k):
             return k
     return greedy.count
-
-
-def trivial_partition_for(mat: np.ndarray) -> Partition:
-    # hamming distance between NameWords ignores the partition; any cylinder
-    # stand-in with a matching alphabet works here
-    from .partitions import cylinder
-
-    return cylinder([0], max(2, int(mat.max()) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +421,12 @@ def complexity_curve(
     pts = []
     for n in horizons:
         feats = _sample_features(kind, system, samples, n)
-        if isinstance(kind, HammingKind):
-            D = _pairwise_hamming(feats)
-        elif isinstance(kind, FbarKind):
-            D = _pairwise_fbar(feats)
-        else:
-            D = _pairwise_fhat(feats)
-        balls = D < eps
-        ones = np.ones(sample_count, dtype=np.int64)
+        # one set of balls serves the point estimate and every resample
+        balls = _distance_matrix(kind, feats) < eps
+        members = _ball_members(balls)
+        ones, sizes = [1] * sample_count, list(map(len, members))
         try:
-            centers, covered, total = _greedy_cover(balls, ones, eps, budget)
+            centers, covered, total = _greedy_cover(members, ones, sizes, eps, budget)
             k_est = len(centers)
             covered_mass = covered / total
             budget_hit = False
@@ -446,12 +438,15 @@ def complexity_curve(
             k_lo = k_hi = float(k_est)
         else:
             rng = plan.generator(_TAG_BOOTSTRAP, n)
+            draws = np.stack([np.bincount(rng.integers(0, sample_count, sample_count),
+                                          minlength=sample_count) for _ in range(resamples)])
+            # all resamples' ball masses in one product; float32 is exact as
+            # every partial sum is an integer <= sample_count (far below 2**24)
+            masses = (draws.astype(np.float32) @ balls.T).astype(np.int64)
             boot = []
-            for _ in range(resamples):
-                idx = rng.integers(0, sample_count, sample_count)
-                counts = np.bincount(idx, minlength=sample_count)
+            for counts, gains in zip(draws.tolist(), masses.tolist()):
                 try:
-                    c, _, _ = _greedy_cover(balls, counts, eps, budget)
+                    c, _, _ = _greedy_cover(members, counts, gains, eps, budget)
                     boot.append(len(c))
                 except BudgetExhaustedError:
                     boot.append(budget)
@@ -479,15 +474,19 @@ def complexity_curve(
 def classify_boundedness(curve) -> str:
     """'bounded' / 'growing' / 'inconclusive' verdict on a complexity curve.
 
-    Bounded: the last three estimates lie within +1 of each other.
+    Bounded: the last three estimates lie within +1 of each other, unless
+    a ComplexityCurve's last three all sit at its singleton ceiling (the
+    least k with k/sample_count > 1 - eps), where flatness says nothing.
     Growing: estimates rise monotonically with the last at least twice
     the first.  Anything else is inconclusive.
     """
     ests = curve.estimates if hasattr(curve, "estimates") else [int(v) for v in curve]
+    ceiling = (_units_needed(curve.sample_count, curve.eps)
+               if isinstance(curve, ComplexityCurve) else None)
     if len(ests) < 3:
         raise InvalidParameterError("need at least 3 curve points")
     tail = ests[-3:]
-    if max(tail) - min(tail) <= 1:
+    if max(tail) - min(tail) <= 1 and tail != [ceiling] * 3:
         return "bounded"
     nondecreasing = all(b >= a for a, b in zip(ests, ests[1:]))
     if nondecreasing and ests[-1] > ests[0] and ests[-1] >= 2 * ests[0]:

@@ -20,7 +20,7 @@ from .cover import (
     FbarKind,
     FhatKind,
     HammingKind,
-    _mass_exceeds,
+    _units_needed,
     pairwise_distances,
 )
 from .errors import InvalidParameterError
@@ -82,6 +82,14 @@ class EquipartitionFailure:
     def k(self) -> Optional[int]:
         return None
 
+    def to_json(self) -> dict:
+        return {
+            "eps": self.eps,
+            "k_max": self.k_max,
+            "covered_mass": self.covered_mass,
+            "horizon": self.horizon,
+        }
+
 
 def _greedy_clusters(D: np.ndarray, eps: float, k_max: int):
     """Centers at pairwise >= eps/2; members within eps/2 of their center."""
@@ -89,7 +97,7 @@ def _greedy_clusters(D: np.ndarray, eps: float, k_max: int):
     unassigned = np.ones(m, dtype=bool)
     clusters = []
     covered = 0
-    while not _mass_exceeds(covered, m, eps) and len(clusters) < k_max:
+    while covered < _units_needed(m, eps) and len(clusters) < k_max:
         center = int(np.argmax(unassigned))  # lowest unassigned index
         if not unassigned[center]:
             break
@@ -105,7 +113,7 @@ def _build_equipartition(
 ) -> EquiPartition | EquipartitionFailure:
     m = D.shape[0]
     clusters, covered = _greedy_clusters(D, eps, k_max)
-    if not _mass_exceeds(covered, m, eps):
+    if covered < _units_needed(m, eps):
         return EquipartitionFailure(
             eps=eps, k_max=k_max, covered_mass=covered / m, horizon=horizon
         )

@@ -147,7 +147,7 @@ def config_from_json(obj: dict, out_dir: Optional[str] = None) -> ExperimentConf
 class ReportBundle:
     curves: tuple = ()
     verdicts: tuple = ()           # (label, verdict) pairs
-    equipartitions: tuple = ()     # (label, EquiPartition-or-None json) pairs
+    equipartitions: tuple = ()     # (label, EquiPartition or failure json) pairs
     geometries: tuple = ()         # (label, OrbitGeometry) pairs
     tables: tuple = ()             # (label, rows) free-form CSV-able payloads
     config_hash: str = ""
@@ -317,7 +317,7 @@ def _run_meanequi(config, plan):
     ok = isinstance(ep, EquiPartition)
     return ReportBundle(
         verdicts=(("meanequi", "success" if ok else "failure"),),
-        equipartitions=(("meanequi", ep.to_json() if ok else None),),
+        equipartitions=(("meanequi", ep.to_json()),),
         config_hash=config.config_hash,
         seed=plan.master_seed,
     )

@@ -145,6 +145,21 @@ def test_meanequi_subcommand(capsys):
     assert "meanequi: success" in capsys.readouterr().out
 
 
+def test_meanequi_failure_record_kept(tmp_path, capsys):
+    rc = main(
+        ["--seed", "42", "--out", str(tmp_path), "meanequi", "--system", "doubling",
+         "--target", "character:1", "--eps", "0.5", "--k-max", "10"]
+    )
+    assert rc == 0
+    assert "meanequi: failure" in capsys.readouterr().out
+    bundle = json.loads((tmp_path / "bundle.json").read_text())
+    [[label, rec]] = bundle["equipartitions"]
+    assert label == "meanequi"
+    assert set(rec) == {"eps", "k_max", "covered_mass", "horizon"}
+    assert (rec["eps"], rec["k_max"], rec["horizon"]) == (0.5, 10, 256)
+    assert 0 < rec["covered_mass"] <= 0.5  # short of the 1 - eps target
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.delenv("ERGOLAB_THREADS", raising=False)
     assert worker_count() == 1

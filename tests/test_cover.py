@@ -1,10 +1,19 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import ergolab as e
-from ergolab.cover import _pairwise_fbar, _pairwise_fhat, _pairwise_hamming
+from ergolab.cover import (
+    _CHUNK,
+    _ball_members,
+    _greedy_cover,
+    _pairwise_fbar,
+    _pairwise_fhat,
+    _pairwise_hamming,
+)
+from ergolab.errors import BudgetExhaustedError
 from ergolab.systems import make_system
 
 PLAN = e.RandomPlan(4242)
@@ -102,21 +111,50 @@ def test_greedy_centers_pairwise_separated():
         assert D[a, b] >= 0.15
 
 
+def _naive_hamming(labels):
+    return (labels[:, None, :] != labels[None, :, :]).mean(axis=2)
+
+
 def test_pairwise_hamming_matches_naive():
     rng = np.random.default_rng(0)
-    labels = rng.integers(0, 3, size=(40, 57))
-    D = _pairwise_hamming(labels)
-    naive = (labels[:, None, :] != labels[None, :, :]).mean(axis=2)
-    np.testing.assert_allclose(D, naive)
-    assert np.allclose(D, D.T) and np.all(np.diag(D) == 0)
+    cases = [
+        rng.integers(0, 3, size=(40, 57)),
+        rng.integers(0, 16, size=(33, 101)),
+        rng.integers(0, 5, size=(1, 9)),  # a single row
+        2 * rng.integers(0, 2, size=(20, 31)),  # symbol 1 never occurs
+    ]
+    for labels in cases:
+        D = _pairwise_hamming(labels)
+        assert np.array_equal(D, _naive_hamming(labels))
+        assert np.array_equal(D, D.T) and np.all(np.diag(D) == 0)
 
 
-def test_pairwise_hamming_binary_popcount_path():
+def test_pairwise_hamming_binary_odd_length():
     rng = np.random.default_rng(1)
-    labels = rng.integers(0, 2, size=(130, 101))  # odd length exercises padding
-    D = _pairwise_hamming(labels)
-    naive = (labels[:, None, :] != labels[None, :, :]).mean(axis=2)
-    np.testing.assert_allclose(D, naive)
+    labels = rng.integers(0, 2, size=(130, 101))
+    assert np.array_equal(_pairwise_hamming(labels), _naive_hamming(labels))
+
+
+def _full_rows(values, reduce):
+    """Unmirrored reference: every row against all rows, one row at a time."""
+    return np.concatenate(
+        [reduce(np.abs(values[i : i + 1, None, :] - values[None, :, :]))
+         for i in range(len(values))]
+    )
+
+
+def test_pairwise_fbar_fhat_tiles_match_full_rows():
+    rng = np.random.default_rng(2)
+    m, n = 2 * _CHUNK + 5, 37
+    inv = 1.0 / np.arange(1, n + 1)
+    for values in (np.exp(2j * np.pi * rng.random((m, n))), rng.normal(size=(m, n))):
+        assert np.array_equal(
+            _pairwise_fbar(values), _full_rows(values, lambda g: g.mean(axis=2))
+        )
+        assert np.array_equal(
+            _pairwise_fhat(values),
+            _full_rows(values, lambda g: (np.cumsum(g, axis=2) * inv).max(axis=2)),
+        )
 
 
 def test_pairwise_fbar_fhat_match_scalar():
@@ -152,6 +190,20 @@ def test_complexity_curve_and_classify():
     assert len(rows) == 4
 
 
+def test_classify_ceiling_not_bounded():
+    # every ball a singleton: K pinned at the least k with k/600 > 0.9
+    ests = [527, 540, 540, 540]
+    points = tuple(
+        e.CurvePoint(n=n, k_est=k, k_lo=k, k_hi=k, budget_hit=False, covered_mass=0.9)
+        for n, k in zip([8, 16, 32, 64], ests)
+    )
+    curve = e.ComplexityCurve(
+        points=points, eps=0.1, metric_label="hamming", sample_count=600, seed=42
+    )
+    assert e.classify_boundedness(curve) == "inconclusive"
+    assert e.classify_boundedness(ests) == "bounded"  # no sample count: old rule
+
+
 def test_classify_growing_and_inconclusive():
     assert e.classify_boundedness([5, 5, 6, 5]) == "bounded"
     assert e.classify_boundedness([10, 20, 40, 80]) == "growing"
@@ -180,3 +232,83 @@ def test_budget_hit_recorded_not_fatal():
         max_centers=20,
     )
     assert any(p.budget_hit for p in curve.points)
+
+
+def _argmax_greedy(balls, counts, eps, max_centers):
+    """Reference: the previous engine, an argmax lazy greedy over a bool
+    ball matrix with float gain bounds and a 1e-9 slack."""
+
+    def exceeds(covered, total):
+        feps = Fraction(eps)
+        return covered * feps.denominator > total * (feps.denominator - feps.numerator)
+
+    m = balls.shape[0]
+    total = int(counts.sum())
+    uncovered = np.ones(m, dtype=bool)
+    gains = balls @ counts.astype(np.float64)
+    covered = 0
+    centers = []
+    while not exceeds(covered, total):
+        masked = np.where(uncovered, gains, -1.0)
+        while True:
+            i = int(np.argmax(masked))
+            if masked[i] < 0:
+                raise BudgetExhaustedError(
+                    "no uncovered candidate can extend the cover",
+                    centers=centers,
+                    covered_mass=covered / total,
+                )
+            true_gain = int(counts[balls[i] & uncovered].sum())
+            if true_gain >= masked[i] - 1e-9:
+                break
+            gains[i] = true_gain
+            masked[i] = true_gain
+        if len(centers) >= max_centers:
+            raise BudgetExhaustedError(
+                f"center budget {max_centers} exhausted",
+                centers=centers,
+                covered_mass=covered / total,
+            )
+        centers.append(i)
+        covered += true_gain
+        uncovered &= ~balls[i]
+    return centers, covered, total
+
+
+def _outcome(greedy, *args):
+    try:
+        return greedy(*args)
+    except BudgetExhaustedError as exc:
+        return str(exc), exc.centers, exc.covered_mass
+
+
+def test_heap_greedy_matches_argmax_greedy():
+    rng = np.random.default_rng(5)
+    paths = set()
+    for trial in range(150):
+        m = int(rng.integers(1, 60))
+        x = rng.random((m, int(rng.integers(1, 4))))
+        D = np.abs(x[:, None, :] - x[None, :, :]).max(axis=2)  # symmetric, 0 diagonal
+        radius = float(rng.choice([0.05, 0.2, 0.5, 1.5]))
+        mode = trial % 3
+        if mode == 0:
+            counts = np.ones(m, dtype=np.int64)
+        elif mode == 1:  # bootstrap counts, zeros included
+            counts = np.bincount(rng.integers(0, m, m), minlength=m)
+        else:  # integer weights, as int64 or as Python ints in an object array
+            counts = rng.integers(0, 10, m)
+            counts[0] += 1  # positive total
+            if trial % 2:
+                counts = counts.astype(object)
+        eps = float(rng.choice([0.0, 0.1, 0.3, 0.5]))  # 0: cover never suffices
+        budget = int(rng.integers(0, 4)) if trial % 4 == 0 else m
+        balls = D < radius
+        members = _ball_members(balls)
+        want = _outcome(_argmax_greedy, balls, counts, eps, budget)
+        gains = [sum(counts[j] for j in mem) for mem in members]
+        got = _outcome(_greedy_cover, members, counts.tolist(), gains, eps, budget)
+        assert got == want
+        paths.add(want[0] if isinstance(want[0], str) else "covered")
+    assert any("budget" in p for p in paths)
+    assert "no uncovered candidate can extend the cover" in paths
+    assert "covered" in paths

@@ -1,0 +1,60 @@
+"""Committed golden artifacts: every file a small CLI run writes must match
+the stored bytes.
+
+Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only when an
+output change is intended, and say why in the change that does it.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from ergolab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SEED = 7
+
+CASES = {
+    "complexity-rotation-halves": [
+        "complexity", "--system", "rotation:golden", "--target", "halves",
+        "--eps", "0.2", "--horizons", "8,32,128", "--samples", "120"],
+    "complexity-rotation-fbar": [
+        "complexity", "--system", "rotation:golden", "--target", "character:1",
+        "--eps", "0.3", "--horizons", "8,16,32", "--samples", "80"],
+    "complexity-bernoulli": [
+        "complexity", "--system", "bernoulli:0.5", "--target", "cylinder:0",
+        "--eps", "0.1", "--horizons", "4,8,16", "--samples", "200"],
+    "complexity-sturmian": [
+        "complexity", "--system", "sturmian", "--target", "cylinder:0",
+        "--eps", "0.1", "--horizons", "8,64,256", "--samples", "150"],
+    "meanequi-hamming": [
+        "meanequi", "--system", "rotation:golden", "--target", "halves",
+        "--eps", "0.2", "--samples", "120", "--horizon", "64"],
+    "meanequi-fbar": [
+        "meanequi", "--system", "rotation:golden", "--target", "character:1",
+        "--eps", "0.5", "--samples", "120", "--horizon", "32"],
+    "report": ["report", "--samples", "150"],
+}
+
+
+def _run(name: str, out: Path) -> None:
+    assert main(["--seed", str(SEED), "--out", str(out), *CASES[name]]) == 0
+
+
+def _files(root: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_bytes(name, tmp_path):
+    _run(name, tmp_path)
+    got, want = _files(tmp_path), _files(GOLDEN / name)
+    assert sorted(got) == sorted(want)
+    for fname in want:
+        assert got[fname] == want[fname], f"{name}/{fname} differs from golden"
+
+
+if __name__ == "__main__":
+    for case in sys.argv[1:] or sorted(CASES):
+        _run(case, GOLDEN / case)
