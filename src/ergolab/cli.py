@@ -34,22 +34,22 @@ def _parse_system(text: str) -> dict:
     if text.startswith("{"):
         return json.loads(text)
     parts = text.split(":")
-    family = parts[0]
-    if family == "rotation":
+    head = parts[0]
+    if head == "rotation":
         theta = GOLDEN if len(parts) < 2 or parts[1] == "golden" else float(parts[1])
         return {"family": "rotation", "params": {"theta": theta}}
-    if family == "sturmian":
+    if head == "sturmian":
         theta = GOLDEN if len(parts) < 2 or parts[1] == "golden" else float(parts[1])
         return {"family": "sturmian", "params": {"theta": theta}}
-    if family == "doubling":
+    if head == "doubling":
         return {"family": "doubling"}
-    if family == "identity":
+    if head == "identity":
         return {"family": "identity"}
-    if family == "bernoulli":
+    if head == "bernoulli":
         p = float(parts[1]) if len(parts) > 1 else 0.5
         k = int(parts[2]) if len(parts) > 2 else 2
         return {"family": "bernoulli_shift", "params": {"p": p, "alphabet_size": k}}
-    if family == "odometer":
+    if head == "odometer":
         return {"family": "odometer", "params": {"base": int(parts[1])}}
     raise ConfigError(f"unknown system shortcut {text!r}")
 

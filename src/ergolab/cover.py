@@ -395,6 +395,7 @@ class ComplexityCurve:
 
 _TAG_CURVE_SAMPLES = 31
 _TAG_BOOTSTRAP = 33
+_RESAMPLES = 20  # bootstrap resamples per horizon
 
 
 def complexity_curve(
@@ -404,7 +405,6 @@ def complexity_curve(
     eps: float,
     sample_count: int,
     plan: RandomPlan,
-    resamples: int = 20,
     max_centers: Optional[int] = None,
 ) -> ComplexityCurve:
     """Covering-number estimates over a ladder of horizons with bootstrap CIs.
@@ -434,12 +434,12 @@ def complexity_curve(
             k_est = budget
             covered_mass = exc.covered_mass or 0.0
             budget_hit = True
-        if budget_hit or resamples == 0:
+        if budget_hit:
             k_lo = k_hi = float(k_est)
         else:
             rng = plan.generator(_TAG_BOOTSTRAP, n)
             draws = np.stack([np.bincount(rng.integers(0, sample_count, sample_count),
-                                          minlength=sample_count) for _ in range(resamples)])
+                                          minlength=sample_count) for _ in range(_RESAMPLES)])
             # all resamples' ball masses in one product; float32 is exact as
             # every partial sum is an integer <= sample_count (far below 2**24)
             masses = (draws.astype(np.float32) @ balls.T).astype(np.int64)
@@ -476,17 +476,20 @@ def classify_boundedness(curve) -> str:
 
     Bounded: the last three estimates lie within +1 of each other, unless
     a ComplexityCurve's last three all sit at its singleton ceiling (the
-    least k with k/sample_count > 1 - eps), where flatness says nothing.
+    least k with k/sample_count > 1 - eps) or all hit the center budget:
+    a cap makes the tail flat by construction, so flatness says nothing.
     Growing: estimates rise monotonically with the last at least twice
     the first.  Anything else is inconclusive.
     """
     ests = curve.estimates if hasattr(curve, "estimates") else [int(v) for v in curve]
-    ceiling = (_units_needed(curve.sample_count, curve.eps)
-               if isinstance(curve, ComplexityCurve) else None)
     if len(ests) < 3:
         raise InvalidParameterError("need at least 3 curve points")
     tail = ests[-3:]
-    if max(tail) - min(tail) <= 1 and tail != [ceiling] * 3:
+    capped = isinstance(curve, ComplexityCurve) and (
+        tail == [_units_needed(curve.sample_count, curve.eps)] * 3
+        or all(p.budget_hit for p in curve.points[-3:])
+    )
+    if max(tail) - min(tail) <= 1 and not capped:
         return "bounded"
     nondecreasing = all(b >= a for a, b in zip(ests, ests[1:]))
     if nondecreasing and ests[-1] > ests[0] and ests[-1] >= 2 * ests[0]:

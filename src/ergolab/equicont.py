@@ -142,7 +142,6 @@ def find_equipartition(
     samples: Sequence,
     horizon: int,
     k_max: Optional[int] = None,
-    plan: Optional[RandomPlan] = None,
 ) -> EquiPartition | EquipartitionFailure:
     """Greedy fbar_N clustering into sets with pairwise gap < eps.
 
@@ -165,7 +164,6 @@ def hamming_equipartition(
     samples: Sequence,
     horizon: int,
     k_max: Optional[int] = None,
-    plan: Optional[RandomPlan] = None,
 ) -> EquiPartition | EquipartitionFailure:
     """find_equipartition with name-word Hamming distance instead of fbar."""
     if not 0 < eps <= 1:

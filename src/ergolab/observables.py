@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import IncompatibleObservableError, InvalidParameterError
 from .partitions import Partition, name_symbols, partition_from_json
-from .systems import ShiftPoint, SturmianPoint, SystemHandle
+from .systems import SystemHandle
 
 
 class Observable:
@@ -79,7 +79,7 @@ class CoordinateRead(Observable):
     index: int = 0
 
     def orbit_values(self, system, x, n):
-        if not isinstance(x, (ShiftPoint, SturmianPoint)):
+        if system.kind != "shift":
             raise IncompatibleObservableError(
                 "coordinate reads are only defined on shift families"
             )

@@ -19,14 +19,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedRefinementError,
 )
-from .systems import (
-    DoublingPoint,
-    OdometerPoint,
-    ShiftPoint,
-    SturmianPoint,
-    SystemHandle,
-    circle_value,
-)
+from .systems import SystemHandle, circle_value
 
 CIRCLE_INTERVALS = "circle_intervals"
 CYLINDER = "cylinder"
@@ -124,23 +117,19 @@ def _cylinder_labels(symbol_rows: np.ndarray, alphabet: int) -> np.ndarray:
     return symbol_rows @ weights
 
 
-def _is_symbolic_point(x) -> bool:
-    return isinstance(x, (ShiftPoint, SturmianPoint, OdometerPoint))
-
-
 def classify(partition: Partition, x) -> int:
     """Unique cell label of x; boundaries resolve by the half-open rule."""
     if partition.kind == TRIVIAL:
         return 0
     if partition.kind == CIRCLE_INTERVALS:
-        if _is_symbolic_point(x):
+        if hasattr(x, "symbol"):
             raise IncompatiblePartitionError(
                 "circle-interval partition cannot classify a symbolic point"
             )
         cuts = np.asarray(partition.cuts)
         return int(_circle_labels(cuts, np.asarray(circle_value(x))))
     if partition.kind == CYLINDER:
-        if not _is_symbolic_point(x):
+        if not hasattr(x, "symbol"):
             raise IncompatiblePartitionError(
                 "cylinder partition needs a point with symbol coordinates"
             )
@@ -166,7 +155,7 @@ def name_symbols(system: SystemHandle, partition: Partition, x, n: int) -> np.nd
     if partition.kind == CIRCLE_INTERVALS and system.has_circle_values:
         cuts = np.asarray(partition.cuts)
         return _circle_labels(cuts, system.value_orbit(x, n))
-    if partition.kind == CYLINDER and isinstance(x, (ShiftPoint, SturmianPoint)):
+    if partition.kind == CYLINDER and system.kind == "shift":
         # time i, coordinate c reads stream index i+c
         lo, hi = partition.coords[0], partition.coords[-1]
         window = x.symbols(lo, hi + n)
@@ -188,21 +177,8 @@ def name_word(system: SystemHandle, partition: Partition, x, n: int) -> NameWord
 
 
 def _pulled_back_cuts(partition: Partition, system: SystemHandle, steps: int) -> list:
-    family = system.spec.family
-    cuts = set()
-    for c in partition.cuts:
-        for i in range(steps):
-            if family == "rotation":
-                cuts.add((c - i * system.theta) % 1.0)
-            elif family == "identity":
-                cuts.add(c)
-            elif family == "doubling":
-                for j in range(2**i):
-                    cuts.add((c + j) / 2**i)
-            else:
-                raise UnsupportedRefinementError(
-                    f"circle refinement not supported for {family}"
-                )
+    cuts = {p for c in partition.cuts for i in range(steps)
+            for p in system._cut_preimages(c, i)}
     merged = []
     for c in sorted(cuts):
         if not merged or c - merged[-1] > _CUT_TOL:

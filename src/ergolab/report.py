@@ -13,8 +13,6 @@ import csv
 import hashlib
 import io
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -40,7 +38,7 @@ from .observables import Observable, observable_from_json
 from .partitions import Partition, cylinder, halves, name_word, partition_from_json
 from .plotting import curve_svg, geometry_svg
 from .rng import RandomPlan
-from .spectral import OrbitGeometry, classify_almost_periodic, orbit_covering_number
+from .spectral import OrbitGeometry, _spectral_scan
 from .systems import (
     GOLDEN,
     SystemSpec,
@@ -60,16 +58,6 @@ _REQUIRED = {
     "spectral": ("horizons", "radius", "samples"),
     "dichotomy-report": ("eps",),
 }
-
-
-def worker_count() -> int:
-    """Worker cap from ERGOLAB_THREADS (default 1: fully sequential)."""
-    raw = os.environ.get("ERGOLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"ERGOLAB_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 @dataclass(frozen=True)
@@ -308,7 +296,6 @@ def _run_meanequi(config, plan):
         samples=samples,
         horizon=int(p["horizon"]),
         k_max=p.get("k_max"),
-        plan=plan,
     )
     if isinstance(config.target, Partition):
         ep = hamming_equipartition(system, config.target, **kwargs)
@@ -348,23 +335,17 @@ def _run_expansivity(config, plan):
 
 def _run_spectral(config, plan):
     p = config.params
-    system = make_system(config.system)
-    horizons = [int(h) for h in p["horizons"]]
-    radius = float(p["radius"])
-    samples = int(p["samples"])
-    verdict = classify_almost_periodic(
-        system, config.target, horizons, radius, samples, plan
-    )
-    geoms = tuple(
-        (
-            f"N={h}",
-            orbit_covering_number(system, config.target, h, radius, samples, plan),
-        )
-        for h in horizons
+    verdict, geoms = _spectral_scan(
+        make_system(config.system),
+        config.target,
+        p["horizons"],
+        float(p["radius"]),
+        int(p["samples"]),
+        plan,
     )
     return ReportBundle(
         verdicts=(("spectral", verdict),),
-        geometries=geoms,
+        geometries=tuple((f"N={g.horizon}", g) for g in geoms),
         config_hash=config.config_hash,
         seed=plan.master_seed,
     )
@@ -390,16 +371,7 @@ def _run_dichotomy(config, plan):
         (spec_a, target_a, horizons_a),
         (spec_b, target_b, horizons_b),
     ]
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_make_curve, s, t, eps, h, samples, plan)
-                for s, t, h in jobs
-            ]
-            curves = [f.result() for f in futs]
-    else:
-        curves = [_make_curve(s, t, eps, h, samples, plan) for s, t, h in jobs]
+    curves = [_make_curve(s, t, eps, h, samples, plan) for s, t, h in jobs]
     verdicts = tuple(
         (spec.family, classify_boundedness(curve))
         for (spec, _, _), curve in zip(jobs, curves)

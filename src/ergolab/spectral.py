@@ -29,18 +29,9 @@ def koopman_value(system: SystemHandle, f: Observable, n: int, x) -> complex:
     return complex(f.eval(system, system.step(x, int(n))))
 
 
-def _step_values(system: SystemHandle, samples: np.ndarray, k: int = 1) -> np.ndarray:
-    # vectorized T^k on raw circle values (rotation / identity samplers)
-    fam = system.spec.family
-    if fam == "rotation":
-        return (samples + k * system.theta) % 1.0
-    if fam == "identity":
-        return samples % 1.0
-    raise InvalidParameterError(f"no vectorized step for family {fam!r}")
-
-
-def _l2_from_values(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.abs(a - b) ** 2)))
+def _l2(a: np.ndarray, b: np.ndarray):
+    """L2 distance over the last axis: one float per row of a 2-D argument."""
+    return np.sqrt(np.mean(np.abs(a - b) ** 2, axis=-1))
 
 
 def l2_distance(
@@ -58,9 +49,7 @@ def l2_distance(
     if sample_count < 1:
         raise InvalidParameterError("sample_count must be >= 1")
     samples = system.sample_measure(sample_count, plan.child(_TAG_L2))
-    return _l2_from_values(
-        eval_many(f, system, samples), eval_many(g, system, samples)
-    )
+    return float(_l2(eval_many(f, system, samples), eval_many(g, system, samples)))
 
 
 def eigen_residual(
@@ -76,11 +65,11 @@ def eigen_residual(
     samples = system.sample_measure(sample_count, plan.child(_TAG_L2))
     if isinstance(samples, np.ndarray):
         fx = eval_many(f, system, samples)
-        fx1 = eval_many(f, system, _step_values(system, samples))
+        fx1 = eval_many(f, system, system.step(samples))
     else:
         pairs = np.stack([f.orbit_values(system, x, 2) for x in samples])
         fx, fx1 = pairs[:, 0], pairs[:, 1]
-    return _l2_from_values(fx1, lam * fx)
+    return float(_l2(fx1, lam * fx))
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +118,7 @@ def _greedy_orbit_centers(V: np.ndarray, r: float) -> list:
     for i in range(N):
         if covered[i]:
             continue
-        d = np.sqrt(np.mean(np.abs(V - V[i]) ** 2, axis=1))
-        covered |= d <= r
+        covered |= _l2(V, V[i]) <= r
         centers.append(i)
     return centers
 
@@ -140,15 +128,46 @@ def _distance_summary(V: np.ndarray) -> tuple:
     if N < 2:
         return 0.0, 0.0, 0.0
     if N > 512:
-        rows = np.unique(np.linspace(0, N - 1, 256).astype(int))
-        V = V[rows]
-        N = V.shape[0]
-    dists = []
-    for i in range(N - 1):
-        d = np.sqrt(np.mean(np.abs(V[i + 1 :] - V[i]) ** 2, axis=1))
-        dists.append(d)
-    flat = np.concatenate(dists)
+        V = V[np.unique(np.linspace(0, N - 1, 256).astype(int))]
+    flat = np.concatenate([_l2(V[i + 1 :], V[i]) for i in range(V.shape[0] - 1)])
     return float(flat.min()), float(np.median(flat)), float(flat.max())
+
+
+def _orbit_scan(system, f, horizons, radius, sample_count, plan) -> tuple:
+    """The orbit matrix V at the largest of the increasing horizons and the
+    covering count at every horizon, from one sample set and one greedy.
+
+    The greedy is prefix-stable and row h of V does not depend on the
+    horizon, so the count at h is the number of centers below h.
+    """
+    if radius <= 0:
+        raise InvalidParameterError("radius must be positive")
+    if horizons[0] < 1:
+        raise InvalidParameterError("horizon must be >= 1")
+    samples = system.sample_measure(sample_count, plan.child(_TAG_L2))
+    V = _orbit_matrix(system, f, samples, horizons[-1])
+    centers = _greedy_orbit_centers(V, radius)
+    return V, [bisect_left(centers, h) for h in horizons]
+
+
+def _geometry(V, horizon, radius, count, sample_count) -> OrbitGeometry:
+    lo, med, hi = _distance_summary(V[:horizon])
+    return OrbitGeometry(horizon, radius, count, lo, med, hi, sample_count)
+
+
+def _ap_horizons(horizons) -> list:
+    horizons = [int(h) for h in horizons]
+    if len(horizons) < 3 or any(b <= a for a, b in zip(horizons, horizons[1:])):
+        raise InvalidParameterError("need >= 3 strictly increasing horizons")
+    return horizons
+
+
+def _ap_verdict(horizons, counts) -> str:
+    if counts[-1] == counts[-2]:
+        return "ap"
+    if counts[-2] > 0 and counts[-1] / counts[-2] >= 0.5 * horizons[-1] / horizons[-2]:
+        return "not_ap"
+    return "inconclusive"
 
 
 def orbit_covering_number(
@@ -160,23 +179,8 @@ def orbit_covering_number(
     plan: RandomPlan,
 ) -> OrbitGeometry:
     """Greedy number of L2 balls of the given radius covering U^0..U^{N-1} f."""
-    if horizon < 1:
-        raise InvalidParameterError("horizon must be >= 1")
-    if radius <= 0:
-        raise InvalidParameterError("radius must be positive")
-    samples = system.sample_measure(sample_count, plan.child(_TAG_L2))
-    V = _orbit_matrix(system, f, samples, horizon)
-    centers = _greedy_orbit_centers(V, radius)
-    lo, med, hi = _distance_summary(V)
-    return OrbitGeometry(
-        horizon=horizon,
-        radius=radius,
-        covering_count=len(centers),
-        dist_min=lo,
-        dist_median=med,
-        dist_max=hi,
-        sample_count=sample_count,
-    )
+    V, (count,) = _orbit_scan(system, f, [horizon], radius, sample_count, plan)
+    return _geometry(V, horizon, radius, count, sample_count)
 
 
 def classify_almost_periodic(
@@ -194,17 +198,15 @@ def classify_almost_periodic(
     of the horizon itself.  One orbit matrix at the largest horizon serves
     all shorter ones, so the counts are exactly nested.
     """
-    horizons = [int(h) for h in horizons]
-    if len(horizons) < 3 or any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise InvalidParameterError("need >= 3 strictly increasing horizons")
-    if radius <= 0:
-        raise InvalidParameterError("radius must be positive")
-    samples = system.sample_measure(sample_count, plan.child(_TAG_L2))
-    V = _orbit_matrix(system, f, samples, horizons[-1])
-    centers = _greedy_orbit_centers(V, radius)
-    counts = [bisect_left(centers, h) for h in horizons]
-    if counts[-1] == counts[-2]:
-        return "ap"
-    if counts[-2] > 0 and counts[-1] / counts[-2] >= 0.5 * horizons[-1] / horizons[-2]:
-        return "not_ap"
-    return "inconclusive"
+    horizons = _ap_horizons(horizons)
+    _, counts = _orbit_scan(system, f, horizons, radius, sample_count, plan)
+    return _ap_verdict(horizons, counts)
+
+
+def _spectral_scan(system, f, horizons, radius, sample_count, plan) -> tuple:
+    """The spectral task from one scan: the verdict of classify_almost_periodic
+    and the OrbitGeometry that orbit_covering_number gives at each horizon."""
+    horizons = _ap_horizons(horizons)
+    V, counts = _orbit_scan(system, f, horizons, radius, sample_count, plan)
+    geoms = [_geometry(V, h, radius, c, sample_count) for h, c in zip(horizons, counts)]
+    return _ap_verdict(horizons, counts), geoms

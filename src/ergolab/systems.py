@@ -27,12 +27,12 @@ from typing import Any
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, UnsupportedRefinementError
 from .rng import RandomPlan, hash64, uniform01, zigzag
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
-# default comparison window for metrics on symbol streams
+# comparison window of the first-difference metric on symbol streams
 DEFAULT_WINDOW = 64
 
 _TAG_POINT = 101
@@ -297,9 +297,12 @@ class OdometerPoint:
 
 
 def circle_value(x) -> float:
-    """Position in [0,1) of a circle-family point."""
+    """Position in [0,1) of a circle-family point; elementwise on an array
+    of raw circle values."""
     if isinstance(x, DoublingPoint):
         return x.value
+    if isinstance(x, np.ndarray):
+        return x % 1.0
     return float(x) % 1.0
 
 
@@ -347,6 +350,12 @@ class SystemHandle:
     def has_circle_values(self) -> bool:
         return False
 
+    def _cut_preimages(self, c: float, k: int) -> list:
+        """The points of T^{-k}{c}, for refining circle partitions."""
+        raise UnsupportedRefinementError(
+            f"circle refinement not supported for {self.spec.family}"
+        )
+
 
 class RotationSystem(SystemHandle):
     kind = "circle"
@@ -367,6 +376,9 @@ class RotationSystem(SystemHandle):
 
     def value_orbit(self, x, n: int) -> np.ndarray:
         return (circle_value(x) + np.arange(n) * self.theta) % 1.0
+
+    def _cut_preimages(self, c: float, k: int) -> list:
+        return [(c - k * self.theta) % 1.0]
 
     @property
     def has_circle_values(self) -> bool:
@@ -390,6 +402,9 @@ class IdentitySystem(SystemHandle):
 
     def value_orbit(self, x, n: int) -> np.ndarray:
         return np.full(n, circle_value(x))
+
+    def _cut_preimages(self, c: float, k: int) -> list:
+        return [c]
 
     @property
     def has_circle_values(self) -> bool:
@@ -424,6 +439,9 @@ class DoublingSystem(SystemHandle):
         windows = np.lib.stride_tricks.sliding_window_view(bits, _VALUE_BITS)
         return windows @ _BIT_WEIGHTS
 
+    def _cut_preimages(self, c: float, k: int) -> list:
+        return [(c + j) / 2**k for j in range(2**k)]
+
     @property
     def has_circle_values(self) -> bool:
         return True
@@ -432,10 +450,9 @@ class DoublingSystem(SystemHandle):
 class BernoulliSystem(SystemHandle):
     kind = "shift"
 
-    def __init__(self, spec: SystemSpec, window: int = DEFAULT_WINDOW):
+    def __init__(self, spec: SystemSpec):
         self.spec = spec
         self.p, self.alphabet = spec.params
-        self.window = window
         if self.alphabet == 2:
             probs = (1.0 - self.p, self.p)
         else:
@@ -453,7 +470,7 @@ class BernoulliSystem(SystemHandle):
 
     def metric(self, x: ShiftPoint, y: ShiftPoint) -> float:
         return _first_difference_metric(
-            x.symbols(0, self.window), y.symbols(0, self.window)
+            x.symbols(0, DEFAULT_WINDOW), y.symbols(0, DEFAULT_WINDOW)
         )
 
     def sample_measure(self, count: int, plan: RandomPlan) -> list:
@@ -467,10 +484,9 @@ class BernoulliSystem(SystemHandle):
 class SturmianSystem(SystemHandle):
     kind = "shift"
 
-    def __init__(self, spec: SystemSpec, window: int = DEFAULT_WINDOW):
+    def __init__(self, spec: SystemSpec):
         self.spec = spec
         self.theta = spec.params[0]
-        self.window = window
         self.rational_angle = is_rational_angle(self.theta)
 
     def point(self, angle: float) -> SturmianPoint:
@@ -481,7 +497,7 @@ class SturmianSystem(SystemHandle):
 
     def metric(self, x: SturmianPoint, y: SturmianPoint) -> float:
         return _first_difference_metric(
-            x.symbols(0, self.window), y.symbols(0, self.window)
+            x.symbols(0, DEFAULT_WINDOW), y.symbols(0, DEFAULT_WINDOW)
         )
 
     def sample_measure(self, count: int, plan: RandomPlan) -> list:
@@ -492,10 +508,9 @@ class SturmianSystem(SystemHandle):
 class OdometerSystem(SystemHandle):
     kind = "odometer"
 
-    def __init__(self, spec: SystemSpec, window: int = DEFAULT_WINDOW):
+    def __init__(self, spec: SystemSpec):
         self.spec = spec
         self.base = spec.params[0]
-        self.window = window
         self.thresholds = tuple(np.arange(1, self.base) / self.base)
 
     def point(self, digits=(), seed: int = 0) -> OdometerPoint:
@@ -506,7 +521,7 @@ class OdometerSystem(SystemHandle):
         return OdometerPoint(x.source, x.base, x.shift + k)
 
     def metric(self, x: OdometerPoint, y: OdometerPoint) -> float:
-        return _first_difference_metric(x.digits(self.window), y.digits(self.window))
+        return _first_difference_metric(x.digits(DEFAULT_WINDOW), y.digits(DEFAULT_WINDOW))
 
     def sample_measure(self, count: int, plan: RandomPlan) -> list:
         seeds = hash64(plan.master_seed, _TAG_POINT, np.arange(count))

@@ -4,7 +4,6 @@ import pytest
 
 import ergolab as e
 from ergolab.cli import main
-from ergolab.report import config_from_json, run_experiment, worker_count
 
 
 def test_name_doubling_row(capsys):
@@ -160,27 +159,22 @@ def test_meanequi_failure_record_kept(tmp_path, capsys):
     assert 0 < rec["covered_mass"] <= 0.5  # short of the 1 - eps target
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("ERGOLAB_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("ERGOLAB_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("ERGOLAB_THREADS", "zebra")
-    with pytest.raises(e.ConfigError):
-        worker_count()
+@pytest.mark.parametrize("argv, message", [
+    (["complexity", "--system", "bernoulli:0.5", "--target", "halves"],
+     "circle-interval partition cannot classify a symbolic point"),
+    (["complexity", "--system", "rotation:golden", "--target", "cylinder:0"],
+     "cylinder partition needs a point with symbol coordinates"),
+    (["complexity", "--system", "sturmian", "--target", "character:1"],
+     "character observables need a circle family, not sturmian"),
+])
+def test_incompatible_target_exit_2(argv, message, capsys):
+    rc = main(argv + ["--eps", "0.1", "--horizons", "4,8,16", "--samples", "20"])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
-def test_threads_do_not_change_results(monkeypatch, tmp_path):
-    cfg = {
-        "task": "dichotomy-report",
-        "system": {"family": "rotation", "params": {"theta": 0.618}},
-        "params": {"eps": 0.1, "samples": 120,
-                   "horizons_bounded": [8, 16, 32],
-                   "horizons_growing": [4, 8, 16]},
-        "seed": 9,
-    }
-    monkeypatch.setenv("ERGOLAB_THREADS", "1")
-    b1 = run_experiment(config_from_json(cfg))
-    monkeypatch.setenv("ERGOLAB_THREADS", "2")
-    b2 = run_experiment(config_from_json(cfg))
-    assert b1.to_json() == b2.to_json()
+def test_spectral_character_on_shift_exit_2(capsys):
+    rc = main(["spectral", "--system", "bernoulli:0.5", "--target", "character:1",
+               "--horizons", "4,8,16", "--radius", "0.5", "--samples", "20"])
+    assert rc == 2
+    assert "need a circle family, not bernoulli_shift" in capsys.readouterr().err

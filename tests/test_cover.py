@@ -231,7 +231,10 @@ def test_budget_hit_recorded_not_fatal():
         PLAN,
         max_centers=20,
     )
-    assert any(p.budget_hit for p in curve.points)
+    assert [p.k_est for p in curve.points] == [20, 20, 20]
+    assert all(p.budget_hit for p in curve.points)
+    # a tail held flat by the center budget is no evidence of boundedness
+    assert e.classify_boundedness(curve) == "inconclusive"
 
 
 def _argmax_greedy(balls, counts, eps, max_centers):

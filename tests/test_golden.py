@@ -35,6 +35,29 @@ CASES = {
         "meanequi", "--system", "rotation:golden", "--target", "character:1",
         "--eps", "0.5", "--samples", "120", "--horizon", "32"],
     "report": ["report", "--samples", "150"],
+    "spectral-rotation": [
+        "spectral", "--system", "rotation:golden", "--target", "character:1",
+        "--horizons", "8,32,128", "--radius", "0.5", "--samples", "200"],
+    "spectral-doubling": [
+        "spectral", "--system", "doubling", "--target", "character:1",
+        "--horizons", "8,16,48", "--radius", "1.0", "--samples", "150"],
+    "expansivity-rotation": [
+        "expansivity", "--system", "rotation:golden", "--target", "character:1",
+        "--delta", "1.9", "--pairs", "300", "--horizon", "128"],
+    "expansivity-doubling": [
+        "expansivity", "--system", "doubling", "--target", "indicator:halves:0",
+        "--delta", "0.4", "--pairs", "100", "--horizon", "128"],
+    "name-doubling": [
+        "name", "--system", "doubling", "--target", "halves", "--n", "96"],
+    "name-odometer": [
+        "name", "--system", "odometer:2", "--target", "cylinder:0,1,2:2",
+        "--n", "96"],
+    "complexity-odometer": [
+        "complexity", "--system", "odometer:2", "--target", "cylinder:0,1:2",
+        "--eps", "0.1", "--horizons", "4,8,16", "--samples", "50"],
+    "meanequi-failure": [
+        "meanequi", "--system", "doubling", "--target", "character:1",
+        "--eps", "0.5", "--k-max", "10", "--samples", "120", "--horizon", "64"],
 }
 
 

@@ -117,6 +117,44 @@ def test_refine_unsupported():
     sys_o = make_system(e.odometer(2))
     with pytest.raises(e.UnsupportedRefinementError):
         e.refine(e.halves(), sys_o, 2)
+    for spec in (e.sturmian(e.GOLDEN), e.bernoulli_shift(0.5),
+                 e.product(e.rotation(0.1), e.identity())):
+        with pytest.raises(e.UnsupportedRefinementError,
+                           match=f"not supported for {spec.family}$"):
+            e.refine(e.halves(), make_system(spec), 2)
+
+
+def _ladder_cuts(partition, system, N):
+    """Reference: the refined cuts from the per-family ladder written inline."""
+    family = system.spec.family
+    cuts = set()
+    for c in partition.cuts:
+        for i in range(N):
+            if family == "rotation":
+                cuts.add((c - i * system.theta) % 1.0)
+            elif family == "identity":
+                cuts.add(c)
+            elif family == "doubling":
+                for j in range(2**i):
+                    cuts.add((c + j) / 2**i)
+    merged = []
+    for c in sorted(cuts):
+        if not merged or c - merged[-1] > 1e-12:
+            merged.append(c)
+    if len(merged) > 1 and (merged[0] + 1.0) - merged[-1] <= 1e-12:
+        merged.pop()
+    return tuple(merged)
+
+
+@pytest.mark.parametrize("spec", [e.rotation(e.GOLDEN), e.rotation(0.25),
+                                  e.rotation(0.0), e.identity(), e.doubling()])
+def test_refine_cuts_match_family_ladder(spec):
+    system = make_system(spec)
+    for part in (e.halves(), e.circle_intervals([0.0, 0.3, 0.7]),
+                 e.circle_intervals([0.1, 0.55])):
+        assert e.refine(part, system, 1) == part
+        for N in range(2, 7):
+            assert e.refine(part, system, N).cuts == _ladder_cuts(part, system, N)
 
 
 def test_partition_json_roundtrip():

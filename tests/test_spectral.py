@@ -1,7 +1,13 @@
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 
 import ergolab as e
+from ergolab import observables, systems
+from ergolab.observables import eval_many
+from ergolab.report import config_from_json, run_experiment
+from ergolab.spectral import _TAG_L2, OrbitGeometry, _spectral_scan
 from ergolab.systems import make_system
 
 PLAN = e.RandomPlan(31337)
@@ -140,3 +146,121 @@ def test_orbit_geometry_json():
     obj = og.to_json()
     assert obj["covering_count"] == og.covering_count
     assert 1 <= og.covering_count <= 32
+
+
+# ---------------------------------------------------------------------------
+# One scan against a rebuild at every horizon.  The _old_* helpers copy the
+# spectral code from before the single scan: sample set, orbit matrix,
+# greedy and distance summary built afresh for each horizon.
+
+
+def _old_orbit_matrix(system, f, samples, N):
+    return np.stack([f.orbit_values(system, x, N) for x in samples]).T
+
+
+def _old_greedy(V, r):
+    covered = np.zeros(V.shape[0], dtype=bool)
+    centers = []
+    for i in range(V.shape[0]):
+        if covered[i]:
+            continue
+        d = np.sqrt(np.mean(np.abs(V - V[i]) ** 2, axis=1))
+        covered |= d <= r
+        centers.append(i)
+    return centers
+
+
+def _old_summary(V):
+    N = V.shape[0]
+    if N < 2:
+        return 0.0, 0.0, 0.0
+    if N > 512:
+        V = V[np.unique(np.linspace(0, N - 1, 256).astype(int))]
+        N = V.shape[0]
+    dists = [np.sqrt(np.mean(np.abs(V[i + 1:] - V[i]) ** 2, axis=1))
+             for i in range(N - 1)]
+    flat = np.concatenate(dists)
+    return float(flat.min()), float(np.median(flat)), float(flat.max())
+
+
+def _old_geometry(system, f, h, radius, m, plan):
+    samples = system.sample_measure(m, plan.child(_TAG_L2))
+    V = _old_orbit_matrix(system, f, samples, h)
+    return OrbitGeometry(h, radius, len(_old_greedy(V, radius)), *_old_summary(V), m)
+
+
+def _old_verdict(counts, horizons):
+    if counts[-1] == counts[-2]:
+        return "ap"
+    if counts[-2] > 0 and counts[-1] / counts[-2] >= 0.5 * horizons[-1] / horizons[-2]:
+        return "not_ap"
+    return "inconclusive"
+
+
+SCAN_CASES = [
+    (e.rotation(e.GOLDEN), e.Character(1), 0.5),
+    (e.doubling(), e.Character(1), 1.0),
+    (e.sturmian(e.GOLDEN), e.CellIndicator(e.cylinder([0], 2), 0), 0.5),
+]
+
+
+@pytest.mark.parametrize("spec, f, radius", SCAN_CASES)
+def test_one_scan_matches_rebuild_per_horizon(spec, f, radius):
+    system, horizons, m = make_system(spec), [7, 50, 601], 40
+    plan = e.RandomPlan(2024)
+    want = [_old_geometry(system, f, h, radius, m, plan) for h in horizons]
+    counts = [g.covering_count for g in want]
+    # the rebuilt counts nest, as the prefix-stable greedy promises
+    samples = system.sample_measure(m, plan.child(_TAG_L2))
+    centers = _old_greedy(_old_orbit_matrix(system, f, samples, horizons[-1]), radius)
+    assert counts == [bisect_left(centers, h) for h in horizons]
+    verdict = _old_verdict(counts, horizons)
+
+    assert _spectral_scan(system, f, horizons, radius, m, plan) == (verdict, want)
+    assert e.classify_almost_periodic(system, f, horizons, radius, m, plan) == verdict
+    for h, g in zip(horizons, want):
+        assert e.orbit_covering_number(system, f, h, radius, m, plan) == g
+
+
+def test_spectral_run_builds_orbit_matrix_once(monkeypatch):
+    calls = {"sample_measure": 0, "orbit_values": 0}
+
+    def counting(cls, name):
+        orig = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(systems.DoublingSystem, "sample_measure")
+    counting(observables.Character, "orbit_values")
+    cfg = {"task": "spectral", "system": {"family": "doubling"},
+           "target": {"observable": {"kind": "character", "k": 1}},
+           "params": {"horizons": [8, 16, 32], "radius": 1.0, "samples": 30},
+           "seed": 3}
+    bundle = run_experiment(config_from_json(cfg))
+    assert [g.horizon for _, g in bundle.geometries] == [8, 16, 32]
+    assert calls == {"sample_measure": 1, "orbit_values": 30}
+
+
+def _old_step_values(system, samples):
+    if system.spec.family == "rotation":
+        return (samples + system.theta) % 1.0
+    return samples % 1.0
+
+
+@pytest.mark.parametrize("spec", [e.rotation(e.GOLDEN), e.rotation(0.3), e.identity()])
+def test_eigen_residual_array_step_bit_exact(spec):
+    system = make_system(spec)
+    table = e.TableObservable(e.circle_intervals([0.0, 0.3, 0.7]), (1.0, -2.0, 0.5))
+    fs = [e.Character(1), e.Character(3), e.CellIndicator(e.halves(), 0), table,
+          e.Constant(2.0)]
+    for f in fs:
+        for lam in (1.0, np.exp(2j * np.pi * e.GOLDEN), np.exp(0.7j)):
+            samples = system.sample_measure(777, PLAN.child(_TAG_L2))
+            fx = eval_many(f, system, samples)
+            fx1 = eval_many(f, system, _old_step_values(system, samples))
+            want = float(np.sqrt(np.mean(np.abs(fx1 - lam * fx) ** 2)))
+            assert e.eigen_residual(system, f, lam, 777, PLAN) == want
