@@ -74,6 +74,7 @@ from .partitions import (
     classify,
     cylinder,
     halves,
+    name_rows,
     name_symbols,
     name_word,
     partition_from_json,

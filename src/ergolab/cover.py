@@ -34,7 +34,7 @@ from .errors import (
 )
 from .metrics import fbar_n, fhat_n, hamming_avg
 from .observables import Observable
-from .partitions import NameWord, Partition, cylinder, name_symbols, name_word
+from .partitions import NameWord, Partition, cylinder, name_rows, name_word
 from .rng import RandomPlan
 from .systems import SystemHandle
 
@@ -67,20 +67,15 @@ MetricKind = HammingKind | FbarKind | FhatKind
 
 
 def _sample_features(kind, system, samples, n) -> np.ndarray:
-    """Per-sample horizon-n features: name symbols or orbit values."""
-    if isinstance(kind, HammingKind):
-        rows = []
-        for s in samples:
-            if isinstance(s, NameWord):
-                arr = s.as_array()
-                if arr.size != n:
-                    raise InvalidParameterError("name word length differs from horizon")
-                rows.append(arr)
-            else:
-                rows.append(name_symbols(system, kind.partition, s, n))
-        return np.stack(rows)
-    f = kind.observable
-    return np.stack([f.orbit_values(system, s, n) for s in samples])
+    """(m, n) horizon-n features: name labels (precomputed NameWords are
+    taken as they are) or observable values."""
+    if not isinstance(kind, HammingKind):
+        return kind.observable.orbit_rows(system, samples, n)
+    if len(samples) and isinstance(samples[0], NameWord):
+        if any(w.n != n for w in samples):
+            raise InvalidParameterError("name word length differs from horizon")
+        return np.array([w.symbols for w in samples], dtype=np.int64).reshape(-1, n)
+    return name_rows(system, kind.partition, samples, n)
 
 
 def _pairwise_hamming(labels: np.ndarray) -> np.ndarray:

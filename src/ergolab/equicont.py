@@ -24,11 +24,11 @@ from .cover import (
     pairwise_distances,
 )
 from .errors import InvalidParameterError
-from .metrics import geometric_horizons, limit_estimate
+from .metrics import _ladder, _limit_rule, default_tolerance, geometric_horizons
 from .observables import Observable
 from .partitions import Partition
 from .rng import RandomPlan
-from .systems import SystemHandle
+from .systems import SystemHandle, _chunk_rows
 
 _TAG_PAIR_LEFT = 41
 _TAG_PAIR_RIGHT = 42
@@ -192,55 +192,37 @@ def verify_equipartition(
 ) -> VerifyReport:
     """Re-evaluate within-cluster distances against ep.eps.
 
-    limsup mode estimates the large-n limit of fbar over a horizon ladder;
-    uniform mode checks fhat at the largest horizon (a bound over all
-    prefixes).  target is an Observable or a Partition (Hamming mode).
+    limsup mode takes limit_estimate's value over a horizon ladder, which
+    is fbar (or Hamming) at the ladder's last horizon; uniform mode checks
+    fhat at the largest horizon (a bound over all prefixes).  target is an
+    Observable or a Partition (Hamming mode).
     """
     if mode not in ("limsup", "uniform"):
         raise InvalidParameterError(f"unknown verify mode {mode!r}")
     if horizons is None:
         horizons = geometric_horizons(max(4, ep.horizon))
     horizons = [int(h) for h in horizons]
-    n_top = max(horizons)
     if isinstance(target, Partition):
-        kinds = {n: HammingKind(target) for n in horizons}
-        top_kind = HammingKind(target)
+        kind = HammingKind(target)
     elif mode == "uniform":
-        kinds = {}
-        top_kind = FhatKind(target)
+        kind = FhatKind(target)
     else:
-        kinds = {n: FbarKind(target) for n in horizons}
-        top_kind = FbarKind(target)
+        kind = FbarKind(target)
+    if mode == "limsup":
+        horizons = _ladder(horizons)
+    D = pairwise_distances(kind, system, samples, max(horizons))
 
     worst = 0.0
     per_cluster = []
-    if mode == "uniform" or not kinds:
-        D = pairwise_distances(top_kind, system, samples, n_top)
-        mats = None
-    else:
-        mats = {n: pairwise_distances(kinds[n], system, samples, n) for n in horizons}
-        D = None
-
     for ci, cluster in enumerate(ep.clusters):
         if len(cluster) < 2:
             per_cluster.append((ci, cluster[0] if cluster else -1, -1, 0.0))
             continue
         idx = np.array(cluster)
-        if mats is None:
-            sub = D[np.ix_(idx, idx)]
-            flat = np.triu_indices(len(idx), k=1)
-            pos = int(np.argmax(sub[flat]))
-            val = float(sub[flat][pos])
-        else:
-            # limsup proxy: limit_estimate per pair over the ladder
-            subs = [mats[n][np.ix_(idx, idx)] for n in horizons]
-            flat = np.triu_indices(len(idx), k=1)
-            vals = []
-            for p in range(flat[0].size):
-                seq = [s[flat[0][p], flat[1][p]] for s in subs]
-                vals.append(limit_estimate(seq, horizons).value)
-            pos = int(np.argmax(vals))
-            val = float(vals[pos])
+        sub = D[np.ix_(idx, idx)]
+        flat = np.triu_indices(len(idx), k=1)
+        pos = int(np.argmax(sub[flat]))
+        val = float(sub[flat][pos])
         worst = max(worst, val)
         per_cluster.append((ci, int(idx[flat[0][pos]]), int(idx[flat[1][pos]]), val))
     return VerifyReport(
@@ -285,19 +267,20 @@ def mean_expansivity_estimate(
     xs = system.sample_measure(pair_count, plan.child(_TAG_PAIR_LEFT))
     ys = system.sample_measure(pair_count, plan.child(_TAG_PAIR_RIGHT))
     horizons = geometric_horizons(horizon)
+    tol = default_tolerance(horizons[-1])
     exceed = 0
     nonconv = 0
-    for x, y in zip(xs, ys):
+    step = _chunk_rows(horizon)
+    for a in range(0, pair_count, step):
         gaps = np.abs(
-            f.orbit_values(system, x, horizon) - f.orbit_values(system, y, horizon)
+            f.orbit_rows(system, xs[a : a + step], horizon)
+            - f.orbit_rows(system, ys[a : a + step], horizon)
         )
-        cums = np.cumsum(gaps)
-        evals = [cums[h - 1] / h for h in horizons]
-        est = limit_estimate(evals, horizons)
-        if est.value > delta:
-            exceed += 1
-        if not est.converged:
-            nonconv += 1
+        cums = np.cumsum(gaps, axis=1)
+        evals = np.stack([cums[:, h - 1] / h for h in horizons], axis=1)
+        _, converged = _limit_rule(evals, tol)
+        exceed += int(np.count_nonzero(evals[:, -1] > delta))
+        nonconv += int(np.count_nonzero(~converged))
     return ExpansivityEstimate(
         value=exceed / pair_count,
         delta=delta,

@@ -128,11 +128,7 @@ def limit_estimate(
     horizons is within tolerance.  Inconclusive estimates are surfaced
     via converged=False, never silently treated as limits.
     """
-    horizons = tuple(int(h) for h in horizons)
-    if len(horizons) < 3:
-        raise InvalidParameterError("need at least 3 horizons")
-    if any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise InvalidParameterError("horizons must be strictly increasing")
+    horizons = _ladder(horizons)
     if callable(seq):
         evals = tuple(float(seq(h)) for h in horizons)
     else:
@@ -140,16 +136,32 @@ def limit_estimate(
         if len(evals) != len(horizons):
             raise LengthMismatchError("one evaluation per horizon required")
     tol = default_tolerance(horizons[-1]) if tolerance is None else tolerance
-    tail = evals[-3:]
-    spread = max(tail) - min(tail)
+    spread, converged = _limit_rule(np.array(evals), tol)
     return LimitEstimate(
         value=evals[-1],
         horizons=horizons,
         evaluations=evals,
-        spread=spread,
-        converged=spread <= tol,
+        spread=float(spread),
+        converged=bool(converged),
         tolerance=tol,
     )
+
+
+def _ladder(horizons) -> tuple:
+    horizons = tuple(int(h) for h in horizons)
+    if len(horizons) < 3:
+        raise InvalidParameterError("need at least 3 horizons")
+    if any(b <= a for a, b in zip(horizons, horizons[1:])):
+        raise InvalidParameterError("horizons must be strictly increasing")
+    return horizons
+
+
+def _limit_rule(evals: np.ndarray, tolerance: float) -> tuple:
+    """The convergence rule of limit_estimate along the last axis of evals:
+    (spread of the last three evaluations, spread <= tolerance)."""
+    tail = evals[..., -3:]
+    spread = tail.max(axis=-1) - tail.min(axis=-1)
+    return spread, spread <= tolerance
 
 
 def geometric_horizons(n_max: int, count: int = 3, ratio: int = 4) -> tuple:

@@ -1,7 +1,9 @@
 """Observables: functions on the state space usable in Birkhoff averages.
 
-Each observable evaluates pointwise and also along orbits in one shot
-(``orbit_values``), which is where all the estimator inner loops live.
+Each observable reads many orbits in one shot: ``orbit_rows`` returns an
+(m, n) array, one row of f(T^i x) per sample, through the system handle's
+batched read.  ``orbit_values``, ``eval`` and ``eval_many`` are batches of
+one point or of one time step.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import IncompatibleObservableError, InvalidParameterError
-from .partitions import Partition, name_symbols, partition_from_json
+from .partitions import Partition, name_rows, partition_from_json
 from .systems import SystemHandle
 
 
@@ -21,6 +23,10 @@ class Observable:
         return self.orbit_values(system, x, 1)[0]
 
     def orbit_values(self, system: SystemHandle, x, n: int) -> np.ndarray:
+        return self.orbit_rows(system, [x], n)[0]
+
+    def orbit_rows(self, system: SystemHandle, samples, n: int) -> np.ndarray:
+        """(m, n): row k holds f(T^i samples[k]) for i < n."""
         raise NotImplementedError
 
     def sup_bound(self) -> Optional[float]:
@@ -37,12 +43,12 @@ class Character(Observable):
 
     k: int = 1
 
-    def orbit_values(self, system, x, n):
+    def orbit_rows(self, system, samples, n):
         if not system.has_circle_values:
             raise IncompatibleObservableError(
                 f"character observables need a circle family, not {system.spec.family}"
             )
-        return np.exp(2j * np.pi * self.k * system.value_orbit(x, n))
+        return np.exp(2j * np.pi * self.k * system.rows(samples, 0, n))
 
     def sup_bound(self):
         return 1.0
@@ -58,8 +64,8 @@ class CellIndicator(Observable):
     partition: Partition
     label: int
 
-    def orbit_values(self, system, x, n):
-        return (name_symbols(system, self.partition, x, n) == self.label).astype(float)
+    def orbit_rows(self, system, samples, n):
+        return (name_rows(system, self.partition, samples, n) == self.label).astype(float)
 
     def sup_bound(self):
         return 1.0
@@ -78,12 +84,12 @@ class CoordinateRead(Observable):
 
     index: int = 0
 
-    def orbit_values(self, system, x, n):
+    def orbit_rows(self, system, samples, n):
         if system.kind != "shift":
             raise IncompatibleObservableError(
                 "coordinate reads are only defined on shift families"
             )
-        return x.symbols(self.index, self.index + n).astype(float)
+        return system.rows(samples, self.index, self.index + n).astype(float)
 
     def to_json(self):
         return {"kind": "coordinate_read", "index": self.index}
@@ -93,8 +99,8 @@ class CoordinateRead(Observable):
 class Constant(Observable):
     value: complex = 0.0
 
-    def orbit_values(self, system, x, n):
-        return np.full(n, self.value)
+    def orbit_rows(self, system, samples, n):
+        return np.full((len(samples), n), self.value)
 
     def sup_bound(self):
         return abs(self.value)
@@ -119,9 +125,8 @@ class TableObservable(Observable):
                 "table needs one value per partition cell"
             )
 
-    def orbit_values(self, system, x, n):
-        table = np.asarray(self.values)
-        return table[name_symbols(system, self.partition, x, n)]
+    def orbit_rows(self, system, samples, n):
+        return np.asarray(self.values)[name_rows(system, self.partition, samples, n)]
 
     def sup_bound(self):
         return float(np.max(np.abs(self.values)))
@@ -155,25 +160,5 @@ def observable_from_json(obj: dict) -> Observable:
 
 
 def eval_many(f: Observable, system: SystemHandle, points) -> np.ndarray:
-    """Evaluate f at many points, vectorized where the family allows it."""
-    if system.has_circle_values and isinstance(points, np.ndarray):
-        if isinstance(f, Character):
-            return np.exp(2j * np.pi * f.k * (points % 1.0))
-        if isinstance(f, Constant):
-            return np.full(len(points), f.value)
-        if isinstance(f, (CellIndicator, TableObservable)):
-            from .partitions import CIRCLE_INTERVALS, TRIVIAL, _circle_labels
-
-            part = f.partition
-            if part.kind == TRIVIAL:
-                labels = np.zeros(len(points), dtype=np.int64)
-            elif part.kind == CIRCLE_INTERVALS:
-                labels = _circle_labels(np.asarray(part.cuts), points % 1.0)
-            else:
-                raise IncompatibleObservableError(
-                    "cylinder-backed observable on circle points"
-                )
-            if isinstance(f, CellIndicator):
-                return (labels == f.label).astype(float)
-            return np.asarray(f.values)[labels]
-    return np.array([f.eval(system, p) for p in points])
+    """f at each of many points: the first column of f.orbit_rows."""
+    return f.orbit_rows(system, points, 1)[:, 0]

@@ -19,7 +19,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedRefinementError,
 )
-from .systems import SystemHandle, circle_value
+from .systems import SystemHandle, _batched, circle_value
 
 CIRCLE_INTERVALS = "circle_intervals"
 CYLINDER = "cylinder"
@@ -108,13 +108,18 @@ class NameWord:
 
 def _circle_labels(cuts: np.ndarray, values: np.ndarray) -> np.ndarray:
     # half-open [c_i, c_{i+1}) cells, wrapping at 1
-    return (np.searchsorted(cuts, values, side="right") - 1) % len(cuts)
+    labels = np.searchsorted(cuts, values, side="right")
+    labels -= 1
+    labels %= len(cuts)
+    return labels
 
 
 def _cylinder_labels(symbol_rows: np.ndarray, alphabet: int) -> np.ndarray:
     # symbol_rows: shape (..., n_coords); little-endian over sorted coords
-    weights = alphabet ** np.arange(symbol_rows.shape[-1])
-    return symbol_rows @ weights
+    labels = symbol_rows[..., 0]
+    for j in range(1, symbol_rows.shape[-1]):
+        labels = labels + symbol_rows[..., j] * alphabet**j
+    return labels
 
 
 def classify(partition: Partition, x) -> int:
@@ -146,25 +151,44 @@ def classify(partition: Partition, x) -> int:
 # Name words
 
 
-def name_symbols(system: SystemHandle, partition: Partition, x, n: int) -> np.ndarray:
-    """Labels of x, Tx, ..., T^{n-1}x as an int array (vectorized paths)."""
+def name_rows(system: SystemHandle, partition: Partition, samples, n: int) -> np.ndarray:
+    """(m, n) labels: row k holds the cells of T^i samples[k] for i < n."""
     if n < 1:
         raise InvalidParameterError("name length must be >= 1")
     if partition.kind == TRIVIAL:
-        return np.zeros(n, dtype=np.int64)
-    if partition.kind == CIRCLE_INTERVALS and system.has_circle_values:
+        return np.zeros((len(samples), n), dtype=np.int64)
+    if partition.kind == CIRCLE_INTERVALS:
+        if not system.has_circle_values:
+            raise IncompatiblePartitionError(
+                "circle-interval partition cannot classify a symbolic point"
+            )
         cuts = np.asarray(partition.cuts)
-        return _circle_labels(cuts, system.value_orbit(x, n))
-    if partition.kind == CYLINDER and system.kind == "shift":
-        # time i, coordinate c reads stream index i+c
-        lo, hi = partition.coords[0], partition.coords[-1]
-        window = x.symbols(lo, hi + n)
-        cols = [window[c - lo : c - lo + n] for c in partition.coords]
-        return _cylinder_labels(np.stack(cols, axis=-1), partition.alphabet)
-    # generic fallback: step and classify
-    return np.array(
-        [classify(partition, system.step(x, i)) for i in range(n)], dtype=np.int64
-    )
+
+        def read(a, b):
+            return _circle_labels(cuts, system.rows(samples[a:b], 0, n))
+
+    elif partition.kind == CYLINDER:
+        if system.kind not in ("shift", "odometer"):
+            raise IncompatiblePartitionError(
+                "cylinder partition needs a point with symbol coordinates"
+            )
+
+        def read(a, b):
+            cols = system.cylinder_rows(samples[a:b], partition.coords, n)
+            if (cols >= partition.alphabet).any():
+                raise IncompatiblePartitionError(
+                    "point symbols exceed the cylinder alphabet"
+                )
+            return _cylinder_labels(cols, partition.alphabet)
+
+    else:
+        raise InvalidParameterError(f"unknown partition kind {partition.kind!r}")
+    return _batched(len(samples), (n,), np.int64, read)
+
+
+def name_symbols(system: SystemHandle, partition: Partition, x, n: int) -> np.ndarray:
+    """Labels of x, Tx, ..., T^{n-1}x: name_rows of a batch of one."""
+    return name_rows(system, partition, [x], n)[0]
 
 
 def name_word(system: SystemHandle, partition: Partition, x, n: int) -> NameWord:

@@ -239,6 +239,10 @@ def _run_name(config, plan):
     system = make_system(config.system)
     n = int(config.params["n"])
     if "point" in config.params:
+        if not system.has_circle_values:
+            raise InvalidParameterError(
+                f"point is a circle value; {system.spec.family} points are sampled"
+            )
         x = config.params["point"]
     else:
         x = system.sample_measure(1, plan)[0]

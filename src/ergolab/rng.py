@@ -33,7 +33,7 @@ def zigzag(i):
     if np.isscalar(i):
         return (2 * i) if i >= 0 else (-2 * i - 1)
     i = np.asarray(i, dtype=np.int64)
-    return np.where(i >= 0, 2 * i, -2 * i - 1).astype(np.uint64)
+    return ((i << 1) ^ (i >> 63)).view(np.uint64)  # 2i, or -2i-1 = ~2i below 0
 
 
 def hash64(*parts):

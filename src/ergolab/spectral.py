@@ -63,13 +63,8 @@ def eigen_residual(
     if abs(abs(lam) - 1.0) > 1e-9:
         raise InvalidParameterError("eigenvalue must lie on the unit circle")
     samples = system.sample_measure(sample_count, plan.child(_TAG_L2))
-    if isinstance(samples, np.ndarray):
-        fx = eval_many(f, system, samples)
-        fx1 = eval_many(f, system, system.step(samples))
-    else:
-        pairs = np.stack([f.orbit_values(system, x, 2) for x in samples])
-        fx, fx1 = pairs[:, 0], pairs[:, 1]
-    return float(_l2(fx1, lam * fx))
+    pairs = f.orbit_rows(system, samples, 2)
+    return float(_l2(pairs[:, 1], lam * pairs[:, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +97,7 @@ class OrbitGeometry:
 
 def _orbit_matrix(system, f, samples, N) -> np.ndarray:
     """Row i holds the sample values of U^i f (i.e. f along each orbit)."""
-    return np.stack([f.orbit_values(system, x, N) for x in samples]).T
+    return f.orbit_rows(system, samples, N).T
 
 
 def _greedy_orbit_centers(V: np.ndarray, r: float) -> list:

@@ -156,11 +156,16 @@ class HashSymbols:
 
     def symbols(self, lo: int, hi: int) -> np.ndarray:
         idx = zigzag(np.arange(lo, hi, dtype=np.int64))
-        u = uniform01(hash64(self.seed, _TAG_SYMBOL, idx))
-        out = np.zeros(hi - lo, dtype=np.int64)
-        for t in self.thresholds:
-            out += u >= t
-        return out
+        return _threshold_symbols(hash64(self.seed, _TAG_SYMBOL, idx), self.thresholds)
+
+
+def _threshold_symbols(h: np.ndarray, thresholds) -> np.ndarray:
+    """Symbols from stream hashes: the number of thresholds at or below u."""
+    u = uniform01(h)
+    out = np.zeros(u.shape, dtype=np.int64)
+    for t in thresholds:
+        out += u >= t
+    return out
 
 
 @dataclass(frozen=True)
@@ -172,9 +177,9 @@ class PrefixSymbols:
 
     def symbols(self, lo: int, hi: int) -> np.ndarray:
         out = self.tail.symbols(lo, hi)
-        n = len(self.prefix)
-        for j in range(max(lo, 0), min(hi, n)):
-            out[j - lo] = self.prefix[j]
+        a, b = max(lo, 0), min(hi, len(self.prefix))
+        if a < b:
+            out[a - lo : b - lo] = self.prefix[a:b]
         return out
 
 
@@ -186,7 +191,11 @@ class HashBits:
 
     def bits(self, lo: int, hi: int) -> np.ndarray:
         idx = zigzag(np.arange(lo, hi, dtype=np.int64))
-        return (hash64(self.seed, _TAG_SYMBOL, idx) >> np.uint64(63)).astype(np.int64)
+        return _top_bits(hash64(self.seed, _TAG_SYMBOL, idx))
+
+
+def _top_bits(h: np.ndarray) -> np.ndarray:
+    return (h >> np.uint64(63)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -205,8 +214,12 @@ class FloatBits:
 
     def bits(self, lo: int, hi: int) -> np.ndarray:
         out = np.zeros(hi - lo, dtype=np.int64)
-        for j in range(max(lo, 0), min(hi, self.exponent)):
-            out[j - lo] = (self.numerator >> (self.exponent - 1 - j)) & 1
+        a, b = max(lo, 0), min(hi, self.exponent)
+        if a < b:
+            # bits a..b-1 are the low b-a bits of numerator >> (exponent-b)
+            word = (self.numerator >> (self.exponent - b)) & ((1 << (b - a)) - 1)
+            raw = np.frombuffer(word.to_bytes((b - a + 7) // 8, "big"), np.uint8)
+            out[a - lo : b - lo] = np.unpackbits(raw)[-(b - a) :]
         return out
 
 
@@ -278,14 +291,9 @@ class OdometerPoint:
     shift: int = 0
 
     def digits(self, n: int) -> np.ndarray:
-        raw = self.source.symbols(0, n)
-        out = np.empty(n, dtype=np.int64)
-        carry = self.shift
-        for i in range(n):
-            total = int(raw[i]) + carry
-            out[i] = total % self.base
-            carry = total // self.base  # floor division handles borrows too
-        return out
+        t = self.source.symbols(0, n).astype(np.int64)
+        t[:1] += self.shift
+        return _carry(t, self.base)
 
     def symbol(self, i: int) -> int:
         return int(self.digits(i + 1)[i])
@@ -319,6 +327,87 @@ def _first_difference_metric(a: np.ndarray, b: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Batched reads
+#
+# Rows are filled chunk by chunk so that a temporary of one chunk stays near
+# _CHUNK_BYTES; every row is computed on its own, so the result does not
+# depend on the chunk size.
+
+_CHUNK_BYTES = 1 << 19
+
+
+def _chunk_rows(width: int) -> int:
+    """Rows per chunk when a row of a temporary holds `width` 8-byte items."""
+    return max(1, _CHUNK_BYTES // (8 * max(1, width)))
+
+
+def _batched(m: int, tail: tuple, dtype, read, width=None) -> np.ndarray:
+    """An (m, *tail) array whose rows a..b-1 are read(a, b); `width` is the
+    row width of read's widest temporary, by default the size of a row."""
+    out = np.empty((m,) + tail, dtype=dtype)
+    step = _chunk_rows(width or int(np.prod(tail)))
+    for a in range(0, m, step):
+        out[a : a + step] = read(a, min(a + step, m))
+    return out
+
+
+def _stream_rows(sources, starts, width, plain, decode, read_own) -> np.ndarray:
+    """Row k reads sources[k] at indices starts[k] + [0, width).
+
+    Sources for which plain(source) holds are hash streams: their rows come
+    from one broadcast hash, mapped to stream values by decode.  Any other
+    source reads its own row with read_own(source, lo, hi).
+    """
+    flags = [plain(s) for s in sources]
+    seeds = np.array([s.seed if f else 0 for s, f in zip(sources, flags)], np.uint64)
+    idx = np.asarray(starts, dtype=np.int64)[:, None] + np.arange(width)
+    rows = decode(hash64(seeds[:, None], _TAG_SYMBOL, zigzag(idx)))
+    for k, f in enumerate(flags):
+        if not f:
+            rows[k] = read_own(sources[k], starts[k], starts[k] + width)
+    return rows
+
+
+def _window_values(bits: np.ndarray, n: int) -> np.ndarray:
+    """Value sum_k bits[:, i+k] 2^-(k+1) of the 53-bit window at each i < n.
+
+    The window is built as a 53-bit integer (32+16+4+1 bits from windows of
+    doubling width), so the value is exact and equals the dot product with
+    _BIT_WEIGHTS, whose partial sums are all exact too.
+    """
+    w2 = 2 * bits[:, :-1] + bits[:, 1:]
+    w4 = 4 * w2[:, :-2] + w2[:, 2:]
+    w8 = 16 * w4[:, :-4] + w4[:, 4:]
+    w16 = 256 * w8[:, :-8] + w8[:, 8:]
+    w32 = 65536 * w16[:, :-16] + w16[:, 16:]
+    word = (
+        (w32[:, :n] << 21)
+        + (w16[:, 32 : 32 + n] << 5)
+        + (w4[:, 48 : 48 + n] << 1)
+        + bits[:, 52 : 52 + n]
+    )
+    return word * 2.0**-_VALUE_BITS
+
+
+def _carry(t: np.ndarray, base: int) -> np.ndarray:
+    """Base-b digits, least significant first along the last axis, of
+    sum_j t[..., j] b^j mod b^width.  Entries may be any integers; negative
+    ones borrow (floor division), as the odometer's -1 = ...(b-1)(b-1)."""
+    while True:
+        c = t[..., :-1] // base
+        if not c.any():
+            return t % base
+        t[..., :-1] -= c * base
+        t[..., 1:] += c
+
+
+def _circle_values(points) -> np.ndarray:
+    if isinstance(points, np.ndarray):
+        return points % 1.0
+    return np.array([circle_value(x) for x in points], dtype=np.float64)
+
+
+# ---------------------------------------------------------------------------
 # Handles
 
 
@@ -327,6 +416,8 @@ class SystemHandle:
 
     kind = "abstract"
     spec: SystemSpec
+    # stream positions a row reads beyond hi - lo (the doubling's value window)
+    _row_margin = 0
 
     def step(self, x, k: int = 1):
         raise NotImplementedError
@@ -342,13 +433,27 @@ class SystemHandle:
     def sample_measure(self, count: int, plan: RandomPlan):
         raise NotImplementedError
 
+    def rows(self, points, lo: int, hi: int) -> np.ndarray:
+        """The one batched read every estimator goes through: row k holds
+        positions lo..hi-1 of points[k], as circle values of T^i x (circle
+        kinds, float64) or as symbols x_i (shift and odometer kinds, int64)."""
+        dtype = np.float64 if self.has_circle_values else np.int64
+        return _batched(len(points), (hi - lo,), dtype,
+                        lambda a, b: self._rows(points[a:b], lo, hi),
+                        hi - lo + self._row_margin)
+
+    def _rows(self, points, lo: int, hi: int) -> np.ndarray:
+        raise NotImplementedError(f"{self.kind} systems have no batched read")
+
     def value_orbit(self, x, n: int) -> np.ndarray:
         """Circle positions of x, Tx, ..., T^{n-1}x (circle families only)."""
-        raise NotImplementedError(f"{self.kind} systems have no circle values")
+        if not self.has_circle_values:
+            raise NotImplementedError(f"{self.kind} systems have no circle values")
+        return self.rows([x], 0, n)[0]
 
     @property
     def has_circle_values(self) -> bool:
-        return False
+        return self.kind == "circle"
 
     def _cut_preimages(self, c: float, k: int) -> list:
         """The points of T^{-k}{c}, for refining circle partitions."""
@@ -374,15 +479,11 @@ class RotationSystem(SystemHandle):
     def sample_measure(self, count: int, plan: RandomPlan) -> np.ndarray:
         return plan.uniforms(_TAG_POINT, np.arange(count))
 
-    def value_orbit(self, x, n: int) -> np.ndarray:
-        return (circle_value(x) + np.arange(n) * self.theta) % 1.0
+    def _rows(self, points, lo: int, hi: int) -> np.ndarray:
+        return (_circle_values(points)[:, None] + np.arange(lo, hi) * self.theta) % 1.0
 
     def _cut_preimages(self, c: float, k: int) -> list:
         return [(c - k * self.theta) % 1.0]
-
-    @property
-    def has_circle_values(self) -> bool:
-        return True
 
 
 class IdentitySystem(SystemHandle):
@@ -400,19 +501,16 @@ class IdentitySystem(SystemHandle):
     def sample_measure(self, count: int, plan: RandomPlan) -> np.ndarray:
         return plan.uniforms(_TAG_POINT, np.arange(count))
 
-    def value_orbit(self, x, n: int) -> np.ndarray:
-        return np.full(n, circle_value(x))
+    def _rows(self, points, lo: int, hi: int) -> np.ndarray:
+        return np.repeat(_circle_values(points)[:, None], hi - lo, axis=1)
 
     def _cut_preimages(self, c: float, k: int) -> list:
         return [c]
 
-    @property
-    def has_circle_values(self) -> bool:
-        return True
-
 
 class DoublingSystem(SystemHandle):
     kind = "circle"
+    _row_margin = _VALUE_BITS - 1
 
     def __init__(self, spec: SystemSpec):
         self.spec = spec
@@ -433,21 +531,48 @@ class DoublingSystem(SystemHandle):
         seeds = hash64(plan.master_seed, _TAG_POINT, np.arange(count))
         return [DoublingPoint(HashBits(int(s))) for s in seeds]
 
-    def value_orbit(self, x, n: int) -> np.ndarray:
-        p = self._as_point(x)
-        bits = p.bits(0, n + _VALUE_BITS - 1).astype(np.float64)
-        windows = np.lib.stride_tricks.sliding_window_view(bits, _VALUE_BITS)
-        return windows @ _BIT_WEIGHTS
+    def _rows(self, points, lo: int, hi: int) -> np.ndarray:
+        # the value of T^i x is the 53-bit window of x's bits at offset + i
+        pts = [self._as_point(x) for x in points]
+        bits = _stream_rows(
+            [p.source for p in pts], [p.offset + lo for p in pts], hi - lo + self._row_margin,
+            lambda s: isinstance(s, HashBits), _top_bits, lambda s, a, b: s.bits(a, b),
+        )
+        return _window_values(bits, hi - lo)
 
     def _cut_preimages(self, c: float, k: int) -> list:
         return [(c + j) / 2**k for j in range(2**k)]
 
-    @property
-    def has_circle_values(self) -> bool:
-        return True
+
+class _SymbolSystem(SystemHandle):
+    """Shared parts of the symbolic families: the first-difference metric
+    over DEFAULT_WINDOW symbols and the shift's coordinate read."""
+
+    def metric(self, x, y) -> float:
+        return _first_difference_metric(*self.rows([x, y], 0, DEFAULT_WINDOW))
+
+    def cylinder_rows(self, points, coords, n: int) -> np.ndarray:
+        """(m, n, len(coords)): coordinate c of T^i points[k] at [k, i, j],
+        for the sorted coords; on a shift it is symbol i + c."""
+        lo, hi = coords[0], coords[-1]
+        window = self.rows(points, lo, hi + n)
+        cols = np.lib.stride_tricks.sliding_window_view(window, hi - lo + 1, axis=1)[:, :n]
+        if len(coords) == hi - lo + 1:  # consecutive coords: a view
+            return cols
+        return cols[:, :, [c - lo for c in coords]]
+
+    def _hash_symbols(self, sources, starts, width) -> np.ndarray:
+        """Symbol stream rows; sources other than this handle's own plain
+        hash streams (a prefix, other thresholds) read themselves."""
+        return _stream_rows(
+            sources, starts, width,
+            lambda s: isinstance(s, HashSymbols) and s.thresholds == self.thresholds,
+            lambda h: _threshold_symbols(h, self.thresholds),
+            lambda s, a, b: s.symbols(a, b),
+        )
 
 
-class BernoulliSystem(SystemHandle):
+class BernoulliSystem(_SymbolSystem):
     kind = "shift"
 
     def __init__(self, spec: SystemSpec):
@@ -468,11 +593,6 @@ class BernoulliSystem(SystemHandle):
     def step(self, x: ShiftPoint, k: int = 1) -> ShiftPoint:
         return ShiftPoint(x.source, x.alphabet, x.offset + k)
 
-    def metric(self, x: ShiftPoint, y: ShiftPoint) -> float:
-        return _first_difference_metric(
-            x.symbols(0, DEFAULT_WINDOW), y.symbols(0, DEFAULT_WINDOW)
-        )
-
     def sample_measure(self, count: int, plan: RandomPlan) -> list:
         seeds = hash64(plan.master_seed, _TAG_POINT, np.arange(count))
         return [
@@ -480,8 +600,12 @@ class BernoulliSystem(SystemHandle):
             for s in seeds
         ]
 
+    def _rows(self, points, lo: int, hi: int) -> np.ndarray:
+        return self._hash_symbols([p.source for p in points],
+                                  [p.offset + lo for p in points], hi - lo)
 
-class SturmianSystem(SystemHandle):
+
+class SturmianSystem(_SymbolSystem):
     kind = "shift"
 
     def __init__(self, spec: SystemSpec):
@@ -495,17 +619,18 @@ class SturmianSystem(SystemHandle):
     def step(self, x: SturmianPoint, k: int = 1) -> SturmianPoint:
         return SturmianPoint(x.angle, x.theta, x.offset + k)
 
-    def metric(self, x: SturmianPoint, y: SturmianPoint) -> float:
-        return _first_difference_metric(
-            x.symbols(0, DEFAULT_WINDOW), y.symbols(0, DEFAULT_WINDOW)
-        )
-
     def sample_measure(self, count: int, plan: RandomPlan) -> list:
         angles = plan.uniforms(_TAG_POINT, np.arange(count))
         return [SturmianPoint(float(a), self.theta) for a in angles]
 
+    def _rows(self, points, lo: int, hi: int) -> np.ndarray:
+        angle = np.array([p.angle for p in points], dtype=np.float64)[:, None]
+        theta = np.array([p.theta for p in points], dtype=np.float64)[:, None]
+        k = np.array([p.offset for p in points], dtype=np.int64)[:, None] + np.arange(lo, hi)
+        return ((angle + k * theta) % 1.0 >= 1.0 - theta).astype(np.int64)
 
-class OdometerSystem(SystemHandle):
+
+class OdometerSystem(_SymbolSystem):
     kind = "odometer"
 
     def __init__(self, spec: SystemSpec):
@@ -520,15 +645,34 @@ class OdometerSystem(SystemHandle):
     def step(self, x: OdometerPoint, k: int = 1) -> OdometerPoint:
         return OdometerPoint(x.source, x.base, x.shift + k)
 
-    def metric(self, x: OdometerPoint, y: OdometerPoint) -> float:
-        return _first_difference_metric(x.digits(DEFAULT_WINDOW), y.digits(DEFAULT_WINDOW))
-
     def sample_measure(self, count: int, plan: RandomPlan) -> list:
         seeds = hash64(plan.master_seed, _TAG_POINT, np.arange(count))
         return [
             OdometerPoint(HashSymbols(int(s), self.thresholds), self.base)
             for s in seeds
         ]
+
+    def _digits(self, points, width: int, ahead: int) -> np.ndarray:
+        """(m, ahead, width): the low `width` digits of points[k] + i for
+        i < ahead, in this handle's base.  Carries only move upward, so
+        these are the base-b digits of (X + shift + i) mod b^width, X the
+        value of the stream's first `width` digits: the stream digits plus
+        shift + i, carried."""
+        raw = self._hash_symbols([p.source for p in points], [0] * len(points), width)
+        t = np.repeat(raw[:, None, :], ahead, axis=1)
+        shift = np.array([p.shift for p in points], dtype=np.int64)[:, None]
+        t[:, :, 0] += shift + np.arange(ahead)
+        return _carry(t, self.base)
+
+    def _rows(self, points, lo: int, hi: int) -> np.ndarray:
+        if lo < 0:
+            raise InvalidParameterError("odometer digits have nonnegative indices")
+        return self._digits(points, hi, 1)[:, 0, lo:]
+
+    def cylinder_rows(self, points, coords, n: int) -> np.ndarray:
+        if coords[0] < 0:
+            raise InvalidParameterError("odometer digits have nonnegative indices")
+        return self._digits(points, coords[-1] + 1, n)[:, :, list(coords)]
 
 
 class ProductSystem(SystemHandle):

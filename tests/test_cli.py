@@ -178,3 +178,16 @@ def test_spectral_character_on_shift_exit_2(capsys):
                "--horizons", "4,8,16", "--radius", "0.5", "--samples", "20"])
     assert rc == 2
     assert "need a circle family, not bernoulli_shift" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system, family", [
+    ("bernoulli:0.5", "bernoulli_shift"),
+    ("odometer:2", "odometer"),
+])
+def test_name_point_on_symbolic_family_exit_2(system, family, capsys):
+    rc = main(["name", "--system", system, "--target", "cylinder:0", "--n", "4",
+               "--point", "0.3"])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: point is a circle value; {family} points are sampled"
+    )

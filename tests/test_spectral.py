@@ -223,26 +223,28 @@ def test_one_scan_matches_rebuild_per_horizon(spec, f, radius):
 
 
 def test_spectral_run_builds_orbit_matrix_once(monkeypatch):
-    calls = {"sample_measure": 0, "orbit_values": 0}
+    calls = {"sample_measure": [], "orbit_rows": [], "orbit_values": []}
 
-    def counting(cls, name):
+    def counting(cls, name, size):
         orig = getattr(cls, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name].append(size(args))
             return orig(*args, **kwargs)
 
         monkeypatch.setattr(cls, name, wrapper)
 
-    counting(systems.DoublingSystem, "sample_measure")
-    counting(observables.Character, "orbit_values")
+    counting(systems.DoublingSystem, "sample_measure", lambda a: a[1])
+    counting(observables.Character, "orbit_rows", lambda a: len(a[2]))
+    counting(observables.Observable, "orbit_values", lambda a: 1)
     cfg = {"task": "spectral", "system": {"family": "doubling"},
            "target": {"observable": {"kind": "character", "k": 1}},
            "params": {"horizons": [8, 16, 32], "radius": 1.0, "samples": 30},
            "seed": 3}
     bundle = run_experiment(config_from_json(cfg))
     assert [g.horizon for _, g in bundle.geometries] == [8, 16, 32]
-    assert calls == {"sample_measure": 1, "orbit_values": 30}
+    # one sample set, one batched read of all 30 orbits, no per-sample read
+    assert calls == {"sample_measure": [30], "orbit_rows": [30], "orbit_values": []}
 
 
 def _old_step_values(system, samples):
