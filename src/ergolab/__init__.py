@@ -46,7 +46,6 @@ from .errors import (
 )
 from .metrics import (
     LimitEstimate,
-    dbar_n,
     default_tolerance,
     fbar_n,
     fbar_prefix_means,
@@ -54,8 +53,6 @@ from .metrics import (
     geometric_horizons,
     hamming_avg,
     limit_estimate,
-    lower_density,
-    upper_density,
 )
 from .observables import (
     CellIndicator,
@@ -99,7 +96,7 @@ from .spectral import (
     l2_distance,
     orbit_covering_number,
 )
-from .stats import BootstrapCI, bootstrap, frequency_check
+from .stats import frequency_check
 from .systems import (
     GOLDEN,
     SystemSpec,

@@ -33,56 +33,62 @@ identity                identity map on the circle
 def _parse_system(text: str) -> dict:
     if text.startswith("{"):
         return json.loads(text)
-    parts = text.split(":")
-    head = parts[0]
-    if head == "rotation":
-        theta = GOLDEN if len(parts) < 2 or parts[1] == "golden" else float(parts[1])
-        return {"family": "rotation", "params": {"theta": theta}}
-    if head == "sturmian":
-        theta = GOLDEN if len(parts) < 2 or parts[1] == "golden" else float(parts[1])
-        return {"family": "sturmian", "params": {"theta": theta}}
-    if head == "doubling":
-        return {"family": "doubling"}
-    if head == "identity":
-        return {"family": "identity"}
-    if head == "bernoulli":
-        p = float(parts[1]) if len(parts) > 1 else 0.5
-        k = int(parts[2]) if len(parts) > 2 else 2
-        return {"family": "bernoulli_shift", "params": {"p": p, "alphabet_size": k}}
-    if head == "odometer":
-        return {"family": "odometer", "params": {"base": int(parts[1])}}
+    try:
+        parts = text.split(":")
+        head = parts[0]
+        if head == "rotation":
+            theta = GOLDEN if len(parts) < 2 or parts[1] == "golden" else float(parts[1])
+            return {"family": "rotation", "params": {"theta": theta}}
+        if head == "sturmian":
+            theta = GOLDEN if len(parts) < 2 or parts[1] == "golden" else float(parts[1])
+            return {"family": "sturmian", "params": {"theta": theta}}
+        if head == "doubling":
+            return {"family": "doubling"}
+        if head == "identity":
+            return {"family": "identity"}
+        if head == "bernoulli":
+            p = float(parts[1]) if len(parts) > 1 else 0.5
+            k = int(parts[2]) if len(parts) > 2 else 2
+            return {"family": "bernoulli_shift", "params": {"p": p, "alphabet_size": k}}
+        if head == "odometer":
+            return {"family": "odometer", "params": {"base": int(parts[1])}}
+    except (IndexError, KeyError, ValueError):
+        raise ConfigError(f"malformed system shortcut {text!r}") from None
     raise ConfigError(f"unknown system shortcut {text!r}")
 
 
 def _parse_target(text: str) -> dict:
     if text.startswith("{"):
         return json.loads(text)
-    parts = text.split(":")
-    head = parts[0]
-    if head == "halves":
-        return {"partition": {"kind": "circle_intervals", "cuts": [0.0, 0.5]}}
-    if head == "trivial":
-        return {"partition": {"kind": "trivial"}}
-    if head == "cuts":
-        return {
-            "partition": {
-                "kind": "circle_intervals",
-                "cuts": [float(c) for c in parts[1:]],
+    try:
+        parts = text.split(":")
+        head = parts[0]
+        if head == "halves":
+            return {"partition": {"kind": "circle_intervals", "cuts": [0.0, 0.5]}}
+        if head == "trivial":
+            return {"partition": {"kind": "trivial"}}
+        if head == "cuts":
+            return {
+                "partition": {
+                    "kind": "circle_intervals",
+                    "cuts": [float(c) for c in parts[1:]],
+                }
             }
-        }
-    if head == "cylinder":
-        coords = [int(c) for c in parts[1].split(",")] if len(parts) > 1 else [0]
-        alpha = int(parts[2]) if len(parts) > 2 else 2
-        return {"partition": {"kind": "cylinder", "coords": coords, "alphabet": alpha}}
-    if head == "character":
-        k = int(parts[1]) if len(parts) > 1 else 1
-        return {"observable": {"kind": "character", "k": k}}
-    if head == "indicator":
-        cell = int(parts[2]) if len(parts) > 2 else 0
-        part = _parse_target(parts[1])["partition"]
-        return {
-            "observable": {"kind": "cell_indicator", "partition": part, "label": cell}
-        }
+        if head == "cylinder":
+            coords = [int(c) for c in parts[1].split(",")] if len(parts) > 1 else [0]
+            alpha = int(parts[2]) if len(parts) > 2 else 2
+            return {"partition": {"kind": "cylinder", "coords": coords, "alphabet": alpha}}
+        if head == "character":
+            k = int(parts[1]) if len(parts) > 1 else 1
+            return {"observable": {"kind": "character", "k": k}}
+        if head == "indicator":
+            cell = int(parts[2]) if len(parts) > 2 else 0
+            part = _parse_target(parts[1])["partition"]
+            return {
+                "observable": {"kind": "cell_indicator", "partition": part, "label": cell}
+            }
+    except (IndexError, KeyError, ValueError):
+        raise ConfigError(f"malformed target shortcut {text!r}") from None
     raise ConfigError(f"unknown target shortcut {text!r}")
 
 

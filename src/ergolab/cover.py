@@ -13,8 +13,8 @@ measure strictly above 1 - eps.  Two routes are provided:
 Strict inequalities (< eps for ball membership, > 1-eps for covered
 mass) follow the definitions exactly.  Hamming counts come from float32
 indicator-plane products (exact while n < 2**24), fbar/fhat fill mirrored
-tiles bit for bit, greedy gains are exact integers and masses compare in
-rational arithmetic, so boundary ties resolve to "not covered".
+tiles bit for bit, and both cover routes count mass in exact integer
+units, so boundary ties resolve to "not covered".
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,11 +34,14 @@ from .errors import (
 )
 from .metrics import fbar_n, fhat_n, hamming_avg
 from .observables import Observable
-from .partitions import NameWord, Partition, cylinder, name_rows, name_word
+from .partitions import NameWord, Partition, name_rows, name_word
 from .rng import RandomPlan
 from .systems import SystemHandle
 
 _CHUNK = 32
+# word cap of the exact oracle: its W x W distance and ball matrices stay
+# near 200 MB
+_ORACLE_WORDS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +72,8 @@ MetricKind = HammingKind | FbarKind | FhatKind
 def _sample_features(kind, system, samples, n) -> np.ndarray:
     """(m, n) horizon-n features: name labels (precomputed NameWords are
     taken as they are) or observable values."""
+    if n < 1:
+        raise InvalidParameterError("horizon must be >= 1")
     if not isinstance(kind, HammingKind):
         return kind.observable.orbit_rows(system, samples, n)
     if len(samples) and isinstance(samples[0], NameWord):
@@ -164,6 +169,18 @@ def _units_needed(total_units: int, eps: float) -> int:
     return max(0, short // feps.denominator + 1)
 
 
+def _mass_units(weights) -> tuple[list, int]:
+    """Exact integer units of float weights: weights[i] == units[i] / scale.
+
+    Float denominators are powers of two, so the largest one is the common
+    scale.  Units are Python ints, exact at any scale (a mass of 1e-30 needs
+    more than 2**63).
+    """
+    ratios = [float(w).as_integer_ratio() for w in weights]
+    scale = max((d for _, d in ratios), default=1)
+    return [num * (scale // d) for num, d in ratios], scale
+
+
 def _ball_members(balls: np.ndarray) -> list:
     """Each row of the bool ball matrix as a list of member indices; the
     lists share one int object per index, so an entry costs one pointer."""
@@ -246,19 +263,11 @@ def estimate_cover_number(
     exact word masses); by default every sample counts 1/m.  The returned
     center count upper-bounds the exact optimum on the same sample set.
     """
-    if n < 1:
-        raise InvalidParameterError("horizon must be >= 1")
     if eps <= 0:
         raise InvalidParameterError("eps must be positive")
     m = len(samples)
     members = _ball_members(pairwise_distances(kind, system, samples, n) < eps)
-    if weights is None:
-        counts = [1] * m
-    else:
-        # scale rational weights to integer units for exact mass comparisons
-        fracs = [Fraction(float(w)) for w in weights]
-        denom = lcm(*(f.denominator for f in fracs))
-        counts = [int(f * denom) for f in fracs]
+    counts = [1] * m if weights is None else _mass_units(weights)[0]
     gains = [sum(map(counts.__getitem__, mem)) for mem in members]
     budget = m if max_centers is None else max_centers
     centers, covered, total = _greedy_cover(members, counts, gains, eps, budget)
@@ -280,85 +289,63 @@ def exact_cover_number_small(word_distribution, n: int, eps: float) -> int:
     """True minimum number of open Hamming balls (centers among the listed
     words) whose union mass strictly exceeds 1 - eps.
 
-    Branch and bound over center subsets; feasible for small word counts
-    (the intended regime is alphabet**n up to ~2**16).
+    Iterative-deepening branch and bound over center subsets, up to the
+    greedy cover's size.  Masses are exact integer units, so the covered
+    test and the prune are exact.  At most 4096 words.
     """
-    words = [np.asarray(w, dtype=np.int64) for w, _ in word_distribution]
-    masses = [Fraction(float(m)) for _, m in word_distribution]
-    W = len(words)
+    W = len(word_distribution)
     if W == 0:
         raise InvalidParameterError("empty word distribution")
-    if W > 65536:
-        raise InstanceTooLargeError(f"{W} words exceeds the exact-oracle cap")
-    if abs(float(sum(masses)) - 1.0) > 1e-9:
+    if W > _ORACLE_WORDS:
+        raise InstanceTooLargeError(
+            f"{W} words exceeds the exact-oracle cap of {_ORACLE_WORDS}")
+    words, masses = zip(*word_distribution)
+    units, scale = _mass_units(masses)
+    if abs(sum(units) / scale - 1.0) > 1e-9:
         raise InvalidParameterError("word masses must sum to 1")
     if any(len(w) != n for w in words):
         raise InvalidParameterError("all words must have length n")
+    if n < 1 or eps <= 0:
+        raise InvalidParameterError("need n >= 1 and eps > 0")
 
-    mat = np.stack(words)
-    target = 1 - Fraction(eps)
+    # dense labels 0..k-1: the Hamming kernel only counts labels in 0..max
+    _, labels = np.unique(np.array(words, dtype=np.int64), return_inverse=True)
+    members = _ball_members(_pairwise_hamming(labels.reshape(W, n)) < eps)
+    gains = [sum(map(units.__getitem__, mem)) for mem in members]
+    upper = len(_greedy_cover(members, units, gains, eps, W)[0])
 
-    # ball of center i as a bitset over word indices
-    ball_sets = []
-    ball_mass = []
-    for i in range(W):
-        member = (mat != mat[i]).sum(axis=1) / n < eps
-        bits = 0
-        tot = Fraction(0)
-        for j in np.nonzero(member)[0]:
-            bits |= 1 << int(j)
-            tot += masses[j]
-        ball_sets.append(bits)
-        ball_mass.append(tot)
+    order = sorted(range(W), key=lambda i: (-gains[i], i))
+    balls = [members[i] for i in order]
+    # best[i] - best[j]: the mass of balls j..i-1 in descending-mass order
+    best = list(accumulate((gains[i] for i in order), initial=0))
+    need = _units_needed(scale, eps)
+    left = list(units)  # mass of each word not covered by the chosen balls
 
-    order = sorted(range(W), key=lambda i: (-ball_mass[i], i))
-    sets_o = [ball_sets[i] for i in order]
-    mass_f = [float(ball_mass[i]) for i in order]
-
-    def union_mass(bits: int) -> Fraction:
-        tot = Fraction(0)
-        j = 0
-        while bits:
-            if bits & 1:
-                tot += masses[j]
-            bits >>= 1
-            j += 1
-        return tot
-
-    def feasible(k: int) -> bool:
-        # DFS over index-increasing center combinations of size <= k
-        def rec(start: int, chosen_bits: int, depth: int) -> bool:
-            if union_mass(chosen_bits) > target:
-                return True
-            if depth == k:
-                return False
-            slots = k - depth
-            for idx in range(start, W):
-                # optimistic bound: add the largest remaining ball masses
-                bound = float(union_mass(chosen_bits)) + sum(
-                    mass_f[idx : idx + slots]
-                )
-                if bound <= float(target) - 1e-12:
-                    return False
-                if rec(idx + 1, chosen_bits | sets_o[idx], depth + 1):
-                    return True
+    def extend(start: int, covered: int, slots: int) -> bool:
+        # DFS over index-increasing center combinations of size <= slots more
+        if covered >= need:
+            return True
+        if slots == 0:
             return False
+        for idx in range(start, W):
+            # optimistic bound: the largest remaining ball masses, disjoint
+            if covered + best[min(idx + slots, W)] - best[idx] < need:
+                return False
+            fresh = [j for j in balls[idx] if left[j]]
+            gain = sum(map(left.__getitem__, fresh))
+            for j in fresh:
+                left[j] = 0
+            found = extend(idx + 1, covered + gain, slots - 1)
+            for j in fresh:
+                left[j] = units[j]
+            if found:
+                return True
+        return False
 
-        return rec(0, 0, 0)
-
-    # greedy upper bound guarantees termination; hamming distance between
-    # NameWords ignores the partition, so any cylinder stand-in works
-    greedy = estimate_cover_number(
-        [NameWord(tuple(int(s) for s in w), int(mat.max()) + 1) for w in words],
-        n,
-        eps,
-        HammingKind(cylinder([0], max(2, int(mat.max()) + 1))),
-        weights=[float(m) for m in masses],
-    )
-    for k in range(1, greedy.count + 1):
-        if feasible(k):
+    for k in range(1, upper + 1):
+        if extend(0, 0, k):
             return k
-    return greedy.count
+    return upper
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +395,8 @@ def complexity_curve(
     a horizon whose greedy cover exhausts the center budget is recorded
     with budget_hit instead of aborting the curve.
     """
+    if eps <= 0:
+        raise InvalidParameterError("eps must be positive")
     horizons = [int(h) for h in horizons]
     if len(horizons) < 3 or any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise InvalidParameterError("need >= 3 strictly increasing horizons")

@@ -1,8 +1,8 @@
 """Birkhoff-averaged pseudo-metrics and finite-horizon limit estimation.
 
 The quantities here are the time-averaged distances between two orbits:
-the Hamming average of two name words, the averaged state-space metric,
-the averaged observable gap fbar_n, and its running maximum fhat_n.
+the Hamming average of two name words, the averaged observable gap
+fbar_n, and its running maximum fhat_n.
 Limits in n are only ever *estimated*, over a geometric ladder of
 horizons, and the estimate carries an explicit convergence flag.
 """
@@ -29,20 +29,6 @@ def hamming_avg(w1: NameWord, w2: NameWord) -> float:
     return float(np.count_nonzero(a != b)) / w1.n
 
 
-def dbar_n(system: SystemHandle, x, y, n: int) -> float:
-    """Average of d(T^i x, T^i y) over the first n steps."""
-    if n < 1:
-        raise InvalidParameterError("n must be >= 1")
-    if system.has_circle_values:
-        vx = system.value_orbit(x, n)
-        vy = system.value_orbit(y, n)
-        t = np.abs(vx - vy) % 1.0
-        return float(np.minimum(t, 1.0 - t).mean())
-    return float(
-        np.mean([system.metric(system.step(x, i), system.step(y, i)) for i in range(n)])
-    )
-
-
 def fbar_prefix_means(system: SystemHandle, f: Observable, x, y, n: int) -> np.ndarray:
     """Array of fbar_k(x,y) for k = 1..n, computed in one pass."""
     if n < 1:
@@ -62,39 +48,6 @@ def fbar_n(system: SystemHandle, f: Observable, x, y, n: int) -> float:
 def fhat_n(system: SystemHandle, f: Observable, x, y, n: int) -> float:
     """max of fbar_k(x,y) over 1 <= k <= n."""
     return float(fbar_prefix_means(system, f, x, y, n).max())
-
-
-# ---------------------------------------------------------------------------
-# Densities
-
-
-def _count_in_window(F, N: int) -> int:
-    if callable(F):
-        return sum(1 for i in range(N) if F(i))
-    arr = np.asarray(list(F), dtype=np.int64)
-    if arr.size == 0:
-        return 0
-    return int(np.count_nonzero((arr >= 0) & (arr < N)))
-
-
-def upper_density(F, N: int) -> float:
-    """(1/N) #(F intersect [0, N-1]).
-
-    The limsup over window sizes is obtained by taking the max of these
-    values over a growing window sequence; a single window is just the
-    finite count.
-    """
-    if N < 1:
-        raise InvalidParameterError("window must be >= 1")
-    return _count_in_window(F, N) / N
-
-
-def lower_density(F, N: int) -> float:
-    """Same windowed count as upper_density; the liminf arises from how the
-    caller aggregates across windows."""
-    if N < 1:
-        raise InvalidParameterError("window must be >= 1")
-    return _count_in_window(F, N) / N
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +118,15 @@ def _limit_rule(evals: np.ndarray, tolerance: float) -> tuple:
 
 
 def geometric_horizons(n_max: int, count: int = 3, ratio: int = 4) -> tuple:
-    """Geometric ladder ending at n_max, e.g. (n/16, n/4, n)."""
+    """Geometric ladder ending at n_max, e.g. (n/16, n/4, n); a ladder of
+    fewer than three points is padded below its smallest horizon."""
     hs = []
     h = int(n_max)
     while len(hs) < count and h >= 1:
         hs.append(h)
         h //= ratio
     hs = sorted(set(hs))
-    while len(hs) < 3:
-        c = hs[0] - 1
-        if c < 1:
-            raise InvalidParameterError("n_max too small for a 3-point ladder")
-        hs.insert(0, c)
-    return tuple(hs)
+    pad = 3 - len(hs)
+    if not hs or hs[0] <= pad:
+        raise InvalidParameterError("n_max too small for a 3-point ladder")
+    return tuple(range(hs[0] - pad, hs[0])) + tuple(hs)

@@ -19,7 +19,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedRefinementError,
 )
-from .systems import SystemHandle, _batched, circle_value
+from .systems import SystemHandle, _batched
 
 CIRCLE_INTERVALS = "circle_intervals"
 CYLINDER = "cylinder"
@@ -103,7 +103,7 @@ class NameWord:
 
 
 # ---------------------------------------------------------------------------
-# Classification
+# Cell labels
 
 
 def _circle_labels(cuts: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -120,31 +120,6 @@ def _cylinder_labels(symbol_rows: np.ndarray, alphabet: int) -> np.ndarray:
     for j in range(1, symbol_rows.shape[-1]):
         labels = labels + symbol_rows[..., j] * alphabet**j
     return labels
-
-
-def classify(partition: Partition, x) -> int:
-    """Unique cell label of x; boundaries resolve by the half-open rule."""
-    if partition.kind == TRIVIAL:
-        return 0
-    if partition.kind == CIRCLE_INTERVALS:
-        if hasattr(x, "symbol"):
-            raise IncompatiblePartitionError(
-                "circle-interval partition cannot classify a symbolic point"
-            )
-        cuts = np.asarray(partition.cuts)
-        return int(_circle_labels(cuts, np.asarray(circle_value(x))))
-    if partition.kind == CYLINDER:
-        if not hasattr(x, "symbol"):
-            raise IncompatiblePartitionError(
-                "cylinder partition needs a point with symbol coordinates"
-            )
-        row = np.array([x.symbol(c) for c in partition.coords], dtype=np.int64)
-        if (row >= partition.alphabet).any():
-            raise IncompatiblePartitionError(
-                "point symbols exceed the cylinder alphabet"
-            )
-        return int(_cylinder_labels(row, partition.alphabet))
-    raise InvalidParameterError(f"unknown partition kind {partition.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +159,11 @@ def name_rows(system: SystemHandle, partition: Partition, samples, n: int) -> np
     else:
         raise InvalidParameterError(f"unknown partition kind {partition.kind!r}")
     return _batched(len(samples), (n,), np.int64, read)
+
+
+def classify(system: SystemHandle, partition: Partition, x) -> int:
+    """Unique cell label of x; boundaries resolve by the half-open rule."""
+    return int(name_rows(system, partition, [x], 1)[0, 0])
 
 
 def name_symbols(system: SystemHandle, partition: Partition, x, n: int) -> np.ndarray:

@@ -1,65 +1,12 @@
-"""Bootstrap intervals and frequency checks shared by the estimators."""
+"""Frequency checks of observed symbol counts against expected probabilities."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError, LengthMismatchError
-from .rng import RandomPlan
-
-_TAG_BOOT = 61
-
-
-@dataclass(frozen=True)
-class BootstrapCI:
-    point: float
-    lo: float
-    hi: float
-    resamples: int
-    seed: int
-
-
-def bootstrap(
-    values: Sequence[float],
-    statistic: str,
-    resamples: int,
-    plan: RandomPlan,
-) -> BootstrapCI:
-    """Percentile (10/90) bootstrap interval around the plug-in statistic.
-
-    Percentiles rather than a normal approximation: the statistics fed in
-    here are often small integers (covering numbers), where normality is
-    a poor fit.  Deterministic given the plan.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        raise InvalidParameterError("bootstrap needs >= 2 values")
-    if resamples < 20:
-        raise InvalidParameterError("use >= 20 resamples")
-    if statistic == "mean":
-        stat = np.mean
-    elif statistic == "count":
-        stat = lambda v: float(np.count_nonzero(v))
-    else:
-        raise InvalidParameterError(f"unknown statistic {statistic!r}")
-    point = float(stat(values))
-    rng = plan.generator(_TAG_BOOT)
-    reps = np.empty(resamples)
-    for b in range(resamples):
-        reps[b] = stat(values[rng.integers(0, values.size, values.size)])
-    lo = float(np.percentile(reps, 10))
-    hi = float(np.percentile(reps, 90))
-    # the interval always brackets the plug-in point
-    return BootstrapCI(
-        point=point,
-        lo=min(lo, point),
-        hi=max(hi, point),
-        resamples=resamples,
-        seed=plan.master_seed,
-    )
 
 
 def frequency_check(

@@ -257,9 +257,6 @@ class ShiftPoint:
     alphabet: int
     offset: int = 0
 
-    def symbol(self, i: int) -> int:
-        return int(self.source.symbols(self.offset + i, self.offset + i + 1)[0])
-
     def symbols(self, lo: int, hi: int) -> np.ndarray:
         return self.source.symbols(self.offset + lo, self.offset + hi)
 
@@ -271,10 +268,6 @@ class SturmianPoint:
     angle: float
     theta: float
     offset: int = 0
-
-    def symbol(self, i: int) -> int:
-        pos = (self.angle + (self.offset + i) * self.theta) % 1.0
-        return int(pos >= 1.0 - self.theta)
 
     def symbols(self, lo: int, hi: int) -> np.ndarray:
         k = np.arange(self.offset + lo, self.offset + hi)
@@ -294,9 +287,6 @@ class OdometerPoint:
         t = self.source.symbols(0, n).astype(np.int64)
         t[:1] += self.shift
         return _carry(t, self.base)
-
-    def symbol(self, i: int) -> int:
-        return int(self.digits(i + 1)[i])
 
     def symbols(self, lo: int, hi: int) -> np.ndarray:
         if lo < 0:
@@ -431,6 +421,13 @@ class SystemHandle:
         raise NotImplementedError
 
     def sample_measure(self, count: int, plan: RandomPlan):
+        """`count` points drawn from the invariant measure, as a pure
+        function of (plan, index)."""
+        if count < 1:
+            raise InvalidParameterError("sample count must be >= 1")
+        return self._sample(count, plan)
+
+    def _sample(self, count: int, plan: RandomPlan):
         raise NotImplementedError
 
     def rows(self, points, lo: int, hi: int) -> np.ndarray:
@@ -476,7 +473,7 @@ class RotationSystem(SystemHandle):
     def metric(self, x, y) -> float:
         return _arc(circle_value(x), circle_value(y))
 
-    def sample_measure(self, count: int, plan: RandomPlan) -> np.ndarray:
+    def _sample(self, count: int, plan: RandomPlan) -> np.ndarray:
         return plan.uniforms(_TAG_POINT, np.arange(count))
 
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
@@ -498,7 +495,7 @@ class IdentitySystem(SystemHandle):
     def metric(self, x, y) -> float:
         return _arc(circle_value(x), circle_value(y))
 
-    def sample_measure(self, count: int, plan: RandomPlan) -> np.ndarray:
+    def _sample(self, count: int, plan: RandomPlan) -> np.ndarray:
         return plan.uniforms(_TAG_POINT, np.arange(count))
 
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
@@ -527,7 +524,7 @@ class DoublingSystem(SystemHandle):
     def metric(self, x, y) -> float:
         return _arc(circle_value(self._as_point(x)), circle_value(self._as_point(y)))
 
-    def sample_measure(self, count: int, plan: RandomPlan) -> list:
+    def _sample(self, count: int, plan: RandomPlan) -> list:
         seeds = hash64(plan.master_seed, _TAG_POINT, np.arange(count))
         return [DoublingPoint(HashBits(int(s))) for s in seeds]
 
@@ -593,7 +590,7 @@ class BernoulliSystem(_SymbolSystem):
     def step(self, x: ShiftPoint, k: int = 1) -> ShiftPoint:
         return ShiftPoint(x.source, x.alphabet, x.offset + k)
 
-    def sample_measure(self, count: int, plan: RandomPlan) -> list:
+    def _sample(self, count: int, plan: RandomPlan) -> list:
         seeds = hash64(plan.master_seed, _TAG_POINT, np.arange(count))
         return [
             ShiftPoint(HashSymbols(int(s), self.thresholds), self.alphabet)
@@ -619,7 +616,7 @@ class SturmianSystem(_SymbolSystem):
     def step(self, x: SturmianPoint, k: int = 1) -> SturmianPoint:
         return SturmianPoint(x.angle, x.theta, x.offset + k)
 
-    def sample_measure(self, count: int, plan: RandomPlan) -> list:
+    def _sample(self, count: int, plan: RandomPlan) -> list:
         angles = plan.uniforms(_TAG_POINT, np.arange(count))
         return [SturmianPoint(float(a), self.theta) for a in angles]
 
@@ -645,7 +642,7 @@ class OdometerSystem(_SymbolSystem):
     def step(self, x: OdometerPoint, k: int = 1) -> OdometerPoint:
         return OdometerPoint(x.source, x.base, x.shift + k)
 
-    def sample_measure(self, count: int, plan: RandomPlan) -> list:
+    def _sample(self, count: int, plan: RandomPlan) -> list:
         seeds = hash64(plan.master_seed, _TAG_POINT, np.arange(count))
         return [
             OdometerPoint(HashSymbols(int(s), self.thresholds), self.base)
@@ -689,7 +686,7 @@ class ProductSystem(SystemHandle):
     def metric(self, x, y) -> float:
         return max(self.left.metric(x[0], y[0]), self.right.metric(x[1], y[1]))
 
-    def sample_measure(self, count: int, plan: RandomPlan) -> list:
+    def _sample(self, count: int, plan: RandomPlan) -> list:
         ls = self.left.sample_measure(count, plan.child(_TAG_LEFT))
         rs = self.right.sample_measure(count, plan.child(_TAG_RIGHT))
         return list(zip(ls, rs))
@@ -731,6 +728,4 @@ def metric(system: SystemHandle, x, y) -> float:
 
 
 def sample_measure(system: SystemHandle, count: int, plan: RandomPlan):
-    if count < 1:
-        raise InvalidParameterError("count must be >= 1")
     return system.sample_measure(count, plan)

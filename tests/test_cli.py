@@ -173,6 +173,40 @@ def test_incompatible_target_exit_2(argv, message, capsys):
     assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
+_CURVE = ["--eps", "0.1", "--horizons", "4,8,16", "--samples", "20"]
+_MEANEQUI = ["meanequi", "--system", "rotation:golden", "--target", "character:1",
+             "--eps", "0.5"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["complexity", "--system", "odometer", "--target", "cylinder:0"] + _CURVE,
+     "malformed system shortcut 'odometer'"),
+    (["complexity", "--system", "rotation:abc", "--target", "halves"] + _CURVE,
+     "malformed system shortcut 'rotation:abc'"),
+    (["complexity", "--system", "bernoulli:0.5", "--target", "cylinder:a"] + _CURVE,
+     "malformed target shortcut 'cylinder:a'"),
+    (["complexity", "--system", "rotation:golden", "--target", "cuts:x"] + _CURVE,
+     "malformed target shortcut 'cuts:x'"),
+    (["meanequi", "--system", "rotation:golden", "--target", "indicator",
+      "--eps", "0.5"], "malformed target shortcut 'indicator'"),
+    (["complexity", "--system", "rotation:golden", "--target", "halves"] + _CURVE
+     + ["--samples", "0"], "sample count must be >= 1"),
+    (_MEANEQUI + ["--samples", "0"], "sample count must be >= 1"),
+    (["spectral", "--system", "rotation:golden", "--target", "character:1",
+      "--horizons", "4,8,16", "--radius", "0.5", "--samples", "0"],
+     "sample count must be >= 1"),
+    (_MEANEQUI + ["--samples", "20", "--horizon", "0"], "horizon must be >= 1"),
+    (["expansivity", "--system", "rotation:golden", "--target", "character:1",
+      "--delta", "0.1", "--pairs", "100", "--horizon", "0"],
+     "n_max too small for a 3-point ladder"),
+    (["complexity", "--system", "rotation:golden", "--target", "halves"] + _CURVE
+     + ["--eps", "0"], "eps must be positive"),
+])
+def test_bad_argument_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 def test_spectral_character_on_shift_exit_2(capsys):
     rc = main(["spectral", "--system", "bernoulli:0.5", "--target", "character:1",
                "--horizons", "4,8,16", "--radius", "0.5", "--samples", "20"])

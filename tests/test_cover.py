@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ergolab.cover import (
     _CHUNK,
     _ball_members,
     _greedy_cover,
+    _mass_units,
     _pairwise_fbar,
     _pairwise_fhat,
     _pairwise_hamming,
@@ -24,8 +26,8 @@ WORDS4 = [tuple(w) for w in itertools.product((0, 1), repeat=4)]
 
 
 def brute_force_min_cover(words, masses, n, eps):
-    """Independent oracle: try every center subset in increasing size."""
-    total = sum(masses)
+    """Independent oracle: try every center subset in increasing size,
+    summing the masses as exact fractions."""
     balls = []
     for w in words:
         ball = [
@@ -37,7 +39,7 @@ def brute_force_min_cover(words, masses, n, eps):
     for k in range(1, len(words) + 1):
         for combo in itertools.combinations(range(len(words)), k):
             covered = frozenset().union(*(balls[c] for c in combo))
-            if sum(masses[j] for j in covered) > (1 - eps) * total:
+            if sum(Fraction(masses[j]) for j in covered) > 1 - Fraction(eps):
                 return k
     raise AssertionError("uncoverable")
 
@@ -62,6 +64,72 @@ def test_exact_cover_nonuniform_masses():
     expect = brute_force_min_cover(WORDS4, masses, 4, 0.3)
     dist = list(zip(WORDS4, masses))
     assert e.exact_cover_number_small(dist, 4, 0.3) == expect
+
+
+def _random_masses(rng, k):
+    m = rng.random(k)
+    return (m / m.sum()).tolist()
+
+
+_RNG = np.random.default_rng(7)
+_TERNARY = list(itertools.product((0, 1, 2), repeat=4))
+_TERNARY = [_TERNARY[i] for i in sorted(_RNG.choice(len(_TERNARY), 20, replace=False))]
+_NEGATIVE = list(itertools.product((-2, 5), repeat=4))
+_SPARSE = list(itertools.product((0, 3, 9), repeat=3))[::2]
+_TINY = [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1), (0, 1, 1, 1)]
+_WORDS5 = list(itertools.product((0, 1), repeat=5))
+# uniform 16-word subsets on which the greedy cover takes one ball more
+# than the optimum, so the branch and bound alone decides the answer
+_GAP_A = [_WORDS5[i] for i in (3, 4, 5, 9, 11, 13, 14, 15, 16, 17, 20, 21, 22, 26, 29, 31)]
+_GAP_B = [_WORDS5[i] for i in (0, 1, 3, 4, 5, 6, 8, 10, 15, 16, 18, 21, 24, 28, 29, 31)]
+_BRUTE_CASES = [
+    (_TERNARY, _random_masses(_RNG, 20), 4, 0.3),
+    (_TERNARY, _random_masses(_RNG, 20), 4, 0.5),
+    (_NEGATIVE, _random_masses(_RNG, 16), 4, 0.3),
+    (_NEGATIVE, _random_masses(_RNG, 16), 4, 0.5),
+    (_SPARSE, _random_masses(_RNG, 14), 3, 0.3),
+    (_SPARSE, _random_masses(_RNG, 14), 3, 0.5),
+    # the 1e-30 word lifts ball(0000) strictly above 1/2 (one ball where
+    # mass 0 needs two); its unit scale exceeds 2**63
+    (_TINY, [0.5, 1e-30, 0.25, 0.25], 4, 0.5),
+    (_TINY, [0.5, 0.0, 0.25, 0.25], 4, 0.5),
+    (_GAP_A, [1 / 16] * 16, 5, 0.25),
+    (_GAP_B, [1 / 16] * 16, 5, 0.3),
+    # the optimal two balls are disjoint and cover exactly the least mass
+    # above 1 - eps, so the prune's bound meets the target with equality
+    ([WORDS4[i] for i in (0, 5, 6, 9, 11, 12, 13, 14)],
+     [w / 16 for w in (2, 2, 1, 2, 3, 2, 2, 2)], 4, 0.3),
+]
+
+
+@pytest.mark.parametrize("words, masses, n, eps", _BRUTE_CASES, ids=[
+    "ternary-0.3", "ternary-0.5", "negative-0.3", "negative-0.5",
+    "sparse-0.3", "sparse-0.5", "tiny-mass", "zero-mass", "greedy-gap-0.25",
+    "greedy-gap-0.3", "bound-tie"])
+def test_exact_cover_random_masses_against_brute_force(words, masses, n, eps):
+    expect = brute_force_min_cover(words, masses, n, eps)
+    assert e.exact_cover_number_small(list(zip(words, masses)), n, eps) == expect
+
+
+def test_exact_cover_word_cap():
+    with pytest.raises(e.InstanceTooLargeError):
+        e.exact_cover_number_small([((0,), 1 / 4097)] * 4097, 1, 0.5)
+
+
+def _fraction_units(weights):
+    """The Fraction/lcm conversion of float weights to integer units."""
+    fracs = [Fraction(float(w)) for w in weights]
+    denom = lcm(*(f.denominator for f in fracs))
+    return [int(f * denom) for f in fracs], denom
+
+
+def test_mass_units_equal_fraction_lcm():
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 17, 300):
+        weights = rng.random(size) * 10.0 ** rng.integers(-40, 5, size)
+        weights[rng.random(size) < 0.1] = 0.0
+        assert _mass_units(weights) == _fraction_units(weights)
+    assert _mass_units([0.1, 1e-30, 0.5]) == _fraction_units([0.1, 1e-30, 0.5])
 
 
 def test_exact_cover_validation():

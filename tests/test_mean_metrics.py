@@ -25,12 +25,6 @@ def test_hamming_length_mismatch():
         e.hamming_avg(a, b)
 
 
-def test_dbar_rotation_is_constant_gap():
-    # rotation is an isometry: dbar_n equals the arc distance for every n
-    for n in (1, 10, 1000):
-        assert e.dbar_n(SYS_R, 0.0, 0.01, n) == pytest.approx(0.01, abs=1e-12)
-
-
 def test_fbar_constant_observable_zero():
     f = e.Constant(3.5)
     assert e.fbar_n(SYS_R, f, 0.1, 0.9, 100) == 0.0
@@ -80,14 +74,6 @@ def test_hamming_triangle_on_shift():
     d02 = e.hamming_avg(words[0], words[2])
     d21 = e.hamming_avg(words[2], words[1])
     assert d01 <= d02 + d21 + 1e-15
-
-
-def test_upper_lower_density():
-    evens = range(0, 100, 2)
-    assert e.upper_density(evens, 100) == 0.5
-    assert e.lower_density(evens, 100) == 0.5
-    assert e.upper_density(lambda i: i < 10, 100) == 0.1
-    assert e.upper_density([], 50) == 0.0
 
 
 def test_limit_estimate_converged_flag():

@@ -5,21 +5,22 @@ import ergolab as e
 from ergolab.systems import make_system
 
 PLAN = e.RandomPlan(99)
+SYS_R = make_system(e.rotation(e.GOLDEN))
 
 
 def test_halves_classify():
     part = e.halves()
-    assert e.classify(part, 0.1) == 0
-    assert e.classify(part, 0.6) == 1
+    assert e.classify(SYS_R, part, 0.1) == 0
+    assert e.classify(SYS_R, part, 0.6) == 1
     # boundary points fall into the right-open cell
-    assert e.classify(part, 0.5) == 1
-    assert e.classify(part, 0.0) == 0
+    assert e.classify(SYS_R, part, 0.5) == 1
+    assert e.classify(SYS_R, part, 0.0) == 0
 
 
 def test_circle_intervals_sorted_and_wrapped():
     part = e.circle_intervals([0.7, 0.2, 1.2])  # 1.2 wraps to 0.2, deduped order
     assert part.cuts == (0.2, 0.2 % 1.0, 0.7) or len(part.cuts) == 3
-    assert e.classify(part, 0.1) == 2  # wraps into the last cell
+    assert e.classify(SYS_R, part, 0.1) == 2  # wraps into the last cell
 
 
 def test_cylinder_labels_little_endian():
@@ -27,17 +28,17 @@ def test_cylinder_labels_little_endian():
     part = e.cylinder([0, 1], 2)
     x = sys_b.point(symbols=(1, 0, 1, 1), seed=5)
     # label = s(0) + 2*s(1)
-    assert e.classify(part, x) == 1
-    assert e.classify(part, sys_b.step(x)) == 0 + 2 * 1
+    assert e.classify(sys_b, part, x) == 1
+    assert e.classify(sys_b, part, sys_b.step(x)) == 0 + 2 * 1
 
 
 def test_classify_incompatible():
     with pytest.raises(e.IncompatiblePartitionError):
-        e.classify(e.cylinder([0], 2), 0.3)
+        e.classify(SYS_R, e.cylinder([0], 2), 0.3)
     sys_b = make_system(e.bernoulli_shift(0.5))
     x = sys_b.sample_measure(1, PLAN)[0]
     with pytest.raises(e.IncompatiblePartitionError):
-        e.classify(e.halves(), x)
+        e.classify(sys_b, e.halves(), x)
 
 
 def test_rotation_name_word():
@@ -59,7 +60,7 @@ def test_name_fast_path_matches_fallback():
     part = e.circle_intervals([0.0, 0.3, 0.77])
     x = 0.123
     fast = e.name_symbols(sys_r, part, x, 50)
-    slow = [e.classify(part, sys_r.step(x, i)) for i in range(50)]
+    slow = [e.classify(sys_r, part, sys_r.step(x, i)) for i in range(50)]
     np.testing.assert_array_equal(fast, slow)
 
 
@@ -68,7 +69,7 @@ def test_shift_name_fast_path():
     x = sys_b.sample_measure(1, PLAN)[0]
     part = e.cylinder([0, 2], 2)
     fast = e.name_symbols(sys_b, part, x, 30)
-    slow = [e.classify(part, sys_b.step(x, i)) for i in range(30)]
+    slow = [e.classify(sys_b, part, sys_b.step(x, i)) for i in range(30)]
     np.testing.assert_array_equal(fast, slow)
 
 
@@ -92,7 +93,7 @@ def test_refine_separates_names():
     N = 4
     ref = e.refine(e.halves(), sys_r, N)
     pts = sys_r.sample_measure(300, PLAN)
-    labels = [e.classify(ref, float(x)) for x in pts]
+    labels = [e.classify(sys_r, ref, float(x)) for x in pts]
     names = [tuple(e.name_symbols(sys_r, e.halves(), float(x), N)) for x in pts]
     by_label = {}
     for lab, nm in zip(labels, names):

@@ -3,49 +3,6 @@ import pytest
 
 import ergolab as e
 
-PLAN = e.RandomPlan(555)
-
-
-def test_bootstrap_constant_values():
-    ci = e.bootstrap([3.0] * 10, "mean", 50, PLAN)
-    assert (ci.point, ci.lo, ci.hi) == (3.0, 3.0, 3.0)
-
-
-def test_bootstrap_brackets_point():
-    rng = np.random.default_rng(0)
-    vals = rng.uniform(0, 1, 10**4)
-    ci = e.bootstrap(vals, "mean", 40, PLAN)
-    assert ci.lo <= ci.point <= ci.hi
-    assert ci.point == pytest.approx(0.5, abs=0.01)
-
-
-def test_bootstrap_balanced_binary():
-    ci = e.bootstrap([0.0, 1.0] * 50, "mean", 30, PLAN)
-    assert ci.lo <= 0.5 <= ci.hi
-
-
-def test_bootstrap_count_statistic():
-    ci = e.bootstrap([0, 0, 1, 1, 1, 0], "count", 25, PLAN)
-    assert ci.point == 3.0
-
-
-def test_bootstrap_deterministic():
-    vals = list(range(20))
-    a = e.bootstrap(vals, "mean", 30, PLAN)
-    b = e.bootstrap(vals, "mean", 30, PLAN)
-    assert a == b
-    c = e.bootstrap(vals, "mean", 30, e.RandomPlan(556))
-    assert (a.lo, a.hi) != (c.lo, c.hi) or a.point == c.point
-
-
-def test_bootstrap_validation():
-    with pytest.raises(e.InvalidParameterError):
-        e.bootstrap([1.0], "mean", 30, PLAN)
-    with pytest.raises(e.InvalidParameterError):
-        e.bootstrap([1.0, 2.0], "mean", 5, PLAN)
-    with pytest.raises(e.InvalidParameterError):
-        e.bootstrap([1.0, 2.0], "median", 30, PLAN)
-
 
 def test_frequency_check_exact_match():
     assert e.frequency_check([250, 250, 250, 250], [0.25] * 4, 1.0)
