@@ -41,6 +41,12 @@ CASES = {
     "spectral-doubling": [
         "spectral", "--system", "doubling", "--target", "character:1",
         "--horizons", "8,16,48", "--radius", "1.0", "--samples", "150"],
+    "spectral-rotation-long": [
+        "spectral", "--system", "rotation:golden", "--target", "character:1",
+        "--horizons", "64,256,1024", "--radius", "0.5", "--samples", "300"],
+    "spectral-doubling-long": [
+        "spectral", "--system", "doubling", "--target", "character:1",
+        "--horizons", "16,128,1024", "--radius", "1.0", "--samples", "100"],
     "expansivity-rotation": [
         "expansivity", "--system", "rotation:golden", "--target", "character:1",
         "--delta", "1.9", "--pairs", "300", "--horizon", "128"],
