@@ -20,6 +20,7 @@ units, so boundary ties resolve to "not covered".
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -36,7 +37,7 @@ from .metrics import fbar_n, fhat_n, hamming_avg
 from .observables import Observable
 from .partitions import NameWord, Partition, name_rows, name_word
 from .rng import RandomPlan
-from .systems import SystemHandle
+from .systems import SystemHandle, _chunk_rows
 
 _CHUNK = 32
 # word cap of the exact oracle: its W x W distance and ball matrices stay
@@ -117,15 +118,21 @@ def _pairwise_gaps(values: np.ndarray, reduce, chunk: int) -> np.ndarray:
     return out
 
 
+def _fbar_reduce(gaps: np.ndarray) -> np.ndarray:
+    return gaps.mean(axis=2)
+
+
+def _fhat_reduce(gaps: np.ndarray) -> np.ndarray:
+    inv = 1.0 / np.arange(1, gaps.shape[2] + 1)
+    return (np.cumsum(gaps, axis=2) * inv).max(axis=2)
+
+
 def _pairwise_fbar(values: np.ndarray) -> np.ndarray:
-    return _pairwise_gaps(values, lambda gaps: gaps.mean(axis=2), _CHUNK)
+    return _pairwise_gaps(values, _fbar_reduce, _CHUNK)
 
 
 def _pairwise_fhat(values: np.ndarray) -> np.ndarray:
-    inv = 1.0 / np.arange(1, values.shape[1] + 1)
-    return _pairwise_gaps(
-        values, lambda gaps: (np.cumsum(gaps, axis=2) * inv).max(axis=2), _CHUNK // 2
-    )
+    return _pairwise_gaps(values, _fhat_reduce, _CHUNK // 2)
 
 
 def _distance_matrix(kind: MetricKind, feats: np.ndarray) -> np.ndarray:
@@ -138,6 +145,29 @@ def _distance_matrix(kind: MetricKind, feats: np.ndarray) -> np.ndarray:
 
 def pairwise_distances(kind: MetricKind, system, samples, n: int) -> np.ndarray:
     return _distance_matrix(kind, _sample_features(kind, system, samples, n))
+
+
+def _distance_rows(kind: MetricKind, feats: np.ndarray, rows) -> np.ndarray:
+    """Rows `rows` of _distance_matrix(kind, feats), bit for bit, without the
+    rest of the matrix; the other samples are read in chunks.
+
+    The per-pair arithmetic does not depend on the tile shape: fbar and
+    fhat reduce one contiguous row of gaps per pair, and a Hamming distance
+    is an exact integer count divided by n.  A block of the matrix is
+    _distance_matrix on the block's own rows, for the same reason.
+    """
+    m, n = feats.shape
+    head = feats[rows][:, None, :]
+    out = np.empty((head.shape[0], m))
+    step = _chunk_rows(head.shape[0] * n)
+    for lo in range(0, m, step):
+        tail = feats[None, lo : lo + step, :]
+        if isinstance(kind, HammingKind):
+            out[:, lo : lo + step] = np.count_nonzero(head != tail, axis=2) / n
+        else:
+            reduce = _fbar_reduce if isinstance(kind, FbarKind) else _fhat_reduce
+            out[:, lo : lo + step] = reduce(np.abs(head - tail))
+    return out
 
 
 def distance(kind: MetricKind, system, x, y, n: int) -> float:
@@ -289,9 +319,12 @@ def exact_cover_number_small(word_distribution, n: int, eps: float) -> int:
     """True minimum number of open Hamming balls (centers among the listed
     words) whose union mass strictly exceeds 1 - eps.
 
-    Iterative-deepening branch and bound over center subsets, up to the
-    greedy cover's size.  Masses are exact integer units, so the covered
-    test and the prune are exact.  At most 4096 words.
+    Iterative-deepening branch and bound over center subsets, from the
+    sorted-mass lower bound (the fewest balls whose largest masses could
+    reach the target) up to the greedy cover's size; the depth-first search
+    keeps an explicit stack, so a deep cover cannot exhaust Python's
+    recursion limit.  Masses are exact integer units, so the covered test
+    and the prune are exact.  At most 4096 words.
     """
     W = len(word_distribution)
     if W == 0:
@@ -319,31 +352,38 @@ def exact_cover_number_small(word_distribution, n: int, eps: float) -> int:
     # best[i] - best[j]: the mass of balls j..i-1 in descending-mass order
     best = list(accumulate((gains[i] for i in order), initial=0))
     need = _units_needed(scale, eps)
+    lower = max(1, bisect_left(best, need))
     left = list(units)  # mass of each word not covered by the chosen balls
 
-    def extend(start: int, covered: int, slots: int) -> bool:
-        # DFS over index-increasing center combinations of size <= slots more
-        if covered >= need:
-            return True
-        if slots == 0:
-            return False
-        for idx in range(start, W):
+    def covers(k: int) -> bool:
+        # DFS over index-increasing center combinations of at most k balls;
+        # the stack holds (ball index, newly covered words, their mass)
+        stack: list = []
+        covered, idx = 0, 0
+        while covered < need:
+            slots = k - len(stack)
             # optimistic bound: the largest remaining ball masses, disjoint
-            if covered + best[min(idx + slots, W)] - best[idx] < need:
+            reach = covered + best[min(idx + slots, W)] - best[idx]
+            if slots and idx < W and reach >= need:
+                fresh = [j for j in balls[idx] if left[j]]
+                gain = sum(map(left.__getitem__, fresh))
+                for j in fresh:
+                    left[j] = 0
+                stack.append((idx, fresh, gain))
+                covered += gain
+                idx += 1
+                continue
+            if not stack:
                 return False
-            fresh = [j for j in balls[idx] if left[j]]
-            gain = sum(map(left.__getitem__, fresh))
-            for j in fresh:
-                left[j] = 0
-            found = extend(idx + 1, covered + gain, slots - 1)
+            idx, fresh, gain = stack.pop()
             for j in fresh:
                 left[j] = units[j]
-            if found:
-                return True
-        return False
+            covered -= gain
+            idx += 1
+        return True
 
-    for k in range(1, upper + 1):
-        if extend(0, 0, k):
+    for k in range(lower, upper):
+        if covers(k):
             return k
     return upper
 

@@ -7,6 +7,12 @@ with few clusters) is finite-sample evidence of mean equicontinuity;
 hitting the cluster budget is evidence against it.  The opposite regime is
 probed by ``mean_expansivity_estimate``: the fraction of independent pairs
 whose averaged gap exceeds a fixed delta.
+
+The equipartition readers never build the m x m distance matrix: the
+greedy computes one row per center, and the diameter bound and
+``verify_equipartition`` compute the block inside each cluster.  Rows and
+blocks come from the same per-pair reducers as the full matrix, so they
+equal its entries bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +26,10 @@ from .cover import (
     FbarKind,
     FhatKind,
     HammingKind,
+    _distance_matrix,
+    _distance_rows,
+    _sample_features,
     _units_needed,
-    pairwise_distances,
 )
 from .errors import InvalidParameterError
 from .metrics import _ladder, _limit_rule, default_tolerance, geometric_horizons
@@ -91,9 +99,10 @@ class EquipartitionFailure:
         }
 
 
-def _greedy_clusters(D: np.ndarray, eps: float, k_max: int):
-    """Centers at pairwise >= eps/2; members within eps/2 of their center."""
-    m = D.shape[0]
+def _greedy_clusters(kind, feats: np.ndarray, eps: float, k_max: int):
+    """Centers at pairwise >= eps/2; members within eps/2 of their center.
+    Only the center rows of the distance matrix are computed."""
+    m = feats.shape[0]
     unassigned = np.ones(m, dtype=bool)
     clusters = []
     covered = 0
@@ -101,7 +110,8 @@ def _greedy_clusters(D: np.ndarray, eps: float, k_max: int):
         center = int(np.argmax(unassigned))  # lowest unassigned index
         if not unassigned[center]:
             break
-        members = np.nonzero(unassigned & (D[center] < eps / 2.0))[0]
+        row = _distance_rows(kind, feats, [center])[0]
+        members = np.nonzero(unassigned & (row < eps / 2.0))[0]
         clusters.append(tuple(int(i) for i in members))
         unassigned[members] = False
         covered += members.size
@@ -109,10 +119,11 @@ def _greedy_clusters(D: np.ndarray, eps: float, k_max: int):
 
 
 def _build_equipartition(
-    D: np.ndarray, eps: float, k_max: int, horizon: int
+    kind, system, samples, eps: float, k_max: int, horizon: int
 ) -> EquiPartition | EquipartitionFailure:
-    m = D.shape[0]
-    clusters, covered = _greedy_clusters(D, eps, k_max)
+    feats = _sample_features(kind, system, samples, horizon)
+    m = feats.shape[0]
+    clusters, covered = _greedy_clusters(kind, feats, eps, k_max)
     if covered < _units_needed(m, eps):
         return EquipartitionFailure(
             eps=eps, k_max=k_max, covered_mass=covered / m, horizon=horizon
@@ -120,8 +131,7 @@ def _build_equipartition(
     diam = 0.0
     for c in clusters:
         if len(c) > 1:
-            idx = np.array(c)
-            diam = max(diam, float(D[np.ix_(idx, idx)].max()))
+            diam = max(diam, float(_distance_matrix(kind, feats[list(c)]).max()))
     return EquiPartition(
         clusters=tuple(clusters),
         eps=eps,
@@ -153,8 +163,7 @@ def find_equipartition(
         raise InvalidParameterError("eps must lie in (0, 2 sup|f|)")
     if k_max is None:
         k_max = _default_kmax(len(samples))
-    D = pairwise_distances(FbarKind(f), system, samples, horizon)
-    return _build_equipartition(D, eps, k_max, horizon)
+    return _build_equipartition(FbarKind(f), system, samples, eps, k_max, horizon)
 
 
 def hamming_equipartition(
@@ -170,8 +179,8 @@ def hamming_equipartition(
         raise InvalidParameterError("hamming eps must lie in (0, 1]")
     if k_max is None:
         k_max = _default_kmax(len(samples))
-    D = pairwise_distances(HammingKind(partition), system, samples, horizon)
-    return _build_equipartition(D, eps, k_max, horizon)
+    kind = HammingKind(partition)
+    return _build_equipartition(kind, system, samples, eps, k_max, horizon)
 
 
 @dataclass(frozen=True)
@@ -210,7 +219,7 @@ def verify_equipartition(
         kind = FbarKind(target)
     if mode == "limsup":
         horizons = _ladder(horizons)
-    D = pairwise_distances(kind, system, samples, max(horizons))
+    feats = _sample_features(kind, system, samples, max(horizons))
 
     worst = 0.0
     per_cluster = []
@@ -219,7 +228,7 @@ def verify_equipartition(
             per_cluster.append((ci, cluster[0] if cluster else -1, -1, 0.0))
             continue
         idx = np.array(cluster)
-        sub = D[np.ix_(idx, idx)]
+        sub = _distance_matrix(kind, feats[idx])  # the in-cluster block only
         flat = np.triu_indices(len(idx), k=1)
         pos = int(np.argmax(sub[flat]))
         val = float(sub[flat][pos])

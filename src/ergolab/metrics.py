@@ -117,16 +117,13 @@ def _limit_rule(evals: np.ndarray, tolerance: float) -> tuple:
     return spread, spread <= tolerance
 
 
-def geometric_horizons(n_max: int, count: int = 3, ratio: int = 4) -> tuple:
-    """Geometric ladder ending at n_max, e.g. (n/16, n/4, n); a ladder of
-    fewer than three points is padded below its smallest horizon."""
-    hs = []
-    h = int(n_max)
-    while len(hs) < count and h >= 1:
-        hs.append(h)
-        h //= ratio
-    hs = sorted(set(hs))
-    pad = 3 - len(hs)
-    if not hs or hs[0] <= pad:
+def geometric_horizons(n_max: int) -> tuple:
+    """Strictly increasing 3-point ladder ending at n_max: (n/16, n/4, n)
+    in floor division from n_max = 16 on, (n/4, n/2, n) below that, and
+    (1, 2, 3) at n_max = 3."""
+    n = int(n_max)
+    if n < 3:
         raise InvalidParameterError("n_max too small for a 3-point ladder")
-    return tuple(range(hs[0] - pad, hs[0])) + tuple(hs)
+    if n >= 16:
+        return (n // 16, n // 4, n)
+    return (max(1, n // 4), max(2, n // 2), n)

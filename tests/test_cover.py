@@ -116,6 +116,13 @@ def test_exact_cover_word_cap():
         e.exact_cover_number_small([((0,), 1 / 4097)] * 4097, 1, 0.5)
 
 
+def test_exact_cover_deep_instance():
+    # singleton balls: the cover takes 1946 of the 2048 words, deeper than
+    # Python's recursion limit; the sorted-mass bound meets the greedy count
+    words = list(itertools.product((0, 1), repeat=11))
+    assert e.exact_cover_number_small([(w, 1 / 2048) for w in words], 11, 0.05) == 1946
+
+
 def _fraction_units(weights):
     """The Fraction/lcm conversion of float weights to integer units."""
     fracs = [Fraction(float(w)) for w in weights]

@@ -98,8 +98,16 @@ def test_geometric_horizons():
     assert e.geometric_horizons(4096) == (256, 1024, 4096)
     hs = e.geometric_horizons(10)
     assert len(hs) == 3 and hs[-1] == 10
-    with pytest.raises(e.InvalidParameterError):
-        e.geometric_horizons(1)
+    for n in range(3, 2049):
+        hs = e.geometric_horizons(n)
+        assert len(hs) == 3 and hs[-1] == n and 1 <= hs[0] < hs[1] < hs[2]
+        if n >= 16:  # the ladders that goldens and benchmarks use
+            assert hs == (n // 16, n // 4, n)
+    assert [e.geometric_horizons(n) for n in (3, 4, 7, 8, 15)] == [
+        (1, 2, 3), (1, 2, 4), (1, 3, 7), (2, 4, 8), (3, 7, 15)]
+    for n in (-1, 0, 1, 2):
+        with pytest.raises(e.InvalidParameterError):
+            e.geometric_horizons(n)
 
 
 def test_default_tolerance_floor():
