@@ -64,6 +64,15 @@ CASES = {
     "meanequi-failure": [
         "meanequi", "--system", "doubling", "--target", "character:1",
         "--eps", "0.5", "--k-max", "10", "--samples", "120", "--horizon", "64"],
+    "complexity-rotation-fbar-tiles": [
+        "complexity", "--system", "rotation:golden", "--target", "character:1",
+        "--eps", "0.2", "--horizons", "16,64,256", "--samples", "300"],
+    "meanequi-cuts3": [
+        "meanequi", "--system", "rotation:golden", "--target", "cuts:0:0.3:0.7",
+        "--eps", "0.3", "--samples", "300", "--horizon", "256"],
+    "complexity-bernoulli16": [
+        "complexity", "--system", "bernoulli:0.5:4", "--target", "cylinder:0,1:4",
+        "--eps", "0.1", "--horizons", "4,8,16", "--samples", "200"],
 }
 
 
