@@ -11,10 +11,13 @@ measure strictly above 1 - eps.  Two routes are provided:
   finite word distribution; the independent small-instance oracle.
 
 Strict inequalities (< eps for ball membership, > 1-eps for covered
-mass) follow the definitions exactly.  Hamming counts come from float32
-indicator-plane products (exact while n < 2**24), fbar/fhat fill mirrored
-tiles bit for bit, and both cover routes count mass in exact integer
-units, so boundary ties resolve to "not covered".
+mass) follow the definitions exactly.  One kernel serves every distance
+read (covers, cluster rows and blocks, the oracle, ``ball_member``):
+``_distance_rows`` for a few rows, ``_distance_matrix`` for a whole
+matrix.  The two agree bit for bit, and every fbar/fhat tile is sized
+from the one byte budget ``systems._CHUNK_BYTES``.  Both cover routes
+count mass in exact integer units, so boundary ties resolve to "not
+covered".
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import isqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,13 +37,11 @@ from .errors import (
     InstanceTooLargeError,
     InvalidParameterError,
 )
-from .metrics import fbar_n, fhat_n, hamming_avg
 from .observables import Observable
-from .partitions import NameWord, Partition, name_rows, name_word
+from .partitions import NameWord, Partition, name_rows
 from .rng import RandomPlan
 from .systems import SystemHandle, _chunk_rows
 
-_CHUNK = 32
 # word cap of the exact oracle: its W x W distance and ball matrices stay
 # near 200 MB
 _ORACLE_WORDS = 4096
@@ -71,8 +73,9 @@ MetricKind = HammingKind | FbarKind | FhatKind
 
 
 def _sample_features(kind, system, samples, n) -> np.ndarray:
-    """(m, n) horizon-n features: name labels (precomputed NameWords are
-    taken as they are) or observable values."""
+    """(m, n) horizon-n features: observable values, or name labels (cell
+    indices, precomputed NameWords taken as they are) in the narrowest
+    unsigned type that holds them."""
     if n < 1:
         raise InvalidParameterError("horizon must be >= 1")
     if not isinstance(kind, HammingKind):
@@ -80,81 +83,21 @@ def _sample_features(kind, system, samples, n) -> np.ndarray:
     if len(samples) and isinstance(samples[0], NameWord):
         if any(w.n != n for w in samples):
             raise InvalidParameterError("name word length differs from horizon")
-        return np.array([w.symbols for w in samples], dtype=np.int64).reshape(-1, n)
-    return name_rows(system, kind.partition, samples, n)
-
-
-def _pairwise_hamming(labels: np.ndarray) -> np.ndarray:
-    """Fraction of differing positions for every row pair.
-
-    Agreements are summed as P_s @ P_s.T over the indicator planes
-    P_s = (labels == s).  Every partial sum is an integer <= n, so float32
-    is exact while n < 2**24, whatever the BLAS blocking or thread count.
-    """
-    m, n = labels.shape
-    dtype = np.float32 if n < 2**24 else np.float64
-    agree = np.zeros((m, m), dtype=dtype)
-    for s in range(int(labels.max()) + 1 if m else 0):
-        plane = (labels == s).astype(dtype)
-        agree += plane @ plane.T
-    return np.true_divide(np.subtract(n, agree, out=agree), n, dtype=np.float64)
-
-
-def _pairwise_gaps(values: np.ndarray, reduce, chunk: int) -> np.ndarray:
-    """reduce(|v_i - v_j|) over the time axis for every row pair.
-
-    Only the tiles on and above the diagonal are computed: |v_i - v_j| and
-    |v_j - v_i| are bitwise equal and each pair reduces one contiguous row,
-    so a mirrored tile equals a directly computed one.
-    """
-    m = values.shape[0]
-    out = np.empty((m, m))
-    for lo in range(0, m, chunk):
-        rows = values[lo : lo + chunk, None, :]
-        for lo2 in range(lo, m, chunk):
-            tile = reduce(np.abs(rows - values[None, lo2 : lo2 + chunk, :]))
-            out[lo : lo + chunk, lo2 : lo2 + chunk] = tile
-            out[lo2 : lo2 + chunk, lo : lo + chunk] = tile.T
-    return out
-
-
-def _fbar_reduce(gaps: np.ndarray) -> np.ndarray:
-    return gaps.mean(axis=2)
-
-
-def _fhat_reduce(gaps: np.ndarray) -> np.ndarray:
-    inv = 1.0 / np.arange(1, gaps.shape[2] + 1)
-    return (np.cumsum(gaps, axis=2) * inv).max(axis=2)
-
-
-def _pairwise_fbar(values: np.ndarray) -> np.ndarray:
-    return _pairwise_gaps(values, _fbar_reduce, _CHUNK)
-
-
-def _pairwise_fhat(values: np.ndarray) -> np.ndarray:
-    return _pairwise_gaps(values, _fhat_reduce, _CHUNK // 2)
-
-
-def _distance_matrix(kind: MetricKind, feats: np.ndarray) -> np.ndarray:
-    if isinstance(kind, HammingKind):
-        return _pairwise_hamming(feats)
-    if isinstance(kind, FbarKind):
-        return _pairwise_fbar(feats)
-    return _pairwise_fhat(feats)
-
-
-def pairwise_distances(kind: MetricKind, system, samples, n: int) -> np.ndarray:
-    return _distance_matrix(kind, _sample_features(kind, system, samples, n))
+        labels = np.array([w.symbols for w in samples], dtype=np.int64).reshape(-1, n)
+    else:
+        labels = name_rows(system, kind.partition, samples, n)
+    return labels.astype(np.min_scalar_type(labels.max(initial=0)), copy=False)
 
 
 def _distance_rows(kind: MetricKind, feats: np.ndarray, rows) -> np.ndarray:
-    """Rows `rows` of _distance_matrix(kind, feats), bit for bit, without the
-    rest of the matrix; the other samples are read in chunks.
+    """Rows `rows` of the distance matrix of feats, bit for bit, without the
+    rest of it; the other samples are read in chunks whose gap temporary
+    stays near systems._CHUNK_BYTES.
 
-    The per-pair arithmetic does not depend on the tile shape: fbar and
-    fhat reduce one contiguous row of gaps per pair, and a Hamming distance
-    is an exact integer count divided by n.  A block of the matrix is
-    _distance_matrix on the block's own rows, for the same reason.
+    The per-pair arithmetic does not depend on the chunk shape: fbar and
+    fhat reduce one contiguous row of gaps per pair (a mean; the maximum of
+    the running mean), and a Hamming distance is an exact mismatch count
+    divided by n.
     """
     m, n = feats.shape
     head = feats[rows][:, None, :]
@@ -164,28 +107,58 @@ def _distance_rows(kind: MetricKind, feats: np.ndarray, rows) -> np.ndarray:
         tail = feats[None, lo : lo + step, :]
         if isinstance(kind, HammingKind):
             out[:, lo : lo + step] = np.count_nonzero(head != tail, axis=2) / n
+        elif isinstance(kind, FbarKind):
+            out[:, lo : lo + step] = np.abs(head - tail).mean(axis=2)
         else:
-            reduce = _fbar_reduce if isinstance(kind, FbarKind) else _fhat_reduce
-            out[:, lo : lo + step] = reduce(np.abs(head - tail))
+            gaps = np.cumsum(np.abs(head - tail), axis=2)
+            out[:, lo : lo + step] = (gaps * (1.0 / np.arange(1, n + 1))).max(axis=2)
     return out
 
 
-def distance(kind: MetricKind, system, x, y, n: int) -> float:
+def _distance_matrix(kind: MetricKind, feats: np.ndarray) -> np.ndarray:
+    """The m x m distance matrix of feats; equal, entry for entry, to
+    _distance_rows, so a block of it is _distance_matrix on its own rows.
+
+    Hamming sums agreements as P_s @ P_s.T over the indicator planes
+    P_s = (labels == s): every partial sum is an integer <= n, so float32
+    is exact while n < 2**24, whatever the BLAS blocking or thread count.
+    fbar/fhat take square blocks of _distance_rows on and above the
+    diagonal and mirror them: |v_i - v_j| and |v_j - v_i| are bitwise equal.
+    """
+    m, n = feats.shape
     if isinstance(kind, HammingKind):
-        wx = x if isinstance(x, NameWord) else name_word(system, kind.partition, x, n)
-        wy = y if isinstance(y, NameWord) else name_word(system, kind.partition, y, n)
-        return hamming_avg(wx, wy)
-    if isinstance(kind, FbarKind):
-        return fbar_n(system, kind.observable, x, y, n)
-    return fhat_n(system, kind.observable, x, y, n)
+        dtype = np.float32 if n < 2**24 else np.float64
+        agree = np.zeros((m, m), dtype=dtype)
+        for s in range(int(feats.max()) + 1 if m else 0):
+            plane = (feats == s).astype(dtype)
+            agree += plane @ plane.T
+        return np.true_divide(np.subtract(n, agree, out=agree), n, dtype=np.float64)
+    out = np.empty((m, m))
+    step = isqrt(_chunk_rows(n))
+    for lo in range(0, m, step):
+        block = _distance_rows(kind, feats[lo:], slice(0, step))
+        out[lo : lo + step, lo:] = block
+        out[lo:, lo : lo + step] = block.T
+    return out
+
+
+def pairwise_distances(kind: MetricKind, system, samples, n: int) -> np.ndarray:
+    return _distance_matrix(kind, _sample_features(kind, system, samples, n))
 
 
 def ball_member(center, candidate, n: int, eps: float, kind: MetricKind,
                 system: Optional[SystemHandle] = None) -> bool:
-    """Whether candidate lies in the open radius-eps ball around center."""
+    """Whether candidate lies in the open radius-eps ball around center.
+
+    Decided on the covers' kernel, so it agrees with their balls bit for
+    bit.  Hamming points may be NameWords of length n, points, or one of
+    each.
+    """
     if eps <= 0:
         raise InvalidParameterError("ball radius must be positive")
-    return distance(kind, system, center, candidate, n) < eps
+    feats = np.concatenate(
+        [_sample_features(kind, system, [x], n) for x in (center, candidate)])
+    return bool(_distance_rows(kind, feats, [0])[0, 1] < eps)
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +314,11 @@ def exact_cover_number_small(word_distribution, n: int, eps: float) -> int:
     if n < 1 or eps <= 0:
         raise InvalidParameterError("need n >= 1 and eps > 0")
 
-    # dense labels 0..k-1: the Hamming kernel only counts labels in 0..max
+    # dense labels 0..k-1: the Hamming kernel only counts labels in 0..max;
+    # it reads the kind's type, not its partition
     _, labels = np.unique(np.array(words, dtype=np.int64), return_inverse=True)
-    members = _ball_members(_pairwise_hamming(labels.reshape(W, n)) < eps)
+    D = _distance_matrix(HammingKind(None), labels.reshape(W, n))
+    members = _ball_members(D < eps)
     gains = [sum(map(units.__getitem__, mem)) for mem in members]
     upper = len(_greedy_cover(members, units, gains, eps, W)[0])
 

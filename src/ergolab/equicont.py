@@ -10,9 +10,9 @@ whose averaged gap exceeds a fixed delta.
 
 The equipartition readers never build the m x m distance matrix: the
 greedy computes one row per center, and the diameter bound and
-``verify_equipartition`` compute the block inside each cluster.  Rows and
-blocks come from the same per-pair reducers as the full matrix, so they
-equal its entries bit for bit.
+``verify_equipartition`` share one reader of the block inside each
+cluster.  Rows and blocks come from the same per-pair reducers as the
+full matrix, so they equal its entries bit for bit.
 """
 
 from __future__ import annotations
@@ -118,6 +118,25 @@ def _greedy_clusters(kind, feats: np.ndarray, eps: float, k_max: int):
     return clusters, covered
 
 
+def _cluster_maxima(kind, feats: np.ndarray, clusters) -> list:
+    """(i, j, d) for the farthest pair inside each cluster, the first in
+    row order among ties; (i, -1, 0.0) for a single sample i and
+    (-1, -1, 0.0) for an empty cluster.  Only the block inside each
+    cluster is computed."""
+    out = []
+    for cluster in clusters:
+        if len(cluster) < 2:
+            out.append((cluster[0] if cluster else -1, -1, 0.0))
+            continue
+        idx = np.array(cluster)
+        sub = _distance_matrix(kind, feats[idx])
+        rows, cols = np.triu_indices(len(idx), k=1)
+        pos = int(np.argmax(sub[rows, cols]))
+        i, j = rows[pos], cols[pos]
+        out.append((int(idx[i]), int(idx[j]), float(sub[i, j])))
+    return out
+
+
 def _build_equipartition(
     kind, system, samples, eps: float, k_max: int, horizon: int
 ) -> EquiPartition | EquipartitionFailure:
@@ -128,10 +147,7 @@ def _build_equipartition(
         return EquipartitionFailure(
             eps=eps, k_max=k_max, covered_mass=covered / m, horizon=horizon
         )
-    diam = 0.0
-    for c in clusters:
-        if len(c) > 1:
-            diam = max(diam, float(_distance_matrix(kind, feats[list(c)]).max()))
+    diam = max((d for *_, d in _cluster_maxima(kind, feats, clusters)), default=0.0)
     return EquiPartition(
         clusters=tuple(clusters),
         eps=eps,
@@ -221,19 +237,9 @@ def verify_equipartition(
         horizons = _ladder(horizons)
     feats = _sample_features(kind, system, samples, max(horizons))
 
-    worst = 0.0
-    per_cluster = []
-    for ci, cluster in enumerate(ep.clusters):
-        if len(cluster) < 2:
-            per_cluster.append((ci, cluster[0] if cluster else -1, -1, 0.0))
-            continue
-        idx = np.array(cluster)
-        sub = _distance_matrix(kind, feats[idx])  # the in-cluster block only
-        flat = np.triu_indices(len(idx), k=1)
-        pos = int(np.argmax(sub[flat]))
-        val = float(sub[flat][pos])
-        worst = max(worst, val)
-        per_cluster.append((ci, int(idx[flat[0][pos]]), int(idx[flat[1][pos]]), val))
+    per_cluster = [(ci, *pair) for ci, pair in
+                   enumerate(_cluster_maxima(kind, feats, ep.clusters))]
+    worst = max((d for *_, d in per_cluster), default=0.0)
     return VerifyReport(
         max_pairwise=worst,
         mode=mode,

@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 import ergolab as e
+import old_kernels
+from ergolab import systems
 from ergolab.cover import (
-    _CHUNK,
+    FbarKind,
+    FhatKind,
+    HammingKind,
     _ball_members,
+    _distance_matrix,
     _greedy_cover,
     _mass_units,
-    _pairwise_fbar,
-    _pairwise_fhat,
-    _pairwise_hamming,
+    _sample_features,
 )
-from ergolab.errors import BudgetExhaustedError
+from ergolab.errors import BudgetExhaustedError, InvalidParameterError
 from ergolab.systems import make_system
 
 PLAN = e.RandomPlan(4242)
@@ -190,6 +193,9 @@ def _naive_hamming(labels):
     return (labels[:, None, :] != labels[None, :, :]).mean(axis=2)
 
 
+HAM = HammingKind(None)  # the kernel reads only the kind's type
+
+
 def test_pairwise_hamming_matches_naive():
     rng = np.random.default_rng(0)
     cases = [
@@ -199,15 +205,19 @@ def test_pairwise_hamming_matches_naive():
         2 * rng.integers(0, 2, size=(20, 31)),  # symbol 1 never occurs
     ]
     for labels in cases:
-        D = _pairwise_hamming(labels)
+        D = _distance_matrix(HAM, labels)
         assert np.array_equal(D, _naive_hamming(labels))
+        assert np.array_equal(D, old_kernels.pairwise_hamming(labels))
+        assert np.array_equal(D, _distance_matrix(HAM, labels.astype(np.uint8)))
         assert np.array_equal(D, D.T) and np.all(np.diag(D) == 0)
 
 
 def test_pairwise_hamming_binary_odd_length():
     rng = np.random.default_rng(1)
     labels = rng.integers(0, 2, size=(130, 101))
-    assert np.array_equal(_pairwise_hamming(labels), _naive_hamming(labels))
+    D = _distance_matrix(HAM, labels)
+    assert np.array_equal(D, _naive_hamming(labels))
+    assert np.array_equal(D, old_kernels.pairwise_hamming(labels))
 
 
 def _full_rows(values, reduce):
@@ -220,28 +230,66 @@ def _full_rows(values, reduce):
 
 def test_pairwise_fbar_fhat_tiles_match_full_rows():
     rng = np.random.default_rng(2)
-    m, n = 2 * _CHUNK + 5, 37
-    inv = 1.0 / np.arange(1, n + 1)
+    m, n = 69, 37  # two old 32-row tiles and a partial one
     for values in (np.exp(2j * np.pi * rng.random((m, n))), rng.normal(size=(m, n))):
-        assert np.array_equal(
-            _pairwise_fbar(values), _full_rows(values, lambda g: g.mean(axis=2))
-        )
-        assert np.array_equal(
-            _pairwise_fhat(values),
-            _full_rows(values, lambda g: (np.cumsum(g, axis=2) * inv).max(axis=2)),
-        )
+        for kind, reduce in ((FbarKind(None), old_kernels.fbar_reduce),
+                             (FhatKind(None), old_kernels.fhat_reduce)):
+            D = _distance_matrix(kind, values)
+            assert np.array_equal(D, _full_rows(values, reduce))
+            assert np.array_equal(D, old_kernels.distance_matrix(kind, values))
 
 
 def test_pairwise_fbar_fhat_match_scalar():
     f = e.Character(1)
     samples = SYS_R.sample_measure(10, PLAN)
-    Db = _pairwise_fbar(np.stack([f.orbit_values(SYS_R, x, 16) for x in samples]))
-    Dh = _pairwise_fhat(np.stack([f.orbit_values(SYS_R, x, 16) for x in samples]))
+    values = np.stack([f.orbit_values(SYS_R, x, 16) for x in samples])
+    Db = _distance_matrix(FbarKind(f), values)
+    Dh = _distance_matrix(FhatKind(f), values)
     for i in range(10):
         for j in range(i):
             assert Db[i, j] == pytest.approx(e.fbar_n(SYS_R, f, samples[i], samples[j], 16))
             assert Dh[i, j] == pytest.approx(e.fhat_n(SYS_R, f, samples[i], samples[j], 16))
     assert np.all(Dh >= Db - 1e-15)  # running max dominates the mean
+
+
+@pytest.mark.parametrize("chunk_bytes", [1 << 12, systems._CHUNK_BYTES, 1 << 40])
+def test_distance_matrix_equals_old_tiles(monkeypatch, chunk_bytes):
+    # the old kernels at their fixed 32/16-row tiles are the reference, read
+    # before the byte budget changes; at 1 << 40 every matrix is one block
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 33, 65, 301):
+        for n in (1, 2, 16, 37, 256):
+            if chunk_bytes == 1 << 40 and m * m * n > 10**7:
+                continue  # one 301 x 301 x 256 complex gap block is ~0.4 GB
+            for values in (np.exp(2j * np.pi * rng.random((m, n))),
+                           rng.normal(size=(m, n))):
+                for kind in (FbarKind(None), FhatKind(None)):
+                    want = old_kernels.distance_matrix(kind, values)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(systems, "_CHUNK_BYTES", chunk_bytes)
+                        got = _distance_matrix(kind, values)
+                    assert np.array_equal(got, want), (m, n, kind.label)
+
+
+def test_hamming_labels_narrowed():
+    halves = HammingKind(e.halves())
+    feats = _sample_features(halves, SYS_R, SYS_R.sample_measure(5, PLAN), 8)
+    assert feats.dtype == np.uint8 and feats.shape == (5, 8)
+    empty = _sample_features(halves, SYS_R, [], 8)
+    assert empty.shape == (0, 8) and empty.dtype == np.uint8
+    assert _distance_matrix(halves, empty).shape == (0, 0)
+    # 300 cells: labels >= 256 need uint16, and the distances do not change
+    cells = HammingKind(e.circle_intervals(np.arange(300) / 300))
+    samples = SYS_R.sample_measure(40, PLAN)
+    labels = _sample_features(cells, SYS_R, samples, 50)
+    assert labels.dtype == np.uint16 and labels.max() >= 256
+    wide = e.name_rows(SYS_R, cells.partition, samples, 50)
+    assert wide.dtype == np.int64 and np.array_equal(labels, wide)
+    D = _distance_matrix(cells, labels)
+    assert np.array_equal(D, old_kernels.pairwise_hamming(wide))
+    assert np.array_equal(D, _naive_hamming(wide))
+    words = [e.NameWord(tuple(int(v) for v in row), 300) for row in wide]
+    assert _sample_features(cells, None, words, 50).dtype == np.uint16
 
 
 def test_ball_member_strict():
@@ -250,6 +298,35 @@ def test_ball_member_strict():
     kind = e.HammingKind(e.cylinder([0], 2))
     assert not e.ball_member(a, b, 4, 0.25, kind)  # distance exactly 0.25
     assert e.ball_member(a, b, 4, 0.26, kind)
+    with pytest.raises(InvalidParameterError):
+        e.ball_member(a, b, 5, 0.26, kind)  # words shorter than the horizon
+
+
+@pytest.mark.parametrize("label", ["hamming", "fbar", "fhat"])
+def test_ball_member_agrees_with_cover_kernel(label):
+    # a per-pair fhat that divides where the kernel multiplies by 1/k
+    # put some pairs inside the ball at eps = D[i, j] itself
+    f = e.Character(1)
+    kind = {"hamming": HammingKind(e.circle_intervals([0.0, 0.3, 0.7])),
+            "fbar": FbarKind(f), "fhat": FhatKind(f)}[label]
+    samples = SYS_R.sample_measure(30, PLAN)
+    D = e.pairwise_distances(kind, SYS_R, samples, 64)
+    for i, x in enumerate(samples):
+        for j, y in enumerate(samples):
+            if i != j and D[i, j] > 0:
+                assert not e.ball_member(x, y, 64, D[i, j], kind, SYS_R), (i, j)
+            assert e.ball_member(x, y, 64, np.nextafter(D[i, j], 2), kind, SYS_R), (i, j)
+
+
+def test_ball_member_mixed_word_and_point():
+    kind = HammingKind(e.halves())
+    x, y = SYS_R.sample_measure(2, PLAN)
+    d = e.pairwise_distances(kind, SYS_R, [x, y], 64)[0, 1]
+    assert d > 0
+    wy = e.name_word(SYS_R, kind.partition, y, 64)
+    for center, cand in ((x, wy), (wy, x)):
+        assert not e.ball_member(center, cand, 64, d, kind, SYS_R)
+        assert e.ball_member(center, cand, 64, np.nextafter(d, 2), kind, SYS_R)
 
 
 def test_complexity_curve_and_classify():

@@ -4,13 +4,15 @@ The spectral greedy and distance summary decide most pairs from a Gram
 screen, and the equipartition readers compute only center rows and
 in-cluster blocks.  Every value they return must equal, bit for bit, what
 the old code computed from the whole matrix.  The ``_old_*`` helpers below
-copy that code.
+copy that code; they read whole matrices from the old kernels in
+``old_kernels``.
 """
 
 import numpy as np
 import pytest
 
 import ergolab as e
+import old_kernels
 from ergolab import spectral, systems
 from ergolab.cover import (
     FbarKind,
@@ -20,7 +22,6 @@ from ergolab.cover import (
     _distance_rows,
     _sample_features,
     _units_needed,
-    pairwise_distances,
 )
 from ergolab.equicont import EquiPartition, EquipartitionFailure
 from ergolab.spectral import (
@@ -60,6 +61,10 @@ def _old_summary(V):
     return float(flat.min()), float(np.median(flat)), float(flat.max())
 
 
+def _old_matrix(kind, system, samples, n):
+    return old_kernels.distance_matrix(kind, _sample_features(kind, system, samples, n))
+
+
 def _old_clusters(D, eps, k_max):
     m = D.shape[0]
     unassigned = np.ones(m, dtype=bool)
@@ -91,7 +96,7 @@ def _old_build(D, eps, k_max, horizon):
 
 
 def _old_verify(ep, kind, system, samples, horizon):
-    D = pairwise_distances(kind, system, samples, horizon)
+    D = _old_matrix(kind, system, samples, horizon)
     worst, per_cluster = 0.0, []
     for ci, cluster in enumerate(ep.clusters):
         if len(cluster) < 2:
@@ -276,7 +281,7 @@ def test_equipartition_and_verify_equal_full_matrix(name, spec, kind, eps):
                                               k_max=k_max)
                     target = kind.observable
                 k = max(1, int(np.sqrt(m))) if k_max is None else k_max
-                D = pairwise_distances(kind, system, samples, n)
+                D = _old_matrix(kind, system, samples, n)
                 assert ep == _old_build(D, eps, k, n), (m, n, k_max)
                 if not isinstance(ep, EquiPartition):
                     continue
@@ -299,7 +304,8 @@ def test_distance_rows_equal_full_matrix_rows(monkeypatch, chunk_bytes):
     for kind in kinds:
         for n in (1, 9, 130):
             feats = _sample_features(kind, system, samples, n)
-            D = _distance_matrix(kind, feats)
+            D = old_kernels.distance_matrix(kind, feats)
+            assert np.array_equal(_distance_matrix(kind, feats), D)
             for rows in ([0], [69], [3, 40, 41], list(range(70))):
                 assert np.array_equal(_distance_rows(kind, feats, rows), D[rows])
             idx = [2, 5, 6, 30, 69]
