@@ -73,6 +73,17 @@ CASES = {
     "complexity-bernoulli16": [
         "complexity", "--system", "bernoulli:0.5:4", "--target", "cylinder:0,1:4",
         "--eps", "0.1", "--horizons", "4,8,16", "--samples", "200"],
+    # n=4 is covered within the budget (one bootstrap resample is not);
+    # n=8 and n=16 hit it
+    "complexity-bernoulli-budget": [
+        "complexity", "--system", "bernoulli:0.5", "--target", "cylinder:0",
+        "--eps", "0.1", "--horizons", "4,8,16", "--samples", "200",
+        "--max-centers", "13"],
+    # at n=8 the ball graph has 24 components, one an isolated sample; at
+    # n=64 and n=256 it is connected
+    "complexity-cuts3-components": [
+        "complexity", "--system", "rotation:golden", "--target", "cuts:0:0.3:0.7",
+        "--eps", "0.1", "--horizons", "8,64,256", "--samples", "700"],
 }
 
 
