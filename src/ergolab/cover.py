@@ -18,11 +18,20 @@ matrix.  The two agree bit for bit, and every fbar/fhat tile is sized
 from the one byte budget ``systems._CHUNK_BYTES``.  Both cover routes
 count mass in exact integer units, so boundary ties resolve to "not
 covered".
+
+One greedy, ``_greedy_cover``, serves the point estimate, every bootstrap
+resample of a curve (all in one call) and the oracle's upper bound.  Its
+picks come in strictly increasing key order (-gain, index), and picks in
+different components of the ball graph do not interact, so it steps every
+(row, component) in lockstep and merges the pick sequences by key.  Gains
+stay exact integers (float32 below 2**24, float64 below 2**53, Python ints
+beyond).  A cover whose m x m arrays would exceed
+``systems._MATRIX_BYTES`` raises BudgetExhaustedError before it builds
+any of them.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,11 +49,14 @@ from .errors import (
 from .observables import Observable
 from .partitions import NameWord, Partition, name_rows
 from .rng import RandomPlan
-from .systems import SystemHandle, _chunk_rows
+from .systems import SystemHandle, _check_bytes, _chunk_rows
 
 # word cap of the exact oracle: its W x W distance and ball matrices stay
 # near 200 MB
 _ORACLE_WORDS = 4096
+# bytes per entry of a cover's m x m arrays: the float64 distance matrix,
+# the bool ball matrix and the greedy's copy of it (at most 8 bytes)
+_COVER_ENTRY_BYTES = 17
 
 
 # ---------------------------------------------------------------------------
@@ -184,56 +196,184 @@ def _mass_units(weights) -> tuple[list, int]:
     return [num * (scale // d) for num, d in ratios], scale
 
 
-def _ball_members(balls: np.ndarray) -> list:
-    """Each row of the bool ball matrix as a list of member indices; the
-    lists share one int object per index, so an entry costs one pointer."""
-    index = list(range(len(balls))).__getitem__
-    return [list(map(index, np.flatnonzero(row).tolist())) for row in balls]
+def _gain_dtype(total: int):
+    """The narrowest type in which every partial sum of gains up to `total`
+    is an exact integer: float32 below 2**24, float64 below 2**53, and
+    Python ints (object) beyond."""
+    if total < 2**24:
+        return np.float32
+    return np.float64 if total < 2**53 else object
 
 
-def _greedy_cover(members: list, counts: list, gains: list, eps: float,
-                  max_centers: int) -> tuple[list, int, int]:
-    """Greedy weighted set cover; returns (centers, covered_units, total_units).
+def _mass_product(mass: np.ndarray, ball: np.ndarray) -> np.ndarray:
+    """mass @ ball, exact for the integer masses of _gain_dtype's types.
+    Python ints (object) pass through float64 BLAS in limbs narrow enough
+    that every partial sum of a limb stays below 2**52."""
+    if mass.dtype != object:
+        return mass @ ball
+    bits = 52 - len(ball).bit_length()
+    top = max((int(v).bit_length() for v in mass.flat), default=0)
+    out = np.zeros((len(mass), ball.shape[1]), dtype=object)
+    for shift in range(0, top, bits):
+        limb = ((mass >> shift) & ((1 << bits) - 1)).astype(np.float64)
+        out += (limb @ ball).astype(np.int64).astype(object) << shift
+    return out
 
-    ``members[i]`` lists the ball around sample i, ``counts`` the integer
-    sample masses and ``gains[i]`` the mass of ball i.  Candidates are
-    restricted to still-uncovered samples, which keeps the chosen centers
-    pairwise at least eps apart.  Each step takes the lowest index among
-    the largest gains: a heap holds (-gain bound, index), and a popped
-    candidate whose refreshed gain equals its bound is taken.  Raises
-    when the budget runs out.
+
+def _components(balls: np.ndarray) -> tuple:
+    """(nodes, starts): the samples whose ball holds another sample, grouped
+    by component of the ball graph (i ~ j iff balls[i, j]) and ascending
+    within each, and the offset of each component in nodes.
+
+    Labels start as the sample indices.  Each round lowers every label, and
+    the label its label points to, to the least label in its ball, then
+    takes the label's own label, until every component carries its least
+    index.  The ball members are read in row chunks and kept in the
+    narrowest index type.
     """
-    left = list(counts)  # mass of each sample not yet covered
-    total = sum(left)
-    uncovered = [True] * len(left)
-    heap = [(-g, i) for i, g in enumerate(gains)]
-    heapq.heapify(heap)
-    need = _units_needed(total, eps)
-    covered = 0
-    centers: list[int] = []
+    m = len(balls)
+    size = np.count_nonzero(balls, axis=1)
+    rows = np.flatnonzero(size > 1)
+    step = _chunk_rows(m)
+    members = np.concatenate([np.flatnonzero(balls[rows[lo : lo + step]]) % m
+                              for lo in range(0, max(len(rows), 1), step)])
+    members = members.astype(np.min_scalar_type(m))
+    first = np.cumsum(size[rows]) - size[rows]
+    label = np.arange(m)
+    while True:
+        low = np.minimum.reduceat(label[members], first)
+        hop = label.copy()
+        np.minimum.at(hop, label[rows], low)
+        hop[rows] = np.minimum(hop[rows], low)
+        hop = hop[hop]
+        if np.array_equal(hop, label):
+            break
+        label = hop
+    nodes = rows[np.argsort(label[rows], kind="stable")]
+    return nodes, np.flatnonzero(np.diff(label[nodes], prepend=-1))
 
-    def exhausted(why: str) -> BudgetExhaustedError:
-        return BudgetExhaustedError(why, centers=centers, covered_mass=covered / total)
 
-    while covered < need:
-        while True:
-            if not heap:
-                raise exhausted("no uncovered candidate can extend the cover")
-            bound, i = heapq.heappop(heap)
-            if not uncovered[i]:
-                continue
-            gain = sum(map(left.__getitem__, members[i]))
-            if gain == -bound:
-                break
-            heapq.heappush(heap, (-gain, i))
-        if len(centers) >= max_centers:
-            raise exhausted(f"center budget {max_centers} exhausted")
-        centers.append(i)
-        covered += gain
-        for j in members[i]:
-            left[j] = 0
-            uncovered[j] = False
-    return centers, covered, total
+def _greedy_cover(balls: np.ndarray, counts: np.ndarray, eps: float,
+                  max_centers: int) -> list:
+    """Greedy weighted set cover for every row of `counts` at once.
+
+    ``balls`` is the symmetric bool ball matrix (balls[i, j] iff
+    d(i, j) < eps) and ``counts`` an (R, m) array of integer sample masses
+    (int64, or Python ints in an object array).  For each row the greedy
+    takes, among the still-uncovered samples, the center of largest gain
+    (uncovered mass in its ball), the lowest index among ties, until the
+    covered mass exceeds 1 - eps.  Returns one (centers, covered_units,
+    total_units, failure) per row; failure is None, or the reason the
+    greedy stopped short: no uncovered candidate left, or ``max_centers``
+    spent.
+
+    The rows run in lockstep on exact facts rather than one pick at a time:
+
+    * Picks in different components of the ball graph do not interact, so
+      each component has its own pick sequence; a sample alone in its
+      component is one pick of known gain and takes no step.
+    * Along a sequence the key (-gain, index) strictly increases (gains
+      never rise, and a tie went to the lower index), so a row's cover is
+      the key-sorted merge of its sequences.
+    * A step takes the argmax in every live (row, component) and subtracts
+      the newly covered mass from the gains with one product.  A pick not
+      yet computed has a larger key than the smallest latest key of the
+      row's live components, so a row stops once the merged picks up to
+      that key reach its target mass or exceed its budget.
+    * Gains are exact integers, held in the type _gain_dtype picks.
+    """
+    counts = np.asarray(counts)
+    R, m = counts.shape
+    totals = [int(t) for t in counts.sum(axis=1)]
+    needs = [_units_needed(t, eps) for t in totals]
+    dtype = _gain_dtype(max(totals, default=0))
+    exact = object if dtype is object else np.float64  # for sums of gains
+    # a pick of gain 0 only ever serves a target above the total mass
+    floor = np.array([int(need <= t) for need, t in zip(needs, totals)])
+    counts = counts.astype(dtype)
+
+    nodes, starts = _components(balls)
+    lone = np.flatnonzero(np.bincount(nodes, minlength=m) == 0)
+    # a lone sample's ball is itself, or empty when its distances are nan
+    gain = np.where(balls[lone, lone], counts[:, lone], 0)
+    row, col = np.nonzero(gain >= floor[:, None])
+    pending = [row, gain[row, col], lone[col]]  # known picks: row, gain, index
+
+    comp = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(nodes)))
+    # block diagonal; no gather when one component holds every sample
+    ball = balls if len(nodes) == m and len(starts) == 1 else balls[:, nodes][nodes]
+    ball = ball.astype(np.float64 if dtype is object else dtype)
+    left = counts[:, nodes]  # mass not yet covered
+    gains = _mass_product(left, ball)
+    cand = np.ones(left.shape, dtype=bool)
+
+    mass, taken = np.zeros(R, dtype=exact), np.zeros(R, dtype=np.int64)
+    needs_at = np.array(needs, dtype=exact)
+    kg, ki = np.zeros(R, dtype=exact), np.zeros(R, dtype=np.intp)
+    log = []
+    live = np.arange(R)
+    P, at = len(nodes), np.arange(len(nodes))
+    while True:
+        # each live (row, component): its best candidate and that gain
+        masked = np.where(cand, gains, -1)
+        top = np.maximum.reduceat(masked, starts, axis=1)
+        pos = np.minimum.reduceat(np.where(masked == top[:, comp], at, P), starts, axis=1)
+        going = top >= floor[live, None]
+        best = np.where(going, top, -1).max(axis=1, initial=-1)
+        # the row's smallest new key; with no pick (gain -1) every key is known
+        kg[live] = best
+        ki[live] = np.where(going & (top == best[:, None]), nodes[pos], m).min(axis=1, initial=m)
+        pr, pc = np.nonzero(going)
+        pos = pos[pr, pc]
+        new = [live[pr], top[pr, pc], nodes[pos]]
+        pending = [np.concatenate(pair) for pair in zip(pending, new)]
+        r, g, i = pending
+        known = (g > kg[r]) | ((g == kg[r]) & (i <= ki[r]))
+        np.add.at(mass, r[known], g[known])
+        taken += np.bincount(r[known], minlength=R)
+        log.append([a[known] for a in pending])
+
+        done = (mass[live] >= needs_at[live]) | (taken[live] > max_centers) | (best == -1)
+        running = np.zeros(R, dtype=bool)
+        running[live[~done]] = True
+        pending = [a[~known & running[r]] for a in pending]
+        if done.all():
+            break
+        keep = ~done
+        live, gains, cand, left = live[keep], gains[keep], cand[keep], left[keep]
+        stay = keep[pr]
+        pr, pc, pos = (np.cumsum(keep) - 1)[pr[stay]], pc[stay], pos[stay]
+        # cover the picks' balls; row p of the block-diagonal ball is zero
+        # outside p's component
+        src = np.full((live.size, len(starts)), -1)
+        src[pr, pc] = pos
+        src = src[:, comp]
+        covered = (src >= 0) & (ball.take(src * P + at) > 0)
+        cand &= ~covered
+        fresh = np.where(covered, left, 0)
+        left -= fresh
+        touched = np.flatnonzero(fresh.any(axis=0))
+        gains -= _mass_product(fresh[:, touched], ball[touched])
+
+    r, g, i = (np.concatenate(a) for a in zip(*log))
+    order = np.lexsort((i, -g, r))
+    r, i = r[order], i[order]
+    g = g[order] if dtype is object else g[order].astype(np.int64)
+    bounds = np.searchsorted(r, np.arange(R + 1))
+    out = []
+    for k in range(R):
+        picks = i[bounds[k] : bounds[k + 1]].tolist()
+        cum = [0, *np.cumsum(g[bounds[k] : bounds[k + 1]]).tolist()]
+        reach = bisect_left(cum, needs[k])
+        if reach <= min(len(picks), max_centers):
+            out.append((picks[:reach], cum[reach], totals[k], None))
+        elif reach > len(picks) and len(picks) <= max_centers:
+            out.append((picks, cum[-1], totals[k],
+                        "no uncovered candidate can extend the cover"))
+        else:
+            out.append((picks[:max_centers], cum[max_centers], totals[k],
+                        f"center budget {max_centers} exhausted"))
+    return out
 
 
 @dataclass(frozen=True)
@@ -269,11 +409,16 @@ def estimate_cover_number(
     if eps <= 0:
         raise InvalidParameterError("eps must be positive")
     m = len(samples)
-    members = _ball_members(pairwise_distances(kind, system, samples, n) < eps)
-    counts = [1] * m if weights is None else _mass_units(weights)[0]
-    gains = [sum(map(counts.__getitem__, mem)) for mem in members]
+    _check_bytes(_COVER_ENTRY_BYTES * m * m, f"a cover of {m} samples")
+    balls = pairwise_distances(kind, system, samples, n) < eps
+    if weights is None:
+        counts = np.ones((1, m), dtype=np.int64)
+    else:
+        counts = np.array([_mass_units(weights)[0]], dtype=object)
     budget = m if max_centers is None else max_centers
-    centers, covered, total = _greedy_cover(members, counts, gains, eps, budget)
+    [(centers, covered, total, failure)] = _greedy_cover(balls, counts, eps, budget)
+    if failure:
+        raise BudgetExhaustedError(failure, centers=centers, covered_mass=covered / total)
     return CoverResult(
         centers=tuple(centers),
         radius=eps,
@@ -317,10 +462,10 @@ def exact_cover_number_small(word_distribution, n: int, eps: float) -> int:
     # dense labels 0..k-1: the Hamming kernel only counts labels in 0..max;
     # it reads the kind's type, not its partition
     _, labels = np.unique(np.array(words, dtype=np.int64), return_inverse=True)
-    D = _distance_matrix(HammingKind(None), labels.reshape(W, n))
-    members = _ball_members(D < eps)
+    in_ball = _distance_matrix(HammingKind(None), labels.reshape(W, n)) < eps
+    upper = len(_greedy_cover(in_ball, np.array([units], dtype=object), eps, W)[0][0])
+    members = [np.flatnonzero(row).tolist() for row in in_ball]
     gains = [sum(map(units.__getitem__, mem)) for mem in members]
-    upper = len(_greedy_cover(members, units, gains, eps, W)[0])
 
     order = sorted(range(W), key=lambda i: (-gains[i], i))
     balls = [members[i] for i in order]
@@ -415,42 +560,29 @@ def complexity_curve(
     horizons = [int(h) for h in horizons]
     if len(horizons) < 3 or any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise InvalidParameterError("need >= 3 strictly increasing horizons")
+    _check_bytes(_COVER_ENTRY_BYTES * sample_count**2, f"a cover of {sample_count} samples")
     samples = system.sample_measure(sample_count, plan.child(_TAG_CURVE_SAMPLES))
     budget = sample_count if max_centers is None else max_centers
     pts = []
     for n in horizons:
         feats = _sample_features(kind, system, samples, n)
-        # one set of balls serves the point estimate and every resample
         balls = _distance_matrix(kind, feats) < eps
-        members = _ball_members(balls)
-        ones, sizes = [1] * sample_count, list(map(len, members))
-        try:
-            centers, covered, total = _greedy_cover(members, ones, sizes, eps, budget)
-            k_est = len(centers)
-            covered_mass = covered / total
-            budget_hit = False
-        except BudgetExhaustedError as exc:
-            k_est = budget
-            covered_mass = exc.covered_mass or 0.0
-            budget_hit = True
+        # row 0 is the point estimate, rows 1.. the bootstrap resamples; one
+        # greedy runs them all on the one ball matrix
+        rng = plan.generator(_TAG_BOOTSTRAP, n)
+        draws = [np.bincount(rng.integers(0, sample_count, sample_count),
+                             minlength=sample_count) for _ in range(_RESAMPLES)]
+        counts = np.stack([np.ones(sample_count, dtype=np.int64), *draws])
+        (centers, covered, total, failure), *boot = _greedy_cover(balls, counts, eps, budget)
+        budget_hit = failure is not None
+        k_est = budget if budget_hit else len(centers)
+        covered_mass = covered / total
         if budget_hit:
             k_lo = k_hi = float(k_est)
         else:
-            rng = plan.generator(_TAG_BOOTSTRAP, n)
-            draws = np.stack([np.bincount(rng.integers(0, sample_count, sample_count),
-                                          minlength=sample_count) for _ in range(_RESAMPLES)])
-            # all resamples' ball masses in one product; float32 is exact as
-            # every partial sum is an integer <= sample_count (far below 2**24)
-            masses = (draws.astype(np.float32) @ balls.T).astype(np.int64)
-            boot = []
-            for counts, gains in zip(draws.tolist(), masses.tolist()):
-                try:
-                    c, _, _ = _greedy_cover(members, counts, gains, eps, budget)
-                    boot.append(len(c))
-                except BudgetExhaustedError:
-                    boot.append(budget)
-            k_lo = float(min(np.percentile(boot, 10), k_est))
-            k_hi = float(max(np.percentile(boot, 90), k_est))
+            ks = [budget if why else len(c) for c, _, _, why in boot]
+            k_lo = float(min(np.percentile(ks, 10), k_est))
+            k_hi = float(max(np.percentile(ks, 90), k_est))
         pts.append(
             CurvePoint(
                 n=n,

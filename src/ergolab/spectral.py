@@ -264,8 +264,20 @@ def _distance_summary(X: np.ndarray, h: int) -> tuple:
         bands.append((k - int(np.count_nonzero(below)), band))
     need = np.flatnonzero(np.logical_or.reduce([band for _, band in bands]))
     exact = np.empty(n)
-    exact[need] = _l2_pairs(Y.T, pi[need], pj[need], pairwise=strided)
-    if not strided and need[-1] == n - 1:  # the single-row last call
+    # bitwise-identical finite rows are 0 apart in any summation order; only
+    # pairs whose bound admits 0 are looked at
+    maybe = need[lo[need] <= 0]
+    rows = np.unique(np.r_[pi[maybe], pj[maybe]])
+    block = np.ascontiguousarray(Y[:, rows].T)
+    row_bytes = np.dtype((np.void, block.itemsize * block.shape[1]))
+    _, cls = np.unique(block.view(row_bytes).ravel(), return_inverse=True)
+    label = np.full(s, -1)
+    label[rows] = np.where(np.isfinite(block).all(axis=1), cls.ravel(), -1)
+    zero = (label[pi[need]] == label[pj[need]]) & (label[pi[need]] >= 0)
+    exact[need[zero]] = 0.0
+    need_l2 = need[~zero]
+    exact[need_l2] = _l2_pairs(Y.T, pi[need_l2], pj[need_l2], pairwise=strided)
+    if not strided and need_l2.size and need_l2[-1] == n - 1:  # the single-row last call
         exact[-1] = _l2_pairs(Y.T, pi[-1:], pj[-1:], pairwise=True)[0]
     if np.isnan(exact[need]).any():
         return (float("nan"),) * 3

@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnsupportedRefinementError
+from .errors import BudgetExhaustedError, InvalidParameterError, UnsupportedRefinementError
 from .rng import RandomPlan, hash64, uniform01, zigzag
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -329,6 +329,17 @@ _CHUNK_BYTES = 1 << 19
 def _chunk_rows(width: int) -> int:
     """Rows per chunk when a row of a temporary holds `width` 8-byte items."""
     return max(1, _CHUNK_BYTES // (8 * max(1, width)))
+
+
+# cap on the bytes of the m x m arrays of one cover (its distance matrix,
+# ball matrix and greedy copy); a larger request fails before it allocates
+_MATRIX_BYTES = 1 << 31
+
+
+def _check_bytes(nbytes: int, what: str) -> None:
+    if nbytes > _MATRIX_BYTES:
+        raise BudgetExhaustedError(
+            f"{what} needs {nbytes} bytes, over the {_MATRIX_BYTES}-byte cap")
 
 
 def _batched(m: int, tail: tuple, dtype, read, width=None) -> np.ndarray:

@@ -12,11 +12,12 @@ from ergolab.cover import (
     FbarKind,
     FhatKind,
     HammingKind,
-    _ball_members,
+    _components,
     _distance_matrix,
     _greedy_cover,
     _mass_units,
     _sample_features,
+    _units_needed,
 )
 from ergolab.errors import BudgetExhaustedError, InvalidParameterError
 from ergolab.systems import make_system
@@ -437,7 +438,17 @@ def _outcome(greedy, *args):
         return str(exc), exc.centers, exc.covered_mass
 
 
-def test_heap_greedy_matches_argmax_greedy():
+def _batched(balls, counts, eps, budget):
+    """_greedy_cover's rows in the form _outcome gives the reference."""
+    return [(failure, centers, covered / total) if failure else (centers, covered, total)
+            for centers, covered, total, failure in _greedy_cover(balls, counts, eps, budget)]
+
+
+def _reference(balls, counts, eps, budget):
+    return [_outcome(_argmax_greedy, balls, row, eps, budget) for row in counts]
+
+
+def test_batched_greedy_matches_argmax_greedy():
     rng = np.random.default_rng(5)
     paths = set()
     for trial in range(150):
@@ -458,12 +469,188 @@ def test_heap_greedy_matches_argmax_greedy():
         eps = float(rng.choice([0.0, 0.1, 0.3, 0.5]))  # 0: cover never suffices
         budget = int(rng.integers(0, 4)) if trial % 4 == 0 else m
         balls = D < radius
-        members = _ball_members(balls)
         want = _outcome(_argmax_greedy, balls, counts, eps, budget)
-        gains = [sum(counts[j] for j in mem) for mem in members]
-        got = _outcome(_greedy_cover, members, counts.tolist(), gains, eps, budget)
-        assert got == want
+        assert _batched(balls, counts[None], eps, budget) == [want]
         paths.add(want[0] if isinstance(want[0], str) else "covered")
     assert any("budget" in p for p in paths)
     assert "no uncovered candidate can extend the cover" in paths
     assert "covered" in paths
+
+
+def _cluster_balls(rng, m, lone):
+    """A symmetric ball matrix of m samples in a few random clusters, with
+    `lone` of them forced far from every other sample."""
+    x = rng.random((m, 2)) * rng.choice([1.0, 4.0, 12.0])
+    x[rng.choice(m, lone, replace=False)] = 100.0 + 10.0 * np.arange(lone)[:, None]
+    D = np.abs(x[:, None, :] - x[None, :, :]).max(axis=2)
+    return D < float(rng.choice([0.3, 1.0, 2.5]))
+
+
+def _bfs_components(balls):
+    seen, comps = set(), []
+    for s in range(len(balls)):
+        if s not in seen:
+            comp, todo = {s}, [s]
+            while todo:
+                new = set(np.flatnonzero(balls[todo.pop()]).tolist()) - comp
+                comp |= new
+                todo += new
+            seen |= comp
+            comps.append(sorted(comp))
+    return comps
+
+
+def test_components_match_bfs():
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        m = int(rng.integers(1, 80))
+        balls = _cluster_balls(rng, m, int(rng.integers(0, m + 1)))
+        nodes, starts = _components(balls)
+        got = [c.tolist() for c in np.split(nodes, starts[1:])] if nodes.size else []
+        assert sorted(got) == [c for c in _bfs_components(balls) if len(c) > 1]
+    assert _components(np.ones((0, 0), dtype=bool))[0].size == 0
+
+
+def test_batched_rows_match_argmax_greedy_row_by_row():
+    # several rows of one batch, on ball graphs with isolated samples; each
+    # row must be the reference run on that row alone
+    rng = np.random.default_rng(9)
+    paths = set()
+    for trial in range(120):
+        m = int(rng.integers(1, 70))
+        balls = _cluster_balls(rng, m, int(rng.integers(0, m + 1)))
+        rows = int(rng.integers(1, 7))
+        counts = np.stack([np.ones(m, dtype=np.int64)] + [
+            np.bincount(rng.integers(0, m, m), minlength=m) for _ in range(rows - 1)])
+        if trial % 3 == 1:  # zero counts beside large ones
+            counts = counts * rng.integers(0, 3, (rows, m)) * 1000
+            counts[:, 0] += 1
+        eps = float(rng.choice([0.0, 0.05, 0.1, 0.3]))
+        budget = [0, 1, 2, 3, m][trial % 5]
+        want = _reference(balls, counts, eps, budget)
+        assert _batched(balls, counts, eps, budget) == want
+        paths.update(w[0] if isinstance(w[0], str) else "covered" for w in want)
+    assert {"covered", "center budget 0 exhausted", "center budget 3 exhausted",
+            "no uncovered candidate can extend the cover"} <= paths
+
+
+def test_batched_greedy_ties_across_components():
+    # copies of one component at interleaved indices: equal gains in every
+    # copy, so each step's tie is broken by the lowest index across them
+    rng = np.random.default_rng(10)
+    for trial in range(60):
+        size, copies = int(rng.integers(2, 10)), int(rng.integers(2, 5))
+        # random intervals, or a path on which a copy picks equal gains in a row
+        x = rng.random((size, 1)) * 3 if trial % 2 else 0.6 * np.arange(size)[:, None]
+        block = np.abs(x - x.T) < 1.0
+        m = size * copies
+        place = rng.permutation(m).reshape(copies, size)
+        balls = np.zeros((m, m), dtype=bool)
+        for idx in place:
+            balls[np.ix_(idx, idx)] = block
+        lone = int(rng.integers(0, 3))  # isolated samples tie with them too
+        balls = np.pad(balls, (0, lone))
+        balls[m:, m:] = np.eye(lone, dtype=bool)
+        counts = np.ones((2, m + lone), dtype=np.int64)
+        counts[1, :m] = 2
+        for eps in (0.0, 0.1, 0.2, 0.3, 0.5):
+            for budget in (1, m + lone):
+                assert _batched(balls, counts, eps, budget) == _reference(
+                    balls, counts, eps, budget)
+
+
+def test_batched_greedy_waits_for_an_equal_gain_at_a_lower_index():
+    # a path 0-1-2-3-4-5 and a triangle 7, 8, 9 (6 alone): the first step
+    # picks 1 and 7, both of gain 3; the path's next pick, 4, also gains 3
+    # and must come before 7
+    balls = np.eye(10, dtype=bool)
+    for i in range(5):
+        balls[i, i + 1] = balls[i + 1, i] = True
+    balls[7:, 7:] = True
+    counts = np.ones((1, 10), dtype=np.int64)
+    assert _greedy_cover(balls, counts, 0.45, 10) == [([1, 4], 6, 10, None)]
+    assert _batched(balls, counts, 0.45, 10) == _reference(balls, counts, 0.45, 10)
+
+
+def test_batched_greedy_empty_balls():
+    # a sample with a nan distance lies in no ball, its own included: it is
+    # never covered and its own ball gains nothing
+    rng = np.random.default_rng(11)
+    checked = 0
+    for trial in range(60):
+        m = int(rng.integers(3, 50))
+        balls = _cluster_balls(rng, m, int(rng.integers(0, m // 2 + 1)))
+        empty = rng.choice(m, int(rng.integers(1, 3)), replace=False)
+        balls[empty, :] = balls[:, empty] = False
+        counts = np.stack([np.ones(m, dtype=np.int64),
+                           np.bincount(rng.integers(0, m, m), minlength=m)])
+        eps = float(rng.choice([0.1, 0.3, 0.5]))
+        # the reference would pick an empty ball forever once nothing else helps
+        ok = [_units_needed(int(c.sum()), eps) <= c.sum() - c[empty].sum() for c in counts]
+        got = _batched(balls, counts, eps, m)
+        want = _reference(balls, counts, eps, m)
+        assert [g for g, k in zip(got, ok) if k] == [w for w, k in zip(want, ok) if k]
+        checked += sum(ok)
+    assert checked > 60
+
+
+def test_batched_greedy_exact_beyond_float():
+    # totals past 2**24 take float64 gains, past 2**53 Python ints; the
+    # counts are multiples of a power of two, so the float reference is exact
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        m = int(rng.integers(2, 40))
+        balls = _cluster_balls(rng, m, int(rng.integers(0, m // 2 + 1)))
+        scale = [2**30, 2**64, 2**100][trial % 3]
+        counts = rng.integers(0, 5, (3, m)).astype(object) * scale
+        counts[:, 0] += scale
+        if scale == 2**30:
+            counts = counts.astype(np.int64)
+        for eps in (0.0, 0.2):
+            assert _batched(balls, counts, eps, m) == _reference(balls, counts, eps, m)
+
+
+def _python_greedy(balls, counts, eps, budget):
+    """Reference in Python ints: every step sums every candidate's ball."""
+    left = [int(c) for c in counts]
+    members = [np.flatnonzero(row).tolist() for row in balls]
+    total, covered, centers = sum(left), 0, []
+    cand = [True] * len(left)
+    while covered < _units_needed(total, eps):
+        gains = [sum(left[j] for j in members[i]) if cand[i] else -1 for i in range(len(left))]
+        if max(gains, default=-1) < 0:
+            return "no uncovered candidate can extend the cover", centers, covered / total
+        if len(centers) >= budget:
+            return f"center budget {budget} exhausted", centers, covered / total
+        i = gains.index(max(gains))
+        centers.append(i)
+        covered += gains[i]
+        for j in members[i]:
+            left[j], cand[j] = 0, False
+    return centers, covered, total
+
+
+def test_batched_greedy_exact_big_counts():
+    # arbitrary integers up to 2**90: Python-int gains, summed in limbs
+    rng = np.random.default_rng(13)
+    for trial in range(30):
+        m = int(rng.integers(2, 40))
+        balls = _cluster_balls(rng, m, int(rng.integers(0, m // 2 + 1)))
+        counts = np.array([[int(v) for v in rng.integers(0, 2**30, m)] for _ in range(3)],
+                          dtype=object)
+        counts = counts * counts * (counts % 1024) + rng.integers(0, 2, (3, m))
+        counts[:, 0] += 1
+        eps, budget = float(rng.choice([0.0, 0.1, 0.4])), int(rng.choice([2, m]))
+        want = [_python_greedy(balls, row, eps, budget) for row in counts]
+        assert _batched(balls, counts, eps, budget) == want
+
+
+def test_estimate_cover_centers_match_reference():
+    samples = SYS_R.sample_measure(300, PLAN)
+    kind = e.HammingKind(e.circle_intervals([0.0, 0.3, 0.7]))
+    for n, eps in ((8, 0.1), (64, 0.1), (64, 0.3)):
+        balls = e.pairwise_distances(kind, SYS_R, samples, n) < eps
+        want, covered, total = _argmax_greedy(balls, np.ones(300, dtype=np.int64), eps, 300)
+        res = e.estimate_cover_number(samples, n, eps, kind, system=SYS_R)
+        assert list(res.centers) == want
+        assert res.covered_mass == covered / total

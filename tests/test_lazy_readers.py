@@ -231,6 +231,15 @@ def test_scan_promotes_float32_values():
 
 def test_screen_rechecks_few_pairs(monkeypatch):
     X, radius = _orbit_read("rotation", 300, 256)
+    rechecked = _counting_l2_pairs(monkeypatch)
+    centers = _greedy_orbit_centers(X, radius)
+    assert sum(rechecked) < 0.05 * len(centers) * 256
+    rechecked.clear()
+    _distance_summary(X, 256)
+    assert sum(rechecked) < 0.05 * 256 * 255 / 2
+
+
+def _counting_l2_pairs(monkeypatch):
     rechecked = []
 
     def counting(V, i, j, pairwise):
@@ -238,11 +247,30 @@ def test_screen_rechecks_few_pairs(monkeypatch):
         return _l2_pairs(V, i, j, pairwise)
 
     monkeypatch.setattr(spectral, "_l2_pairs", counting)
-    centers = _greedy_orbit_centers(X, radius)
-    assert sum(rechecked) < 0.05 * len(centers) * 256
-    rechecked.clear()
-    _distance_summary(X, 256)
-    assert sum(rechecked) < 0.05 * 256 * 255 / 2
+    return rechecked
+
+
+def test_summary_skips_identical_rows(monkeypatch):
+    # every row of a constant orbit is the same, so every distance is 0 and
+    # no pair needs the per-pair recompute
+    X, _ = _orbit_read("constant", 300, 256)
+    rechecked = _counting_l2_pairs(monkeypatch)
+    assert _distance_summary(X, 256) == (0.0, 0.0, 0.0)
+    assert sum(rechecked) == 0
+    assert _distance_summary(X, 256) == _old_summary(X.T)
+
+
+@pytest.mark.parametrize("bad", [None, np.nan])
+def test_summary_repeated_rows_equal_full_matrix(bad):
+    # repeated rows beside distinct ones; repeats of a row holding nan are
+    # not 0 apart
+    X, _ = _orbit_read("rotation", 40, 12)
+    X = np.ascontiguousarray(X[:, [0, 1, 0, 2, 1, 0, 3, 4, 3, 5, 6, 7, 0]])  # as read
+    if bad is not None:
+        X[5, [0, 2]] = bad
+    for h in (2, 3, 6, 13):
+        got, want = _distance_summary(X, h), _old_summary(X.T[:h])
+        assert np.array_equal(got, want, equal_nan=True), (bad, h)
 
 
 # ---------------------------------------------------------------------------
