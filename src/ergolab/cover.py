@@ -19,15 +19,13 @@ from the one byte budget ``systems._CHUNK_BYTES``.  Both cover routes
 count mass in exact integer units, so boundary ties resolve to "not
 covered".
 
-One greedy, ``_greedy_cover``, serves the point estimate, every bootstrap
-resample of a curve (all in one call) and the oracle's upper bound.  Its
-picks come in strictly increasing key order (-gain, index), and picks in
-different components of the ball graph do not interact, so it steps every
-(row, component) in lockstep and merges the pick sequences by key.  Gains
-stay exact integers (float32 below 2**24, float64 below 2**53, Python ints
-beyond).  A cover whose m x m arrays would exceed
-``systems._MATRIX_BYTES`` raises BudgetExhaustedError before it builds
-any of them.
+One greedy, ``_greedy_cover``, serves the point estimate and every
+bootstrap resample of a curve in one call, and the oracle's upper bound.
+Its picks come in strictly increasing key order (-gain, index) and do not
+interact across components of the ball graph, so it steps every (row,
+component) in lockstep on exact integer gains and merges the sequences by
+key.  A cover whose m x m arrays would exceed ``systems._MATRIX_BYTES``
+raises BudgetExhaustedError before it builds any of them.
 """
 
 from __future__ import annotations
