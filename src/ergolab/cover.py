@@ -374,6 +374,11 @@ def _greedy_cover(balls: np.ndarray, counts: np.ndarray, eps: float,
     return out
 
 
+def _check_budget(max_centers) -> None:
+    if max_centers is not None and max_centers < 0:
+        raise InvalidParameterError("center budget must be >= 0")
+
+
 @dataclass(frozen=True)
 class CoverResult:
     centers: tuple
@@ -406,6 +411,7 @@ def estimate_cover_number(
     """
     if eps <= 0:
         raise InvalidParameterError("eps must be positive")
+    _check_budget(max_centers)
     m = len(samples)
     _check_bytes(_COVER_ENTRY_BYTES * m * m, f"a cover of {m} samples")
     balls = pairwise_distances(kind, system, samples, n) < eps
@@ -558,6 +564,7 @@ def complexity_curve(
     horizons = [int(h) for h in horizons]
     if len(horizons) < 3 or any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise InvalidParameterError("need >= 3 strictly increasing horizons")
+    _check_budget(max_centers)
     _check_bytes(_COVER_ENTRY_BYTES * sample_count**2, f"a cover of {sample_count} samples")
     samples = system.sample_measure(sample_count, plan.child(_TAG_CURVE_SAMPLES))
     budget = sample_count if max_centers is None else max_centers

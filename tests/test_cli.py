@@ -232,6 +232,8 @@ _MEANEQUI = ["meanequi", "--system", "rotation:golden", "--target", "character:1
      "n_max too small for a 3-point ladder"),
     (["complexity", "--system", "rotation:golden", "--target", "halves"] + _CURVE
      + ["--eps", "0"], "eps must be positive"),
+    (["complexity", "--system", "rotation:golden", "--target", "halves"] + _CURVE
+     + ["--max-centers", "-1"], "center budget must be >= 0"),
 ])
 def test_bad_argument_exit_2(argv, message, capsys):
     assert main(argv) == 2

@@ -178,6 +178,8 @@ def test_greedy_deterministic_and_budget():
     with pytest.raises(e.BudgetExhaustedError) as exc:
         e.estimate_cover_number(samples, 64, 0.1, kind, system=SYS_R, max_centers=1)
     assert exc.value.covered_mass is not None
+    with pytest.raises(InvalidParameterError):
+        e.estimate_cover_number(samples, 64, 0.1, kind, system=SYS_R, max_centers=-1)
 
 
 def test_greedy_centers_pairwise_separated():
