@@ -24,16 +24,17 @@ x = 3 / 8
 print(f"\ndoubling name of {x}:", e.name_word(dbl, e.halves(), x, 4).symbols)
 
 # points sampled from Lebesgue measure live on the natural extension,
-# so the doubling map can be run backwards too
-p = dbl.sample_measure(1, plan)[0]
+# so the doubling map can be run backwards too; a sample set is one batch,
+# and a single point is a batch of one
+p = dbl.sample_measure(1, plan)
 back = dbl.step(p, -3)
-print("T^3 T^-3 x == x:", dbl.step(back, 3).value == p.value)
+print("T^3 T^-3 x == x:", dbl.value_orbit(dbl.step(back, 3), 1)[0] == dbl.value_orbit(p, 1)[0])
 
 # --- two-sided bernoulli shift ----------------------------------------------
 ber = e.make_system(e.bernoulli_shift(0.5))
-y = ber.sample_measure(1, plan)[0]
-print("\nbernoulli symbols [-5,5):", y.symbols(-5, 5))
-print("after one shift:         ", ber.step(y).symbols(-5, 5))
+y = ber.sample_measure(1, plan)
+print("\nbernoulli symbols [-5,5):", ber.rows(y, -5, 5)[0])
+print("after one shift:         ", ber.rows(ber.step(y), -5, 5)[0])
 
 # --- refinement: names of length N label the N-fold refined partition -------
 ref = e.refine(e.halves(), rot, 4)

@@ -105,13 +105,8 @@ from .systems import (
     identity,
     is_rational_angle,
     make_system,
-    metric,
     odometer,
-    orbit,
-    product,
     rotation,
-    sample_measure,
     spec_from_json,
-    step,
     sturmian,
 )

@@ -156,6 +156,16 @@ def pairwise_distances(kind: MetricKind, system, samples, n: int) -> np.ndarray:
     return _distance_matrix(kind, _sample_features(kind, system, samples, n))
 
 
+def _pair_distance(kind: MetricKind, system, x, y, n: int) -> float:
+    """The kernel's distance between two points, each a batch of one (or
+    anything the system's as_batch takes); Hamming points may also be
+    NameWords of length n."""
+    feats = np.concatenate([
+        _sample_features(kind, system, [p] if isinstance(p, NameWord) else system.as_batch(p), n)
+        for p in (x, y)])
+    return float(_distance_rows(kind, feats, [0])[0, 1])
+
+
 def ball_member(center, candidate, n: int, eps: float, kind: MetricKind,
                 system: Optional[SystemHandle] = None) -> bool:
     """Whether candidate lies in the open radius-eps ball around center.
@@ -166,9 +176,7 @@ def ball_member(center, candidate, n: int, eps: float, kind: MetricKind,
     """
     if eps <= 0:
         raise InvalidParameterError("ball radius must be positive")
-    feats = np.concatenate(
-        [_sample_features(kind, system, [x], n) for x in (center, candidate)])
-    return bool(_distance_rows(kind, feats, [0])[0, 1] < eps)
+    return _pair_distance(kind, system, center, candidate, n) < eps
 
 
 # ---------------------------------------------------------------------------

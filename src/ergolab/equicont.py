@@ -56,24 +56,14 @@ class EquiPartition:
     def k(self) -> int:
         return len(self.clusters)
 
-    def to_json(self, samples=None) -> dict:
-        obj = {
+    def to_json(self) -> dict:
+        return {
             "clusters": [list(c) for c in self.clusters],
             "eps": self.eps,
             "covered_mass": self.covered_mass,
             "horizon": self.horizon,
             "diameter_bound": self.diameter_bound,
         }
-        if samples is not None:
-            obj["samples"] = [_sample_coord(s) for s in samples]
-        return obj
-
-
-def _sample_coord(s):
-    try:
-        return float(s)
-    except (TypeError, ValueError):
-        return repr(s)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .cover import FbarKind, FhatKind, _pair_distance
 from .errors import InvalidParameterError, LengthMismatchError
 from .observables import Observable
 from .partitions import NameWord
@@ -30,24 +31,27 @@ def hamming_avg(w1: NameWord, w2: NameWord) -> float:
 
 
 def fbar_prefix_means(system: SystemHandle, f: Observable, x, y, n: int) -> np.ndarray:
-    """Array of fbar_k(x,y) for k = 1..n, computed in one pass."""
+    """Array of fbar_k(x,y) for k = 1..n, computed in one pass with the
+    cover kernel's arithmetic, so its maximum is fhat_n bit for bit."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
     gaps = np.abs(f.orbit_values(system, x, n) - f.orbit_values(system, y, n))
-    return np.cumsum(gaps) / np.arange(1, n + 1)
+    return np.cumsum(gaps) * (1.0 / np.arange(1, n + 1))
 
 
 def fbar_n(system: SystemHandle, f: Observable, x, y, n: int) -> float:
-    """Average of |f(T^i x) - f(T^i y)| over the first n steps."""
+    """Average of |f(T^i x) - f(T^i y)| over the first n steps, as the
+    cover kernel computes it."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    gaps = np.abs(f.orbit_values(system, x, n) - f.orbit_values(system, y, n))
-    return float(gaps.mean())
+    return _pair_distance(FbarKind(f), system, x, y, n)
 
 
 def fhat_n(system: SystemHandle, f: Observable, x, y, n: int) -> float:
-    """max of fbar_k(x,y) over 1 <= k <= n."""
-    return float(fbar_prefix_means(system, f, x, y, n).max())
+    """max of fbar_k(x,y) over 1 <= k <= n, as the cover kernel computes it."""
+    if n < 1:
+        raise InvalidParameterError("n must be >= 1")
+    return _pair_distance(FhatKind(f), system, x, y, n)
 
 
 # ---------------------------------------------------------------------------

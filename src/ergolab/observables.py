@@ -23,7 +23,7 @@ class Observable:
         return self.orbit_values(system, x, 1)[0]
 
     def orbit_values(self, system: SystemHandle, x, n: int) -> np.ndarray:
-        return self.orbit_rows(system, [x], n)[0]
+        return self.orbit_rows(system, system.as_batch(x), n)[0]
 
     def orbit_rows(self, system: SystemHandle, samples, n: int) -> np.ndarray:
         """(m, n): row k holds f(T^i samples[k]) for i < n."""

@@ -163,12 +163,12 @@ def name_rows(system: SystemHandle, partition: Partition, samples, n: int) -> np
 
 def classify(system: SystemHandle, partition: Partition, x) -> int:
     """Unique cell label of x; boundaries resolve by the half-open rule."""
-    return int(name_rows(system, partition, [x], 1)[0, 0])
+    return int(name_symbols(system, partition, x, 1)[0])
 
 
 def name_symbols(system: SystemHandle, partition: Partition, x, n: int) -> np.ndarray:
     """Labels of x, Tx, ..., T^{n-1}x: name_rows of a batch of one."""
-    return name_rows(system, partition, [x], n)[0]
+    return name_rows(system, partition, system.as_batch(x), n)[0]
 
 
 def name_word(system: SystemHandle, partition: Partition, x, n: int) -> NameWord:

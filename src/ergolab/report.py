@@ -245,7 +245,7 @@ def _run_name(config, plan):
             )
         x = config.params["point"]
     else:
-        x = system.sample_measure(1, plan)[0]
+        x = system.sample_measure(1, plan)
     word = name_word(system, config.target, x, n)
     rows = [list(word.symbols)]  # one CSV row: the name itself
     return ReportBundle(

@@ -12,18 +12,18 @@ deterministic sampler for the invariant measure.  Supported families:
                               {[0,1-theta), [1-theta,1)}, seen as a subshift
 * ``odometer(base)``       -- +1 adding machine with uniform digit measure
 * ``identity``             -- identity on the circle
-* ``product(a, b)``        -- direct product, max metric
 
 Symbolic points are lazy two-sided streams keyed by (seed, index): repeated
 reads of the same index always return the same symbol, and the backward
-direction exists, which keeps every catalog map invertible.
+direction exists, which keeps every catalog map invertible.  Sample sets
+are arrays: an ndarray of circle values for rotation and identity, a
+``Points`` batch for the stream families.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
 
 import numpy as np
 
@@ -37,8 +37,6 @@ DEFAULT_WINDOW = 64
 
 _TAG_POINT = 101
 _TAG_SYMBOL = 7
-_TAG_LEFT = 11
-_TAG_RIGHT = 12
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +62,6 @@ def _params_json(spec: SystemSpec) -> dict:
         return {"p": p[0], "alphabet_size": p[1]}
     if f == "odometer":
         return {"base": p[0]}
-    if f == "product":
-        return {"left": p[0].to_json(), "right": p[1].to_json()}
     return {}
 
 
@@ -84,8 +80,6 @@ def spec_from_json(obj: dict) -> SystemSpec:
         return odometer(params["base"])
     if family == "identity":
         return identity()
-    if family == "product":
-        return product(spec_from_json(params["left"]), spec_from_json(params["right"]))
     raise InvalidParameterError(f"unknown system family {family!r}")
 
 
@@ -125,10 +119,6 @@ def odometer(base: int) -> SystemSpec:
 
 def identity() -> SystemSpec:
     return SystemSpec("identity", (), "identity map on the circle")
-
-
-def product(left: SystemSpec, right: SystemSpec) -> SystemSpec:
-    return SystemSpec("product", (left, right), "direct product")
 
 
 def is_rational_angle(theta: float, max_den: int = 1000, tol: float = 1e-9) -> bool:
@@ -175,23 +165,12 @@ class PrefixSymbols:
     prefix: tuple
     tail: HashSymbols
 
-    def symbols(self, lo: int, hi: int) -> np.ndarray:
+    def read(self, lo: int, hi: int) -> np.ndarray:
         out = self.tail.symbols(lo, hi)
         a, b = max(lo, 0), min(hi, len(self.prefix))
         if a < b:
             out[a - lo : b - lo] = self.prefix[a:b]
         return out
-
-
-@dataclass(frozen=True)
-class HashBits:
-    """Two-sided fair-bit stream for doubling points sampled from Lebesgue."""
-
-    seed: int
-
-    def bits(self, lo: int, hi: int) -> np.ndarray:
-        idx = zigzag(np.arange(lo, hi, dtype=np.int64))
-        return _top_bits(hash64(self.seed, _TAG_SYMBOL, idx))
 
 
 def _top_bits(h: np.ndarray) -> np.ndarray:
@@ -212,7 +191,7 @@ class FloatBits:
         num, den = float(x).as_integer_ratio()
         return cls(num, den.bit_length() - 1)
 
-    def bits(self, lo: int, hi: int) -> np.ndarray:
+    def read(self, lo: int, hi: int) -> np.ndarray:
         out = np.zeros(hi - lo, dtype=np.int64)
         a, b = max(lo, 0), min(hi, self.exponent)
         if a < b:
@@ -224,84 +203,68 @@ class FloatBits:
 
 
 # ---------------------------------------------------------------------------
-# Points
-
-_VALUE_BITS = 53
-_BIT_WEIGHTS = 0.5 ** np.arange(1, _VALUE_BITS + 1)
+# Point batches
 
 
-@dataclass(frozen=True)
-class DoublingPoint:
-    """Point of the doubling map's natural extension: a bit stream + origin."""
+@dataclass(frozen=True, eq=False)
+class Points:
+    """A batch of stream points as arrays, one entry per point.
 
-    source: Any
-    offset: int = 0
+    ``keys`` holds each point's stream seed (uint64), or its angle for
+    sturmian (float64); ``offsets`` holds each point's origin in its stream
+    (int64), or its shift for odometer.  ``own`` lists (row, source) for the
+    few user-made points that read their own stream (a ``PrefixSymbols``,
+    or the ``FloatBits`` of a float given to doubling); their keys are not
+    read.  A single point is a batch of one: an integer index gives one.
+    """
 
-    @property
-    def value(self) -> float:
-        b = self.source.bits(self.offset, self.offset + _VALUE_BITS)
-        return float(b @ _BIT_WEIGHTS)
+    keys: np.ndarray
+    offsets: np.ndarray
+    own: tuple = ()
 
-    def bits(self, lo: int, hi: int) -> np.ndarray:
-        return self.source.bits(self.offset + lo, self.offset + hi)
+    def __len__(self) -> int:
+        return len(self.keys)
 
-    def __float__(self) -> float:
-        return self.value
+    def __getitem__(self, k) -> "Points":
+        if not isinstance(k, slice):
+            k = range(len(self))[k]  # IndexError past either end
+            k = slice(k, k + 1)
+        own = ()
+        if self.own:
+            rows = np.arange(len(self))[k]
+            own = tuple((int(j), src) for r, src in self.own
+                        for j in np.flatnonzero(rows == r))
+        return Points(self.keys[k], self.offsets[k], own)
 
+    def __add__(self, other: "Points") -> "Points":
+        """The concatenated batch, as for lists."""
+        return Points(np.concatenate([self.keys, other.keys]),
+                      np.concatenate([self.offsets, other.offsets]),
+                      self.own + tuple((r + len(self), s) for r, s in other.own))
 
-@dataclass(frozen=True)
-class ShiftPoint:
-    """Point of a two-sided shift: a symbol stream read from a moving origin."""
+    def step(self, k: int) -> "Points":
+        return Points(self.keys, self.offsets + k, self.own)
 
-    source: Any
-    alphabet: int
-    offset: int = 0
-
-    def symbols(self, lo: int, hi: int) -> np.ndarray:
-        return self.source.symbols(self.offset + lo, self.offset + hi)
-
-
-@dataclass(frozen=True)
-class SturmianPoint:
-    """Sturmian sequence coded from a base angle; the shift moves the origin."""
-
-    angle: float
-    theta: float
-    offset: int = 0
-
-    def symbols(self, lo: int, hi: int) -> np.ndarray:
-        k = np.arange(self.offset + lo, self.offset + hi)
-        pos = (self.angle + k * self.theta) % 1.0
-        return (pos >= 1.0 - self.theta).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class OdometerPoint:
-    """Base-b digit stream plus an integer shift applied with carries."""
-
-    source: Any
-    base: int
-    shift: int = 0
-
-    def digits(self, n: int) -> np.ndarray:
-        t = self.source.symbols(0, n).astype(np.int64)
-        t[:1] += self.shift
-        return _carry(t, self.base)
-
-    def symbols(self, lo: int, hi: int) -> np.ndarray:
-        if lo < 0:
-            raise InvalidParameterError("odometer digits have nonnegative indices")
-        return self.digits(hi)[lo:hi]
+    def read_own(self, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """rows, with row r of each own point replaced by its source read at
+        indices starts[r] + [0, width)."""
+        for r, src in self.own:
+            lo = int(starts[r])
+            rows[r] = src.read(lo, lo + rows.shape[1])
+        return rows
 
 
-def circle_value(x) -> float:
-    """Position in [0,1) of a circle-family point; elementwise on an array
-    of raw circle values."""
-    if isinstance(x, DoublingPoint):
-        return x.value
-    if isinstance(x, np.ndarray):
-        return x % 1.0
-    return float(x) % 1.0
+def _own_point(source) -> Points:
+    """A batch of one point that reads its own stream `source`."""
+    return Points(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64), ((0, source),))
+
+
+def circle_value(x):
+    """Position in [0,1) of a circle value; elementwise on an array (or a
+    list) of them."""
+    if np.isscalar(x):
+        return float(x) % 1.0
+    return np.asarray(x, dtype=np.float64) % 1.0
 
 
 def _arc(a: float, b: float) -> float:
@@ -352,21 +315,14 @@ def _batched(m: int, tail: tuple, dtype, read, width=None) -> np.ndarray:
     return out
 
 
-def _stream_rows(sources, starts, width, plain, decode, read_own) -> np.ndarray:
-    """Row k reads sources[k] at indices starts[k] + [0, width).
+def _stream_hash(keys: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """(m, width) stream hashes: row k at indices starts[k] + [0, width) of
+    the hash stream seeded by keys[k]."""
+    idx = starts[:, None] + np.arange(width)
+    return hash64(keys[:, None], _TAG_SYMBOL, zigzag(idx))
 
-    Sources for which plain(source) holds are hash streams: their rows come
-    from one broadcast hash, mapped to stream values by decode.  Any other
-    source reads its own row with read_own(source, lo, hi).
-    """
-    flags = [plain(s) for s in sources]
-    seeds = np.array([s.seed if f else 0 for s, f in zip(sources, flags)], np.uint64)
-    idx = np.asarray(starts, dtype=np.int64)[:, None] + np.arange(width)
-    rows = decode(hash64(seeds[:, None], _TAG_SYMBOL, zigzag(idx)))
-    for k, f in enumerate(flags):
-        if not f:
-            rows[k] = read_own(sources[k], starts[k], starts[k] + width)
-    return rows
+
+_VALUE_BITS = 53
 
 
 def _window_values(bits: np.ndarray, n: int) -> np.ndarray:
@@ -374,7 +330,7 @@ def _window_values(bits: np.ndarray, n: int) -> np.ndarray:
 
     The window is built as a 53-bit integer (32+16+4+1 bits from windows of
     doubling width), so the value is exact and equals the dot product with
-    _BIT_WEIGHTS, whose partial sums are all exact too.
+    the weights 2^-(k+1), whose partial sums are all exact too.
     """
     w2 = 2 * bits[:, :-1] + bits[:, 1:]
     w4 = 4 * w2[:, :-2] + w2[:, 2:]
@@ -402,26 +358,33 @@ def _carry(t: np.ndarray, base: int) -> np.ndarray:
         t[..., 1:] += c
 
 
-def _circle_values(points) -> np.ndarray:
-    if isinstance(points, np.ndarray):
-        return points % 1.0
-    return np.array([circle_value(x) for x in points], dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # Handles
 
 
 class SystemHandle:
-    """Immutable bundle (T, T^{-1}, d, sampler) for one catalog family."""
+    """Immutable bundle (T, T^{-1}, d, sampler) for one catalog family.
+
+    Every operation takes a batch: an ndarray of circle values (rotation,
+    identity) or a ``Points`` batch (the stream families).  The single-point
+    forms take a batch of one, or anything ``as_batch`` turns into one.
+    """
 
     kind = "abstract"
     spec: SystemSpec
     # stream positions a row reads beyond hi - lo (the doubling's value window)
     _row_margin = 0
 
+    def as_batch(self, x):
+        """x as a batch: a Points batch as it is, a circle value or an array
+        of them as a float64 array."""
+        if isinstance(x, Points):
+            return x
+        return np.asarray(x, dtype=np.float64).reshape(-1)
+
     def step(self, x, k: int = 1):
-        raise NotImplementedError
+        """T^k of every point of x."""
+        return self.as_batch(x).step(k)
 
     def orbit(self, x, n: int) -> list:
         if n < 1:
@@ -429,17 +392,20 @@ class SystemHandle:
         return [self.step(x, i) for i in range(n)]
 
     def metric(self, x, y) -> float:
-        raise NotImplementedError
+        """Arc distance of the circle positions of two points."""
+        return _arc(self.value_orbit(x, 1)[0], self.value_orbit(y, 1)[0])
 
     def sample_measure(self, count: int, plan: RandomPlan):
-        """`count` points drawn from the invariant measure, as a pure
-        function of (plan, index)."""
+        """A batch of `count` points drawn from the invariant measure, as a
+        pure function of (plan, index)."""
         if count < 1:
             raise InvalidParameterError("sample count must be >= 1")
         return self._sample(count, plan)
 
     def _sample(self, count: int, plan: RandomPlan):
-        raise NotImplementedError
+        # the stream families' sampler: one stream seed per point, origin 0
+        return Points(hash64(plan.master_seed, _TAG_POINT, np.arange(count)),
+                      np.zeros(count, dtype=np.int64))
 
     def rows(self, points, lo: int, hi: int) -> np.ndarray:
         """The one batched read every estimator goes through: row k holds
@@ -457,7 +423,7 @@ class SystemHandle:
         """Circle positions of x, Tx, ..., T^{n-1}x (circle families only)."""
         if not self.has_circle_values:
             raise NotImplementedError(f"{self.kind} systems have no circle values")
-        return self.rows([x], 0, n)[0]
+        return self.rows(self.as_batch(x), 0, n)[0]
 
     @property
     def has_circle_values(self) -> bool:
@@ -481,14 +447,11 @@ class RotationSystem(SystemHandle):
     def step(self, x, k: int = 1):
         return (circle_value(x) + k * self.theta) % 1.0
 
-    def metric(self, x, y) -> float:
-        return _arc(circle_value(x), circle_value(y))
-
     def _sample(self, count: int, plan: RandomPlan) -> np.ndarray:
         return plan.uniforms(_TAG_POINT, np.arange(count))
 
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
-        return (_circle_values(points)[:, None] + np.arange(lo, hi) * self.theta) % 1.0
+        return (circle_value(points)[:, None] + np.arange(lo, hi) * self.theta) % 1.0
 
     def _cut_preimages(self, c: float, k: int) -> list:
         return [(c - k * self.theta) % 1.0]
@@ -503,14 +466,11 @@ class IdentitySystem(SystemHandle):
     def step(self, x, k: int = 1):
         return circle_value(x)
 
-    def metric(self, x, y) -> float:
-        return _arc(circle_value(x), circle_value(y))
-
     def _sample(self, count: int, plan: RandomPlan) -> np.ndarray:
         return plan.uniforms(_TAG_POINT, np.arange(count))
 
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
-        return np.repeat(_circle_values(points)[:, None], hi - lo, axis=1)
+        return np.repeat(circle_value(points)[:, None], hi - lo, axis=1)
 
     def _cut_preimages(self, c: float, k: int) -> list:
         return [c]
@@ -523,30 +483,19 @@ class DoublingSystem(SystemHandle):
     def __init__(self, spec: SystemSpec):
         self.spec = spec
 
-    def _as_point(self, x) -> DoublingPoint:
-        if isinstance(x, DoublingPoint):
-            return x
-        return DoublingPoint(FloatBits.from_float(float(x)))
+    def as_batch(self, x) -> Points:
+        return x if isinstance(x, Points) else self.point(x)
 
-    def step(self, x, k: int = 1) -> DoublingPoint:
-        p = self._as_point(x)
-        return DoublingPoint(p.source, p.offset + k)
-
-    def metric(self, x, y) -> float:
-        return _arc(circle_value(self._as_point(x)), circle_value(self._as_point(y)))
-
-    def _sample(self, count: int, plan: RandomPlan) -> list:
-        seeds = hash64(plan.master_seed, _TAG_POINT, np.arange(count))
-        return [DoublingPoint(HashBits(int(s))) for s in seeds]
+    def point(self, value: float) -> Points:
+        """The point at circle value `value` in [0,1), read from the binary
+        expansion of the float."""
+        return _own_point(FloatBits.from_float(float(value)))
 
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
         # the value of T^i x is the 53-bit window of x's bits at offset + i
-        pts = [self._as_point(x) for x in points]
-        bits = _stream_rows(
-            [p.source for p in pts], [p.offset + lo for p in pts], hi - lo + self._row_margin,
-            lambda s: isinstance(s, HashBits), _top_bits, lambda s, a, b: s.bits(a, b),
-        )
-        return _window_values(bits, hi - lo)
+        start = points.offsets + lo
+        hashes = _stream_hash(points.keys, start, hi - lo + self._row_margin)
+        return _window_values(points.read_own(_top_bits(hashes), start), hi - lo)
 
     def _cut_preimages(self, c: float, k: int) -> list:
         return [(c + j) / 2**k for j in range(2**k)]
@@ -557,7 +506,7 @@ class _SymbolSystem(SystemHandle):
     over DEFAULT_WINDOW symbols and the shift's coordinate read."""
 
     def metric(self, x, y) -> float:
-        return _first_difference_metric(*self.rows([x, y], 0, DEFAULT_WINDOW))
+        return _first_difference_metric(*self.rows(x + y, 0, DEFAULT_WINDOW))
 
     def cylinder_rows(self, points, coords, n: int) -> np.ndarray:
         """(m, n, len(coords)): coordinate c of T^i points[k] at [k, i, j],
@@ -569,15 +518,14 @@ class _SymbolSystem(SystemHandle):
             return cols
         return cols[:, :, [c - lo for c in coords]]
 
-    def _hash_symbols(self, sources, starts, width) -> np.ndarray:
-        """Symbol stream rows; sources other than this handle's own plain
-        hash streams (a prefix, other thresholds) read themselves."""
-        return _stream_rows(
-            sources, starts, width,
-            lambda s: isinstance(s, HashSymbols) and s.thresholds == self.thresholds,
-            lambda h: _threshold_symbols(h, self.thresholds),
-            lambda s, a, b: s.symbols(a, b),
-        )
+    def _symbol_rows(self, points, starts, width) -> np.ndarray:
+        """Row k holds symbols starts[k] + [0, width) of the hash stream
+        keyed by points.keys[k]; own points read their own streams."""
+        hashes = _stream_hash(points.keys, starts, width)
+        return points.read_own(_threshold_symbols(hashes, self.thresholds), starts)
+
+    def _prefix_point(self, prefix, seed: int) -> Points:
+        return _own_point(PrefixSymbols(tuple(prefix), HashSymbols(seed, self.thresholds)))
 
 
 class BernoulliSystem(_SymbolSystem):
@@ -594,23 +542,11 @@ class BernoulliSystem(_SymbolSystem):
             probs = (1.0 - self.p,) + (rest,) * (self.alphabet - 1)
         self.thresholds = tuple(np.cumsum(probs)[:-1])
 
-    def point(self, symbols=(), seed: int = 0) -> ShiftPoint:
-        src = PrefixSymbols(tuple(symbols), HashSymbols(seed, self.thresholds))
-        return ShiftPoint(src, self.alphabet)
-
-    def step(self, x: ShiftPoint, k: int = 1) -> ShiftPoint:
-        return ShiftPoint(x.source, x.alphabet, x.offset + k)
-
-    def _sample(self, count: int, plan: RandomPlan) -> list:
-        seeds = hash64(plan.master_seed, _TAG_POINT, np.arange(count))
-        return [
-            ShiftPoint(HashSymbols(int(s), self.thresholds), self.alphabet)
-            for s in seeds
-        ]
+    def point(self, symbols=(), seed: int = 0) -> Points:
+        return self._prefix_point(symbols, seed)
 
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
-        return self._hash_symbols([p.source for p in points],
-                                  [p.offset + lo for p in points], hi - lo)
+        return self._symbol_rows(points, points.offsets + lo, hi - lo)
 
 
 class SturmianSystem(_SymbolSystem):
@@ -621,21 +557,17 @@ class SturmianSystem(_SymbolSystem):
         self.theta = spec.params[0]
         self.rational_angle = is_rational_angle(self.theta)
 
-    def point(self, angle: float) -> SturmianPoint:
-        return SturmianPoint(float(angle) % 1.0, self.theta)
+    def point(self, angle: float) -> Points:
+        return Points(np.array([float(angle) % 1.0]), np.zeros(1, dtype=np.int64))
 
-    def step(self, x: SturmianPoint, k: int = 1) -> SturmianPoint:
-        return SturmianPoint(x.angle, x.theta, x.offset + k)
-
-    def _sample(self, count: int, plan: RandomPlan) -> list:
-        angles = plan.uniforms(_TAG_POINT, np.arange(count))
-        return [SturmianPoint(float(a), self.theta) for a in angles]
+    def _sample(self, count: int, plan: RandomPlan) -> Points:
+        return Points(plan.uniforms(_TAG_POINT, np.arange(count)),
+                      np.zeros(count, dtype=np.int64))
 
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
-        angle = np.array([p.angle for p in points], dtype=np.float64)[:, None]
-        theta = np.array([p.theta for p in points], dtype=np.float64)[:, None]
-        k = np.array([p.offset for p in points], dtype=np.int64)[:, None] + np.arange(lo, hi)
-        return ((angle + k * theta) % 1.0 >= 1.0 - theta).astype(np.int64)
+        k = points.offsets[:, None] + np.arange(lo, hi)
+        pos = (points.keys[:, None] + k * self.theta) % 1.0
+        return (pos >= 1.0 - self.theta).astype(np.int64)
 
 
 class OdometerSystem(_SymbolSystem):
@@ -646,19 +578,8 @@ class OdometerSystem(_SymbolSystem):
         self.base = spec.params[0]
         self.thresholds = tuple(np.arange(1, self.base) / self.base)
 
-    def point(self, digits=(), seed: int = 0) -> OdometerPoint:
-        src = PrefixSymbols(tuple(digits), HashSymbols(seed, self.thresholds))
-        return OdometerPoint(src, self.base)
-
-    def step(self, x: OdometerPoint, k: int = 1) -> OdometerPoint:
-        return OdometerPoint(x.source, x.base, x.shift + k)
-
-    def _sample(self, count: int, plan: RandomPlan) -> list:
-        seeds = hash64(plan.master_seed, _TAG_POINT, np.arange(count))
-        return [
-            OdometerPoint(HashSymbols(int(s), self.thresholds), self.base)
-            for s in seeds
-        ]
+    def point(self, digits=(), seed: int = 0) -> Points:
+        return self._prefix_point(digits, seed)
 
     def _digits(self, points, width: int, ahead: int) -> np.ndarray:
         """(m, ahead, width): the low `width` digits of points[k] + i for
@@ -666,10 +587,9 @@ class OdometerSystem(_SymbolSystem):
         these are the base-b digits of (X + shift + i) mod b^width, X the
         value of the stream's first `width` digits: the stream digits plus
         shift + i, carried."""
-        raw = self._hash_symbols([p.source for p in points], [0] * len(points), width)
+        raw = self._symbol_rows(points, np.zeros(len(points), dtype=np.int64), width)
         t = np.repeat(raw[:, None, :], ahead, axis=1)
-        shift = np.array([p.shift for p in points], dtype=np.int64)[:, None]
-        t[:, :, 0] += shift + np.arange(ahead)
+        t[:, :, :1] += (points.offsets[:, None] + np.arange(ahead))[:, :, None]
         return _carry(t, self.base)
 
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
@@ -683,26 +603,6 @@ class OdometerSystem(_SymbolSystem):
         return self._digits(points, coords[-1] + 1, n)[:, :, list(coords)]
 
 
-class ProductSystem(SystemHandle):
-    kind = "product"
-
-    def __init__(self, spec: SystemSpec):
-        self.spec = spec
-        self.left = make_system(spec.params[0])
-        self.right = make_system(spec.params[1])
-
-    def step(self, x, k: int = 1):
-        return (self.left.step(x[0], k), self.right.step(x[1], k))
-
-    def metric(self, x, y) -> float:
-        return max(self.left.metric(x[0], y[0]), self.right.metric(x[1], y[1]))
-
-    def _sample(self, count: int, plan: RandomPlan) -> list:
-        ls = self.left.sample_measure(count, plan.child(_TAG_LEFT))
-        rs = self.right.sample_measure(count, plan.child(_TAG_RIGHT))
-        return list(zip(ls, rs))
-
-
 _FAMILIES = {
     "rotation": RotationSystem,
     "identity": IdentitySystem,
@@ -710,7 +610,6 @@ _FAMILIES = {
     "bernoulli_shift": BernoulliSystem,
     "sturmian": SturmianSystem,
     "odometer": OdometerSystem,
-    "product": ProductSystem,
 }
 
 
@@ -721,22 +620,3 @@ def make_system(spec: SystemSpec) -> SystemHandle:
     except KeyError:
         raise InvalidParameterError(f"unknown system family {spec.family!r}") from None
     return cls(spec)
-
-
-# Free-function forms of the handle operations.
-
-
-def step(system: SystemHandle, x, k: int = 1):
-    return system.step(x, k)
-
-
-def orbit(system: SystemHandle, x, n: int) -> list:
-    return system.orbit(x, n)
-
-
-def metric(system: SystemHandle, x, y) -> float:
-    return system.metric(x, y)
-
-
-def sample_measure(system: SystemHandle, count: int, plan: RandomPlan):
-    return system.sample_measure(count, plan)

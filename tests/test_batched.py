@@ -8,6 +8,7 @@ for every chunk size.
 """
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,17 +18,7 @@ from ergolab import equicont, systems
 from ergolab.partitions import CIRCLE_INTERVALS, CYLINDER, TRIVIAL
 from ergolab.rng import hash64, uniform01, zigzag
 from ergolab.spectral import _TAG_L2
-from ergolab.systems import (
-    DoublingPoint,
-    FloatBits,
-    HashBits,
-    HashSymbols,
-    OdometerPoint,
-    PrefixSymbols,
-    ShiftPoint,
-    SturmianPoint,
-    make_system,
-)
+from ergolab.systems import FloatBits, HashSymbols, PrefixSymbols, make_system
 
 PLAN = e.RandomPlan(99)
 _BIT_WEIGHTS = 0.5 ** np.arange(1, 54)
@@ -35,6 +26,47 @@ _BIT_WEIGHTS = 0.5 ** np.arange(1, 54)
 
 # ---------------------------------------------------------------------------
 # The per-point code from before the batched layer
+
+
+@dataclass(frozen=True)
+class _OldHashBits:
+    """The fair-bit stream of a sampled doubling point."""
+
+    seed: int
+
+
+@dataclass(frozen=True)
+class _OldPoint:
+    """One point as the per-point code held it: a stream and its origin (its
+    shift, on an odometer), or a sturmian angle and its origin."""
+
+    source: object
+    offset: int
+
+
+def _old_points(system, pts):
+    """The points of a batch, one per-point object each."""
+    if system.spec.family in ("rotation", "identity"):
+        return list(pts)
+    own = dict(pts.own)
+    out = []
+    for k, (key, offset) in enumerate(zip(pts.keys, pts.offsets)):
+        if k in own:
+            src = own[k]
+        elif system.spec.family == "sturmian":
+            src = float(key)
+        elif system.spec.family == "doubling":
+            src = _OldHashBits(int(key))
+        else:
+            src = HashSymbols(int(key), system.thresholds)
+        out.append(_OldPoint(src, int(offset)))
+    return out
+
+
+def _old_step(system, x, k):
+    if isinstance(x, _OldPoint):
+        return _OldPoint(x.source, x.offset + k)
+    return system.step(x, k)
 
 
 def _old_stream(src, lo, hi):
@@ -50,7 +82,7 @@ def _old_stream(src, lo, hi):
         for j in range(max(lo, 0), min(hi, len(src.prefix))):
             out[j - lo] = src.prefix[j]
         return out
-    if isinstance(src, HashBits):
+    if isinstance(src, _OldHashBits):
         idx = zigzag(np.arange(lo, hi, dtype=np.int64))
         return (hash64(src.seed, systems._TAG_SYMBOL, idx) >> np.uint64(63)).astype(np.int64)
     out = np.zeros(hi - lo, dtype=np.int64)
@@ -59,25 +91,26 @@ def _old_stream(src, lo, hi):
     return out
 
 
-def _old_digits(p, n):
+def _old_digits(base, p, n):
     raw = _old_stream(p.source, 0, n)
     out = np.empty(n, dtype=np.int64)
-    carry = p.shift
+    carry = p.offset
     for i in range(n):
         total = int(raw[i]) + carry
-        out[i] = total % p.base
-        carry = total // p.base
+        out[i] = total % base
+        carry = total // base
     return out
 
 
-def _old_symbols(p, lo, hi):
-    if isinstance(p, ShiftPoint):
+def _old_symbols(system, p, lo, hi):
+    fam = system.spec.family
+    if fam == "bernoulli_shift":
         return _old_stream(p.source, p.offset + lo, p.offset + hi)
-    if isinstance(p, SturmianPoint):
+    if fam == "sturmian":
         k = np.arange(p.offset + lo, p.offset + hi)
-        pos = (p.angle + k * p.theta) % 1.0
-        return (pos >= 1.0 - p.theta).astype(np.int64)
-    return _old_digits(p, hi)[lo:hi]
+        pos = (p.source + k * system.theta) % 1.0
+        return (pos >= 1.0 - system.theta).astype(np.int64)
+    return _old_digits(system.base, p, hi)[lo:hi]
 
 
 def _old_value_orbit(system, x, n):
@@ -86,18 +119,18 @@ def _old_value_orbit(system, x, n):
         return (systems.circle_value(x) + np.arange(n) * system.theta) % 1.0
     if fam == "identity":
         return np.full(n, systems.circle_value(x))
-    p = x if isinstance(x, DoublingPoint) else DoublingPoint(FloatBits.from_float(float(x)))
-    bits = _old_stream(p.source, p.offset, p.offset + n + 52).astype(np.float64)
+    bits = _old_stream(x.source, x.offset, x.offset + n + 52).astype(np.float64)
     return np.lib.stride_tricks.sliding_window_view(bits, 53) @ _BIT_WEIGHTS
 
 
-def _old_classify(partition, x):
+def _old_classify(system, partition, x):
     if partition.kind == TRIVIAL:
         return 0
     if partition.kind == CIRCLE_INTERVALS:
         cuts = np.asarray(partition.cuts)
-        return int((np.searchsorted(cuts, systems.circle_value(x), side="right") - 1) % len(cuts))
-    row = np.array([_old_symbols(x, c, c + 1)[0] for c in partition.coords])
+        value = _old_value_orbit(system, x, 1)[0]
+        return int((np.searchsorted(cuts, value, side="right") - 1) % len(cuts))
+    row = np.array([_old_symbols(system, x, c, c + 1)[0] for c in partition.coords])
     assert (row < partition.alphabet).all()
     return int(row @ (partition.alphabet ** np.arange(len(row))))
 
@@ -110,12 +143,12 @@ def _old_name(system, partition, x, n):
         return (np.searchsorted(cuts, _old_value_orbit(system, x, n), side="right") - 1) % len(cuts)
     if partition.kind == CYLINDER and system.kind == "shift":
         lo, hi = partition.coords[0], partition.coords[-1]
-        window = _old_symbols(x, lo, hi + n)
+        window = _old_symbols(system, x, lo, hi + n)
         cols = [window[c - lo : c - lo + n] for c in partition.coords]
         return np.stack(cols, axis=-1) @ (partition.alphabet ** np.arange(len(cols)))
     # generic fallback: step and classify
-    return np.array([_old_classify(partition, system.step(x, i)) for i in range(n)],
-                    dtype=np.int64)
+    return np.array([_old_classify(system, partition, _old_step(system, x, i))
+                     for i in range(n)], dtype=np.int64)
 
 
 def _old_orbit_values(f, system, x, n):
@@ -126,7 +159,7 @@ def _old_orbit_values(f, system, x, n):
     if isinstance(f, e.TableObservable):
         return np.asarray(f.values)[_old_name(system, f.partition, x, n)]
     if isinstance(f, e.CoordinateRead):
-        return _old_symbols(x, f.index, f.index + n).astype(float)
+        return _old_symbols(system, x, f.index, f.index + n).astype(float)
     return np.full(n, f.value)
 
 
@@ -135,7 +168,7 @@ def _old_expansivity(system, f, delta, pairs, horizon, plan):
     ys = system.sample_measure(pairs, plan.child(equicont._TAG_PAIR_RIGHT))
     horizons = e.geometric_horizons(horizon)
     exceed = nonconv = 0
-    for x, y in zip(xs, ys):
+    for x, y in zip(_old_points(system, xs), _old_points(system, ys)):
         gaps = np.abs(_old_orbit_values(f, system, x, horizon)
                       - _old_orbit_values(f, system, y, horizon))
         cums = np.cumsum(gaps)
@@ -147,12 +180,21 @@ def _old_expansivity(system, f, delta, pairs, horizon, plan):
 
 def _old_eigen_residual(system, f, lam, m, plan):
     samples = system.sample_measure(m, plan.child(_TAG_L2))
-    pairs = np.stack([_old_orbit_values(f, system, x, 2) for x in samples])
+    pairs = np.stack([_old_orbit_values(f, system, x, 2) for x in _old_points(system, samples)])
     return float(np.sqrt(np.mean(np.abs(pairs[:, 1] - lam * pairs[:, 0]) ** 2)))
 
 
 # ---------------------------------------------------------------------------
 # Cases: (system, points, partitions, observables)
+
+
+def _cat(batches):
+    return functools.reduce(lambda a, b: a + b, batches)
+
+
+def _stepped(system, pts, shifts):
+    """Point k of pts stepped by shifts[k], one point at a time."""
+    return _cat([system.step(pts[k], s) for k, s in enumerate(shifts)])
 
 
 def _circle_case(spec):
@@ -164,32 +206,32 @@ def _circle_case(spec):
 def _doubling_points():
     system = make_system(e.doubling())
     sampled = system.sample_measure(30, PLAN)
-    floats = [DoublingPoint(FloatBits.from_float(v)) for v in (0.0, 0.375, 0.1, 1 / 3, 0.9999)]
-    stepped = [system.step(p, k) for p, k in zip(sampled[:6] + floats, [1, 5, -3, 60, 2, 7, 1, 3, 70, 2, 9])]
-    return system, sampled + floats + stepped + [0.3, 0.625]
+    floats = _cat([system.point(v) for v in (0.0, 0.375, 0.1, 1 / 3, 0.9999)])
+    stepped = _stepped(system, sampled[:6] + floats, [1, 5, -3, 60, 2, 7, 1, 3, 70, 2, 9])
+    return system, sampled + floats + stepped + system.point(0.3) + system.point(0.625)
 
 
 def _bernoulli_points(alphabet):
     system = make_system(e.bernoulli_shift(0.4, alphabet))
     sampled = system.sample_measure(30, PLAN)
-    prefixed = [system.point(symbols=(1, 0, alphabet - 1, 1, 0, 0, 1), seed=s) for s in (3, 8)]
+    prefixed = _cat([system.point(symbols=(1, 0, alphabet - 1, 1, 0, 0, 1), seed=s) for s in (3, 8)])
     pts = sampled + prefixed
-    return system, pts + [system.step(p, k) for p, k in zip(pts[:8] + prefixed, [1, -4, 9, 0, 2, 3, -1, 6, -2, 3])]
+    return system, pts + _stepped(system, pts[:8] + prefixed, [1, -4, 9, 0, 2, 3, -1, 6, -2, 3])
 
 
 def _sturmian_points():
     system = make_system(e.sturmian(e.GOLDEN))
-    pts = system.sample_measure(30, PLAN) + [system.point(0.2)]
-    return system, pts + [system.step(p, k) for p, k in zip(pts[:5] + pts[-1:], [1, -7, 100, 3, 10**6, 5])]
+    pts = system.sample_measure(30, PLAN) + system.point(0.2)
+    return system, pts + _stepped(system, pts[:5] + pts[-1:], [1, -7, 100, 3, 10**6, 5])
 
 
 def _odometer_points(base):
     system = make_system(e.odometer(base))
     sampled = system.sample_measure(30, PLAN)
-    chain = [system.point(digits=(base - 1,) * 9, seed=4), system.point(digits=(0,) * 6, seed=5)]
+    chain = system.point(digits=(base - 1,) * 9, seed=4) + system.point(digits=(0,) * 6, seed=5)
     pts = sampled + chain
     shifts = [1, -1, -5, 17, 2, base**5, -(base**4) - 3, 0, 1, -1]
-    return system, pts + [system.step(p, k) for p, k in zip(pts[:8] + chain, shifts)]
+    return system, pts + _stepped(system, pts[:8] + chain, shifts)
 
 
 CUTS3 = e.circle_intervals([0.0, 0.3, 0.7])
@@ -248,9 +290,10 @@ def _reference(name):
     """The per-point reads of one case, computed once for all chunk sizes."""
     make, partitions, observables = CASES[name]
     system, pts = make()
-    names = {(part, n): np.stack([_old_name(system, part, x, n) for x in pts])
+    old = _old_points(system, pts)
+    names = {(part, n): np.stack([_old_name(system, part, x, n) for x in old])
              for part in partitions for n in NS}
-    values = {(f, n): np.stack([_old_orbit_values(f, system, x, n) for x in pts])
+    values = {(f, n): np.stack([_old_orbit_values(f, system, x, n) for x in old])
               for f in observables for n in NS}
     return system, pts, names, values
 
@@ -272,29 +315,56 @@ def test_name_and_orbit_rows_equal_per_point_reads(name, chunk):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_handle_rows_equal_per_point_reads(name, chunk):
     system, pts = CASES[name][0]()
+    old = _old_points(system, pts)
     if system.has_circle_values:
         got = system.rows(pts, 0, 70)
-        want = np.stack([_old_value_orbit(system, x, 70) for x in pts])
+        want = np.stack([_old_value_orbit(system, x, 70) for x in old])
         assert got.dtype == np.float64 and np.array_equal(got, want)
         return
     lo = 0 if system.kind == "odometer" else -5
     for hi in (lo + 1, 64):
         got = system.rows(pts, lo, hi)
-        want = np.stack([_old_symbols(x, lo, hi) for x in pts])
+        want = np.stack([_old_symbols(system, x, lo, hi) for x in old])
         assert got.dtype == np.int64 and np.array_equal(got, want)
-    for x, y in zip(pts, pts[::-1]):
-        diff = np.nonzero(_old_symbols(x, 0, 64) != _old_symbols(y, 0, 64))[0]
+    for x, y, ox, oy in zip(pts, pts[::-1], old, old[::-1]):
+        diff = np.nonzero(_old_symbols(system, ox, 0, 64) != _old_symbols(system, oy, 0, 64))[0]
         assert system.metric(x, y) == (2.0 ** -int(diff[0]) if diff.size else 0.0)
+
+
+@pytest.mark.parametrize("name", ["doubling", "bernoulli2", "bernoulli3", "sturmian",
+                                  "odometer2", "odometer3"])
+def test_batch_rows_commute_with_slices_and_steps(name, chunk):
+    """rows(batch[a:b]) is rows(batch)[a:b], and stepping a batch by k moves
+    its reads by k; on an odometer T^i is the cylinder read i steps ahead."""
+    system, pts = CASES[name][0]()
+    assert isinstance(pts, systems.Points)
+    m = len(pts)
+    odometer = system.kind == "odometer"
+    lo, hi = (0, 20) if odometer else (-3, 20)
+    whole = system.rows(pts, lo, hi)
+    for a, b in ((0, m), (0, 1), (5, 12), (m - 7, m), (m - 1, m)):
+        assert np.array_equal(system.rows(pts[a:b], lo, hi), whole[a:b])
+    assert np.array_equal(system.rows(pts[m - 1], lo, hi), whole[m - 1 :])
+    assert np.array_equal(system.rows(pts[::-1], lo, hi), whole[::-1])
+    for k in (0, 1, 7) if odometer else (0, 1, 7, -2):
+        if odometer:
+            got = system.cylinder_rows(system.step(pts, k), (0, 1, 3), 9)
+            want = system.cylinder_rows(pts, (0, 1, 3), 9 + k)[:, k:]
+        else:
+            got = system.rows(system.step(pts, k), lo, hi)
+            want = system.rows(pts, lo + k, hi + k)
+        assert np.array_equal(got, want), k
 
 
 @pytest.mark.parametrize("base", [2, 3])
 def test_odometer_digits_equal_carry_loop(base):
-    system = make_system(e.odometer(base))
-    for p in _odometer_points(base)[1]:
+    system, pts = _odometer_points(base)
+    for x, p in zip(pts, _old_points(system, pts)):
         for k in (0, 1, -1, 7, -base**6, 10**9, -(10**9)):
-            q = OdometerPoint(p.source, base, p.shift + k)
+            q = system.step(x, k)
             for n in (0, 1, 5, 40):
-                assert np.array_equal(q.digits(n), _old_digits(q, n))
+                want = _old_digits(base, _OldPoint(p.source, p.offset + k), n)
+                assert np.array_equal(system.rows(q, 0, n)[0], want)
     with pytest.raises(e.InvalidParameterError):
         system.rows(system.sample_measure(2, PLAN), -1, 3)
 
@@ -304,14 +374,14 @@ def test_stream_reads_equal_index_loops():
     for v in list(rng.random(40)) + [0.0, 0.5, 2.0**-1074, 1 - 2.0**-53]:
         src = FloatBits.from_float(float(v))
         for lo, hi in ((0, 60), (-7, 3), (50, 1100), (1070, 1080), (-3, -1)):
-            assert np.array_equal(src.bits(lo, hi), _old_stream(src, lo, hi))
+            assert np.array_equal(src.read(lo, hi), _old_stream(src, lo, hi))
     odd = FloatBits(2**70 + 12345, 75)  # a numerator wider than a float's
-    assert np.array_equal(odd.bits(-2, 80), _old_stream(odd, -2, 80))
+    assert np.array_equal(odd.read(-2, 80), _old_stream(odd, -2, 80))
     tail = HashSymbols(11, (0.3, 0.6))
     for prefix in ((), (2,), (1, 0, 2, 2, 1)):
         src = PrefixSymbols(prefix, tail)
         for lo, hi in ((-4, 9), (2, 4), (5, 12), (-3, -1)):
-            assert np.array_equal(src.symbols(lo, hi), _old_stream(src, lo, hi))
+            assert np.array_equal(src.read(lo, hi), _old_stream(src, lo, hi))
 
 
 @pytest.mark.parametrize("spec, f", [

@@ -240,6 +240,14 @@ def test_bad_argument_exit_2(argv, message, capsys):
     assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
+def test_product_family_exit_2(capsys):
+    # the product family is gone: no estimator could read its points
+    system = ('{"family": "product", "params": {"left": {"family": "rotation", '
+              '"params": {"theta": 0.1}}, "right": {"family": "identity"}}}')
+    assert main(["complexity", "--system", system, "--target", "halves"] + _CURVE) == 2
+    assert capsys.readouterr().err.strip() == "error: invalid config: unknown system family 'product'"
+
+
 def test_spectral_character_on_shift_exit_2(capsys):
     rc = main(["spectral", "--system", "bernoulli:0.5", "--target", "character:1",
                "--horizons", "4,8,16", "--radius", "0.5", "--samples", "20"])

@@ -130,6 +130,5 @@ def test_expansivity_doubling_high_rate():
 def test_equipartition_json():
     samples = SYS_R.sample_measure(50, PLAN)
     ep = e.find_equipartition(SYS_R, e.Character(1), 0.8, samples, 64)
-    obj = ep.to_json(samples=samples)
+    obj = ep.to_json()
     assert sum(len(c) for c in obj["clusters"]) <= 50
-    assert len(obj["samples"]) == 50

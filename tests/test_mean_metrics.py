@@ -50,6 +50,19 @@ def test_fhat_is_running_max():
     assert all(b >= a for a, b in zip(hats, hats[1:]))
 
 
+def test_fbar_fhat_equal_cover_kernel_bitwise():
+    # fbar_n and fhat_n are the entries of the covers' distance matrices, and
+    # fhat_n is the maximum of fbar_prefix_means, at every ordered pair
+    samples = SYS_R.sample_measure(60, e.RandomPlan(3))
+    f, n = e.Character(1), 64
+    for kind, read in ((e.FbarKind(f), e.fbar_n), (e.FhatKind(f), e.fhat_n)):
+        mat = e.pairwise_distances(kind, SYS_R, samples, n)
+        got = np.array([[read(SYS_R, f, x, y, n) for y in samples] for x in samples])
+        assert np.array_equal(got, mat)
+    for x, y in ((samples[0], samples[1]), (samples[7], samples[42])):
+        assert e.fhat_n(SYS_R, f, x, y, n) == e.fbar_prefix_means(SYS_R, f, x, y, n).max()
+
+
 @given(st.integers(0, 10**6))
 @settings(max_examples=30, deadline=None)
 def test_metric_axioms_random_triples(seed):

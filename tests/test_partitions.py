@@ -118,8 +118,7 @@ def test_refine_unsupported():
     sys_o = make_system(e.odometer(2))
     with pytest.raises(e.UnsupportedRefinementError):
         e.refine(e.halves(), sys_o, 2)
-    for spec in (e.sturmian(e.GOLDEN), e.bernoulli_shift(0.5),
-                 e.product(e.rotation(0.1), e.identity())):
+    for spec in (e.sturmian(e.GOLDEN), e.bernoulli_shift(0.5)):
         with pytest.raises(e.UnsupportedRefinementError,
                            match=f"not supported for {spec.family}$"):
             e.refine(e.halves(), make_system(spec), 2)

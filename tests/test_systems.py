@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ergolab as e
-from ergolab.systems import DoublingPoint, FloatBits, make_system
+from ergolab.systems import make_system
 
 PLAN = e.RandomPlan(1234)
 
@@ -46,38 +46,39 @@ def test_doubling_matches_float_iteration():
 
 def test_doubling_two_sided_inverse():
     sys_d = make_system(e.doubling())
-    p = sys_d.sample_measure(1, PLAN)[0]
+    p = sys_d.sample_measure(1, PLAN)
     q = sys_d.step(sys_d.step(p, 3), -3)
-    assert q.value == p.value
-    np.testing.assert_array_equal(q.bits(-5, 20), p.bits(-5, 20))
+    assert sys_d.value_orbit(q, 1)[0] == sys_d.value_orbit(p, 1)[0]
+    np.testing.assert_array_equal(sys_d.rows(q, -5, 20), sys_d.rows(p, -5, 20))
 
 
 def test_doubling_halving_relation():
     # T^{-1} of the natural extension halves the value (up to the new bit)
     sys_d = make_system(e.doubling())
-    p = sys_d.sample_measure(1, PLAN)[0]
+    p = sys_d.sample_measure(1, PLAN)
     back = sys_d.step(p, -1)
-    assert sys_d.step(back).value == pytest.approx(p.value, abs=1e-15)
+    assert sys_d.value_orbit(sys_d.step(back), 1)[0] == \
+        pytest.approx(sys_d.value_orbit(p, 1)[0], abs=1e-15)
 
 
 def test_bernoulli_shift_moves_coordinates():
     sys_b = make_system(e.bernoulli_shift(0.5))
-    x = sys_b.sample_measure(1, PLAN)[0]
+    x = sys_b.sample_measure(1, PLAN)
     y = sys_b.step(x, 3)
-    np.testing.assert_array_equal(x.symbols(3, 10), y.symbols(0, 7))
+    np.testing.assert_array_equal(sys_b.rows(x, 3, 10), sys_b.rows(y, 0, 7))
 
 
 def test_bernoulli_symbols_reproducible():
     sys_b = make_system(e.bernoulli_shift(0.5))
-    x = sys_b.sample_measure(1, PLAN)[0]
-    np.testing.assert_array_equal(x.symbols(-4, 4), x.symbols(-4, 4))
+    x = sys_b.sample_measure(1, PLAN)
+    np.testing.assert_array_equal(sys_b.rows(x, -4, 4), sys_b.rows(x, -4, 4))
 
 
 def test_bernoulli_marginals():
     """Symbol frequencies follow the (1-p, p/(k-1)...) convention."""
     sys_b = make_system(e.bernoulli_shift(0.3, 4))
-    x = sys_b.sample_measure(1, PLAN)[0]
-    syms = x.symbols(0, 40000)
+    x = sys_b.sample_measure(1, PLAN)
+    syms = sys_b.rows(x, 0, 40000)[0]
     counts = np.bincount(syms, minlength=4)
     probs = [0.7, 0.1, 0.1, 0.1]
     assert e.frequency_check(counts, probs, tolerance_sigmas=5)
@@ -88,23 +89,16 @@ def test_sturmian_group_law_exact():
     sys_s = make_system(e.sturmian(e.GOLDEN))
     x = sys_s.point(0.2)
     far = sys_s.step(x, 10**6)
-    assert sys_s.rows([far], 0, 1)[0, 0] == sys_s.rows([x], 10**6, 10**6 + 1)[0, 0]
+    assert sys_s.rows(far, 0, 1)[0, 0] == sys_s.rows(x, 10**6, 10**6 + 1)[0, 0]
 
 
 def test_odometer_carry_chain():
     sys_o = make_system(e.odometer(2))
     x = sys_o.point(digits=(1, 1, 1, 0))
     y = sys_o.step(x)  # 1+1 carries three places
-    np.testing.assert_array_equal(y.digits(4), [0, 0, 0, 1])
+    np.testing.assert_array_equal(sys_o.rows(y, 0, 4)[0], [0, 0, 0, 1])
     z = sys_o.step(y, -1)
-    np.testing.assert_array_equal(z.digits(4), [1, 1, 1, 0])
-
-
-def test_product_metric_is_max():
-    spec = e.product(e.rotation(0.1), e.rotation(0.2))
-    sys_p = make_system(spec)
-    a, b = (0.0, 0.0), (0.1, 0.3)
-    assert sys_p.metric(a, b) == pytest.approx(0.3)
+    np.testing.assert_array_equal(sys_o.rows(z, 0, 4)[0], [1, 1, 1, 0])
 
 
 def test_spec_json_roundtrip():
@@ -115,7 +109,6 @@ def test_spec_json_roundtrip():
         e.sturmian(0.3),
         e.odometer(3),
         e.identity(),
-        e.product(e.rotation(0.1), e.doubling()),
     ]:
         assert e.spec_from_json(spec.to_json()) == spec
 
@@ -128,8 +121,8 @@ def test_is_rational_angle():
 @given(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
 @settings(max_examples=50, deadline=None)
 def test_floatbits_reconstructs_value(x):
-    p = DoublingPoint(FloatBits.from_float(x))
-    assert p.value == pytest.approx(x, abs=2**-52)
+    sys_d = make_system(e.doubling())
+    assert sys_d.value_orbit(sys_d.point(x), 1)[0] == pytest.approx(x, abs=2**-52)
 
 
 @given(st.integers(min_value=0, max_value=2**31), st.integers(-50, 50))
