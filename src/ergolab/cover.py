@@ -620,8 +620,8 @@ def classify_boundedness(curve) -> str:
 
     Bounded: the last three estimates lie within +1 of each other, unless
     a ComplexityCurve's last three all sit at its singleton ceiling (the
-    least k with k/sample_count > 1 - eps) or all hit the center budget:
-    a cap makes the tail flat by construction, so flatness says nothing.
+    least k with k/sample_count > 1 - eps) or any of them hit the center
+    budget: a capped K is a lower bound, so flatness says nothing.
     Growing: estimates rise monotonically with the last at least twice
     the first.  Anything else is inconclusive.
     """
@@ -631,7 +631,7 @@ def classify_boundedness(curve) -> str:
     tail = ests[-3:]
     capped = isinstance(curve, ComplexityCurve) and (
         tail == [_units_needed(curve.sample_count, curve.eps)] * 3
-        or all(p.budget_hit for p in curve.points[-3:])
+        or any(p.budget_hit for p in curve.points[-3:])
     )
     if max(tail) - min(tail) <= 1 and not capped:
         return "bounded"

@@ -359,6 +359,20 @@ def test_classify_ceiling_not_bounded():
     assert e.classify_boundedness(ests) == "bounded"  # no sample count: old rule
 
 
+def test_classify_any_budget_hit_in_tail_not_bounded():
+    # a K that hit the center budget is a lower bound, so one capped point in
+    # the last three already makes a flat tail say nothing
+    points = tuple(
+        e.CurvePoint(n=n, k_est=13, k_lo=13.0, k_hi=13.0, budget_hit=hit, covered_mass=0.9)
+        for n, hit in zip([4, 8, 16], [False, True, True])
+    )
+    curve = e.ComplexityCurve(
+        points=points, eps=0.1, metric_label="hamming", sample_count=200, seed=7
+    )
+    assert e.classify_boundedness(curve) == "inconclusive"
+    assert e.classify_boundedness(curve.estimates) == "bounded"  # the bare numbers
+
+
 def test_classify_growing_and_inconclusive():
     assert e.classify_boundedness([5, 5, 6, 5]) == "bounded"
     assert e.classify_boundedness([10, 20, 40, 80]) == "growing"
