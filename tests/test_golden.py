@@ -84,6 +84,14 @@ CASES = {
     "complexity-cuts3-components": [
         "complexity", "--system", "rotation:golden", "--target", "cuts:0:0.3:0.7",
         "--eps", "0.1", "--horizons", "8,64,256", "--samples", "700"],
+    # doubling labels under cuts that are not dyadic, on sampled points and
+    # on the own stream of a float point
+    "complexity-doubling-cuts3": [
+        "complexity", "--system", "doubling", "--target", "cuts:0:0.3:0.7",
+        "--eps", "0.1", "--horizons", "8,16,32", "--samples", "200"],
+    "name-doubling-cuts": [
+        "name", "--system", "doubling", "--target", "cuts:0.1:0.6", "--n", "96",
+        "--point", "0.3"],
 }
 
 
