@@ -64,6 +64,13 @@ class CellIndicator(Observable):
     partition: Partition
     label: int
 
+    def __post_init__(self):
+        count = self.partition.cell_count
+        if not isinstance(self.label, (int, np.integer)) or not 0 <= self.label < count:
+            raise InvalidParameterError(
+                f"cell label must be an integer in [0, {count}), got {self.label}"
+            )
+
     def orbit_rows(self, system, samples, n):
         return (name_rows(system, self.partition, samples, n) == self.label).astype(float)
 

@@ -9,6 +9,7 @@ and by coordinate-window union for shifts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,9 +54,13 @@ class Partition:
 
 
 def circle_intervals(cuts) -> Partition:
-    cuts = sorted(float(c) % 1.0 for c in cuts)
+    cuts = [float(c) for c in cuts]
     if not cuts:
         raise InvalidParameterError("need at least one cut point")
+    for c in cuts:
+        if not math.isfinite(c):
+            raise InvalidParameterError(f"cut points must be finite, got {c}")
+    cuts = sorted(c % 1.0 for c in cuts)
     return Partition(CIRCLE_INTERVALS, cuts=tuple(cuts))
 
 
@@ -106,14 +111,6 @@ class NameWord:
 # Cell labels
 
 
-def _circle_labels(cuts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # half-open [c_i, c_{i+1}) cells, wrapping at 1
-    labels = np.searchsorted(cuts, values, side="right")
-    labels -= 1
-    labels %= len(cuts)
-    return labels
-
-
 def _cylinder_labels(symbol_rows: np.ndarray, alphabet: int) -> np.ndarray:
     # symbol_rows: shape (..., n_coords); little-endian over sorted coords
     labels = symbol_rows[..., 0]
@@ -137,12 +134,8 @@ def name_rows(system: SystemHandle, partition: Partition, samples, n: int) -> np
             raise IncompatiblePartitionError(
                 "circle-interval partition cannot classify a symbolic point"
             )
-        cuts = np.asarray(partition.cuts)
-
-        def read(a, b):
-            return _circle_labels(cuts, system.rows(samples[a:b], 0, n))
-
-    elif partition.kind == CYLINDER:
+        return system.circle_labels(samples, partition.cuts, n)
+    if partition.kind == CYLINDER:
         if system.kind not in ("shift", "odometer"):
             raise IncompatiblePartitionError(
                 "cylinder partition needs a point with symbol coordinates"
@@ -156,9 +149,8 @@ def name_rows(system: SystemHandle, partition: Partition, samples, n: int) -> np
                 )
             return _cylinder_labels(cols, partition.alphabet)
 
-    else:
-        raise InvalidParameterError(f"unknown partition kind {partition.kind!r}")
-    return _batched(len(samples), (n,), np.int64, read)
+        return _batched(len(samples), (n,), np.int64, read)
+    raise InvalidParameterError(f"unknown partition kind {partition.kind!r}")
 
 
 def classify(system: SystemHandle, partition: Partition, x) -> int:

@@ -111,7 +111,9 @@ def config_from_json(obj: dict, out_dir: Optional[str] = None) -> ExperimentConf
         missing = [k for k in _REQUIRED[task] if k not in params]
         if missing:
             raise ConfigError(f"task {task!r} missing parameters: {missing}")
-        if task in ("name", "complexity", "meanequi") and target is None:
+        if task == "name" and not isinstance(target, Partition):
+            raise ConfigError("task 'name' needs a partition target")
+        if task in ("complexity", "meanequi") and target is None:
             raise ConfigError(f"task {task!r} needs a target")
         if task in ("expansivity", "spectral") and not isinstance(target, Observable):
             raise ConfigError(f"task {task!r} needs an observable target")

@@ -325,25 +325,54 @@ def _stream_hash(keys: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray
 _VALUE_BITS = 53
 
 
-def _window_values(bits: np.ndarray, n: int) -> np.ndarray:
-    """Value sum_k bits[:, i+k] 2^-(k+1) of the 53-bit window at each i < n.
+def _window_words(bits: np.ndarray, n: int, width: int) -> np.ndarray:
+    """Integer sum_k bits[:, i+k] 2^(width-1-k) of the width-bit window at
+    each i < n, for 1 <= width <= 53; bits has n + width - 1 columns.
 
-    The window is built as a 53-bit integer (32+16+4+1 bits from windows of
-    doubling width), so the value is exact and equals the dot product with
-    the weights 2^-(k+1), whose partial sums are all exact too.
+    Windows of doubling widths 1, 2, 4, ... are each built from the one
+    before, and the word joins the windows of the widths in the binary
+    expansion of `width`, the widest leading.
     """
-    w2 = 2 * bits[:, :-1] + bits[:, 1:]
-    w4 = 4 * w2[:, :-2] + w2[:, 2:]
-    w8 = 16 * w4[:, :-4] + w4[:, 4:]
-    w16 = 256 * w8[:, :-8] + w8[:, 8:]
-    w32 = 65536 * w16[:, :-16] + w16[:, 16:]
-    word = (
-        (w32[:, :n] << 21)
-        + (w16[:, 32 : 32 + n] << 5)
-        + (w4[:, 48 : 48 + n] << 1)
-        + bits[:, 52 : 52 + n]
-    )
-    return word * 2.0**-_VALUE_BITS
+    word = None
+    w, size, end = bits, 1, width
+    while True:
+        if width & size:
+            end -= size
+            piece = w[:, end : end + n] << (width - end - size)
+            if word is None:
+                word = piece
+            else:
+                word += piece
+        if 2 * size > width:
+            return word
+        w = (w[:, :-size] << size) + w[:, size:]
+        size *= 2
+
+
+def _window_values(bits: np.ndarray, n: int) -> np.ndarray:
+    """Value sum_k bits[:, i+k] 2^-(k+1) of the 53-bit window at each i < n:
+    the window's integer W times 2^-53, exact because W < 2^53."""
+    return _window_words(bits, n, _VALUE_BITS) * 2.0**-_VALUE_BITS
+
+
+# up to this many cuts, one comparison per cut is faster than a binary search
+_COMPARED_CUTS = 32
+
+
+def _circle_labels(cuts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Cell of each value in the partition of the sorted cuts: cell j is the
+    half-open arc [cuts[j], cuts[j+1]), the last one wrapping past 1.
+
+    The cell is the number of cuts after the first at or below the value,
+    or the last cell when the value lies below the first cut.
+    """
+    labels = (values < cuts[0]) * np.int64(len(cuts) - 1)
+    if len(cuts) > _COMPARED_CUTS:
+        labels += np.searchsorted(cuts[1:], values, side="right")
+    else:
+        for c in cuts[1:]:
+            labels += values >= c
+    return labels
 
 
 def _carry(t: np.ndarray, base: int) -> np.ndarray:
@@ -408,9 +437,11 @@ class SystemHandle:
                       np.zeros(count, dtype=np.int64))
 
     def rows(self, points, lo: int, hi: int) -> np.ndarray:
-        """The one batched read every estimator goes through: row k holds
+        """The batched read every estimator goes through: row k holds
         positions lo..hi-1 of points[k], as circle values of T^i x (circle
-        kinds, float64) or as symbols x_i (shift and odometer kinds, int64)."""
+        kinds, float64) or as symbols x_i (shift and odometer kinds, int64).
+        Circle partitions read their labels through `circle_labels`, which
+        reads these values or, on doubling, the bits the cuts need."""
         dtype = np.float64 if self.has_circle_values else np.int64
         return _batched(len(points), (hi - lo,), dtype,
                         lambda a, b: self._rows(points[a:b], lo, hi),
@@ -418,6 +449,13 @@ class SystemHandle:
 
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
         raise NotImplementedError(f"{self.kind} systems have no batched read")
+
+    def circle_labels(self, points, cuts, n: int) -> np.ndarray:
+        """(m, n) int64 labels: row k holds the cells of T^i points[k] for
+        i < n in the partition of the sorted cuts (see `_circle_labels`)."""
+        cuts = np.asarray(cuts)
+        return _batched(len(points), (n,), np.int64,
+                        lambda a, b: _circle_labels(cuts, self.rows(points[a:b], 0, n)))
 
     def value_orbit(self, x, n: int) -> np.ndarray:
         """Circle positions of x, Tx, ..., T^{n-1}x (circle families only)."""
@@ -491,11 +529,34 @@ class DoublingSystem(SystemHandle):
         expansion of the float."""
         return _own_point(FloatBits.from_float(float(value)))
 
+    def _bits(self, points, starts, width) -> np.ndarray:
+        """Row k holds bits starts[k] + [0, width) of points[k]'s stream."""
+        hashes = _stream_hash(points.keys, starts, width)
+        return points.read_own(_top_bits(hashes), starts)
+
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
         # the value of T^i x is the 53-bit window of x's bits at offset + i
-        start = points.offsets + lo
-        hashes = _stream_hash(points.keys, start, hi - lo + self._row_margin)
-        return _window_values(points.read_own(_top_bits(hashes), start), hi - lo)
+        bits = self._bits(points, points.offsets + lo, hi - lo + self._row_margin)
+        return _window_values(bits, hi - lo)
+
+    def circle_labels(self, points, cuts, n: int) -> np.ndarray:
+        # Labels from the integer V of the first K bits of each 53-bit window
+        # W, K the cuts' largest dyadic depth clamped to [1, 53].  W 2^-53 >= c
+        # exactly when V >= ceil(c 2^K): below the cap every cut is a multiple
+        # of 2^-K, so no cut lies inside the 2^-K cell that V names; at K = 53,
+        # V is W.  The labels equal those of the float values, and a row reads
+        # only n + K - 1 bits.
+        ratios = [float(c).as_integer_ratio() for c in cuts]
+        depth = max(den.bit_length() - 1 for _, den in ratios)
+        depth = min(_VALUE_BITS, max(1, depth))
+        thresholds = np.array([-((-num << depth) // den) for num, den in ratios])
+
+        def read(a, b):
+            part = points[a:b]
+            bits = self._bits(part, part.offsets, n + depth - 1)
+            return _circle_labels(thresholds, _window_words(bits, n, depth))
+
+        return _batched(len(points), (n,), np.int64, read, n + depth - 1)
 
     def _cut_preimages(self, c: float, k: int) -> list:
         return [(c + j) / 2**k for j in range(2**k)]

@@ -237,9 +237,11 @@ def _odometer_points(base):
 CUTS3 = e.circle_intervals([0.0, 0.3, 0.7])
 HALVES = e.halves()
 TABLE3 = e.TableObservable(CUTS3, (1.0, -2.0, 0.5))
+# more cuts than systems._COMPARED_CUTS, the first one above 0
+CUTS40 = e.circle_intervals(np.random.default_rng(5).random(40))
 
 CIRCLE_CASES = {
-    "rotation": (lambda: _circle_case(e.rotation(e.GOLDEN)), [HALVES, CUTS3, e.trivial()],
+    "rotation": (lambda: _circle_case(e.rotation(e.GOLDEN)), [HALVES, CUTS3, CUTS40, e.trivial()],
                  [e.Character(1), e.Character(3), e.CellIndicator(CUTS3, 2), TABLE3, e.Constant(2.0)]),
     "identity": (lambda: _circle_case(e.identity()), [HALVES, CUTS3],
                  [e.Character(2), e.CellIndicator(HALVES, 0), TABLE3]),
@@ -382,6 +384,40 @@ def test_stream_reads_equal_index_loops():
         src = PrefixSymbols(prefix, tail)
         for lo, hi in ((-4, 9), (2, 4), (5, 12), (-3, -1)):
             assert np.array_equal(src.read(lo, hi), _old_stream(src, lo, hi))
+
+
+_HALF_DOWN, _HALF_UP = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+DOUBLING_CUTS = {
+    "halves": HALVES.cuts,
+    "quarters": (0.0, 0.25, 0.5, 0.75),
+    "refine6": e.refine(HALVES, make_system(e.doubling()), 6).cuts,  # 64 cuts
+    "cuts3": CUTS3.cuts,
+    "0.1": (0.1,),
+    "top": (1 - 2.0**-53,),
+    "next-to-half": (_HALF_DOWN, _HALF_UP),
+    "below-half": (_HALF_DOWN,),
+    "above-half": (_HALF_UP,),
+    "zero": (0.0,),
+    "many": CUTS40.cuts,
+}
+
+
+@pytest.mark.parametrize("cuts", sorted(DOUBLING_CUTS))
+def test_doubling_labels_equal_float_window_read(cuts, chunk):
+    """The integer labels of doubling equal searchsorted on the 53-bit float
+    window values, on sampled, stepped and own points at and next to a cut."""
+    part = e.circle_intervals(DOUBLING_CUTS[cuts])
+    system, pts = _doubling_points()
+    near = [v for c in part.cuts for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))
+            if 0.0 <= v < 1.0]
+    pts = pts + _cat([system.point(v) for v in near])
+    old = _old_points(system, pts)
+    edges = np.asarray(part.cuts)
+    for n in NS:
+        values = np.stack([_old_value_orbit(system, x, n) for x in old])
+        want = (np.searchsorted(edges, values, side="right") - 1) % len(edges)
+        got = e.name_rows(system, part, pts, n)
+        assert got.dtype == np.int64 and np.array_equal(got, want), n
 
 
 @pytest.mark.parametrize("spec, f", [

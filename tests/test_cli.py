@@ -234,6 +234,20 @@ _MEANEQUI = ["meanequi", "--system", "rotation:golden", "--target", "character:1
      + ["--eps", "0"], "eps must be positive"),
     (["complexity", "--system", "rotation:golden", "--target", "halves"] + _CURVE
      + ["--max-centers", "-1"], "center budget must be >= 0"),
+    (["complexity", "--system", "doubling", "--target", "cuts:nan:0.5"] + _CURVE,
+     "invalid config: cut points must be finite, got nan"),
+    (["name", "--system", "doubling", "--target", "cuts:inf", "--n", "4"],
+     "invalid config: cut points must be finite, got inf"),
+    (["name", "--system", "rotation:golden", "--target", "character:1", "--n", "4"],
+     "task 'name' needs a partition target"),
+    (["expansivity", "--system", "doubling", "--target", "indicator:halves:5",
+      "--delta", "0.4", "--pairs", "100", "--horizon", "64"],
+     "invalid config: cell label must be an integer in [0, 2), got 5"),
+    (["expansivity", "--system", "doubling", "--target",
+      '{"observable": {"kind": "cell_indicator", "label": 0.5, "partition": '
+      '{"kind": "circle_intervals", "cuts": [0.0, 0.5]}}}',
+      "--delta", "0.4", "--pairs", "100", "--horizon", "64"],
+     "invalid config: cell label must be an integer in [0, 2), got 0.5"),
 ])
 def test_bad_argument_exit_2(argv, message, capsys):
     assert main(argv) == 2
