@@ -355,23 +355,11 @@ def _window_values(bits: np.ndarray, n: int) -> np.ndarray:
     return _window_words(bits, n, _VALUE_BITS) * 2.0**-_VALUE_BITS
 
 
-# up to this many cuts, one comparison per cut is faster than a binary search
-_COMPARED_CUTS = 32
-
-
 def _circle_labels(cuts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Cell of each value in the partition of the sorted cuts: cell j is the
-    half-open arc [cuts[j], cuts[j+1]), the last one wrapping past 1.
-
-    The cell is the number of cuts after the first at or below the value,
-    or the last cell when the value lies below the first cut.
-    """
-    labels = (values < cuts[0]) * np.int64(len(cuts) - 1)
-    if len(cuts) > _COMPARED_CUTS:
-        labels += np.searchsorted(cuts[1:], values, side="right")
-    else:
-        for c in cuts[1:]:
-            labels += values >= c
+    # half-open [c_i, c_{i+1}) cells, wrapping at 1
+    labels = np.searchsorted(cuts, values, side="right")
+    labels -= 1
+    labels %= len(cuts)
     return labels
 
 

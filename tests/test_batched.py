@@ -237,11 +237,9 @@ def _odometer_points(base):
 CUTS3 = e.circle_intervals([0.0, 0.3, 0.7])
 HALVES = e.halves()
 TABLE3 = e.TableObservable(CUTS3, (1.0, -2.0, 0.5))
-# more cuts than systems._COMPARED_CUTS, the first one above 0
-CUTS40 = e.circle_intervals(np.random.default_rng(5).random(40))
 
 CIRCLE_CASES = {
-    "rotation": (lambda: _circle_case(e.rotation(e.GOLDEN)), [HALVES, CUTS3, CUTS40, e.trivial()],
+    "rotation": (lambda: _circle_case(e.rotation(e.GOLDEN)), [HALVES, CUTS3, e.trivial()],
                  [e.Character(1), e.Character(3), e.CellIndicator(CUTS3, 2), TABLE3, e.Constant(2.0)]),
     "identity": (lambda: _circle_case(e.identity()), [HALVES, CUTS3],
                  [e.Character(2), e.CellIndicator(HALVES, 0), TABLE3]),
@@ -398,7 +396,6 @@ DOUBLING_CUTS = {
     "below-half": (_HALF_DOWN,),
     "above-half": (_HALF_UP,),
     "zero": (0.0,),
-    "many": CUTS40.cuts,
 }
 
 
