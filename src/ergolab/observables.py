@@ -48,7 +48,10 @@ class Character(Observable):
             raise IncompatibleObservableError(
                 f"character observables need a circle family, not {system.spec.family}"
             )
-        return np.exp(2j * np.pi * self.k * system.rows(samples, 0, n))
+        # one complex buffer: the same product and exp as
+        # np.exp(2j * np.pi * k * rows), with the exp written in place
+        z = np.multiply(2j * np.pi * self.k, system.rows(samples, 0, n))
+        return np.exp(z, out=z)
 
     def sup_bound(self):
         return 1.0

@@ -20,7 +20,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedRefinementError,
 )
-from .systems import SystemHandle, _batched
+from .systems import SystemHandle, _batched, circle_value
 
 CIRCLE_INTERVALS = "circle_intervals"
 CYLINDER = "cylinder"
@@ -60,7 +60,7 @@ def circle_intervals(cuts) -> Partition:
     for c in cuts:
         if not math.isfinite(c):
             raise InvalidParameterError(f"cut points must be finite, got {c}")
-    cuts = sorted(c % 1.0 for c in cuts)
+    cuts = sorted(circle_value(c) for c in cuts)
     return Partition(CIRCLE_INTERVALS, cuts=tuple(cuts))
 
 

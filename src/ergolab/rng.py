@@ -20,12 +20,18 @@ _MASK = (1 << 64) - 1
 
 
 def _mix(z):
-    # splitmix64 finalizer; works elementwise on uint64 arrays
+    # splitmix64 finalizer; works elementwise on uint64 arrays.  The first
+    # sum is a new array, so the later steps run in place on it; on numpy
+    # scalars (and Python ints, which the sum turns into one) each step
+    # makes a new scalar, as the plain expressions would.
     with np.errstate(over="ignore"):  # wraparound is the point
-        z = (z + _GOLDEN) & ~_U64(0)
-        z = (z ^ (z >> _U64(30))) * _MIX1
-        z = (z ^ (z >> _U64(27))) * _MIX2
-        return z ^ (z >> _U64(31))
+        z = z + _GOLDEN
+        z ^= z >> _U64(30)
+        z *= _MIX1
+        z ^= z >> _U64(27)
+        z *= _MIX2
+        z ^= z >> _U64(31)
+        return z
 
 
 def zigzag(i):
@@ -33,7 +39,9 @@ def zigzag(i):
     if np.isscalar(i):
         return (2 * i) if i >= 0 else (-2 * i - 1)
     i = np.asarray(i, dtype=np.int64)
-    return ((i << 1) ^ (i >> 63)).view(np.uint64)  # 2i, or -2i-1 = ~2i below 0
+    z = i << 1
+    z ^= i >> 63  # 2i, or -2i-1 = ~2i below 0
+    return z.view(np.uint64)
 
 
 def hash64(*parts):

@@ -259,16 +259,26 @@ def _own_point(source) -> Points:
     return Points(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64), ((0, source),))
 
 
+def _frac(v: np.ndarray) -> np.ndarray:
+    """v mod 1, in place on a float64 array the caller made; bit for bit
+    v % 1.0.  Both round the exact v - floor(v) once (numpy's remainder adds
+    1 to the exact fmod below 0), and both give +0.0 on integers and -0.0.
+    Like v % 1.0, a tiny negative v gives 1.0."""
+    v -= np.floor(v)
+    return v
+
+
 def circle_value(x):
     """Position in [0,1) of a circle value; elementwise on an array (or a
-    list) of them."""
-    if np.isscalar(x):
-        return float(x) % 1.0
-    return np.asarray(x, dtype=np.float64) % 1.0
+    list) of them.  A tiny negative value, whose remainder rounds up to 1.0,
+    is at 0.0."""
+    v = _frac(np.array(x, dtype=np.float64))
+    v[v == 1.0] = 0.0
+    return float(v) if np.isscalar(x) else v
 
 
 def _arc(a: float, b: float) -> float:
-    t = abs(a - b) % 1.0
+    t = circle_value(abs(a - b))
     return min(t, 1.0 - t)
 
 
@@ -356,11 +366,13 @@ def _window_values(bits: np.ndarray, n: int) -> np.ndarray:
 
 
 def _circle_labels(cuts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # half-open [c_i, c_{i+1}) cells, wrapping at 1
+    # half-open [c_i, c_{i+1}) cells, wrapping at 1: searchsorted gives i + 1
+    # in cell i, and 0 below the first cut, which is in the last cell.  Every
+    # index is in the table, so "clip" changes nothing but skips the checked
+    # copy that take makes of `out` under its default mode.
     labels = np.searchsorted(cuts, values, side="right")
-    labels -= 1
-    labels %= len(cuts)
-    return labels
+    wrap = (np.arange(len(cuts) + 1) - 1) % len(cuts)
+    return np.take(wrap, labels, out=labels, mode="clip")
 
 
 def _carry(t: np.ndarray, base: int) -> np.ndarray:
@@ -471,16 +483,21 @@ class RotationSystem(SystemHandle):
         self.rational_angle = is_rational_angle(self.theta)
 
     def step(self, x, k: int = 1):
-        return (circle_value(x) + k * self.theta) % 1.0
+        return circle_value(circle_value(x) + k * self.theta)
 
     def _sample(self, count: int, plan: RandomPlan) -> np.ndarray:
         return plan.uniforms(_TAG_POINT, np.arange(count))
 
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
-        return (circle_value(points)[:, None] + np.arange(lo, hi) * self.theta) % 1.0
+        v = _frac(np.add.outer(circle_value(points), np.arange(lo, hi) * self.theta))
+        # x + j theta >= 0 keeps every value at j >= 0 below 1; only a value
+        # at j < 0 can round up to 1.0
+        past = v[:, : max(0, -lo)]
+        past[past == 1.0] = 0.0
+        return v
 
     def _cut_preimages(self, c: float, k: int) -> list:
-        return [(c - k * self.theta) % 1.0]
+        return [circle_value(c - k * self.theta)]
 
 
 class IdentitySystem(SystemHandle):
@@ -607,7 +624,7 @@ class SturmianSystem(_SymbolSystem):
         self.rational_angle = is_rational_angle(self.theta)
 
     def point(self, angle: float) -> Points:
-        return Points(np.array([float(angle) % 1.0]), np.zeros(1, dtype=np.int64))
+        return Points(np.array([circle_value(angle)]), np.zeros(1, dtype=np.int64))
 
     def _sample(self, count: int, plan: RandomPlan) -> Points:
         return Points(plan.uniforms(_TAG_POINT, np.arange(count)),
@@ -615,7 +632,7 @@ class SturmianSystem(_SymbolSystem):
 
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
         k = points.offsets[:, None] + np.arange(lo, hi)
-        pos = (points.keys[:, None] + k * self.theta) % 1.0
+        pos = _frac(points.keys[:, None] + k * self.theta)
         return (pos >= 1.0 - self.theta).astype(np.int64)
 
 

@@ -1,12 +1,46 @@
-"""Copies of the distance kernels that ``cover._distance_matrix`` replaced.
+"""Copies of kernels that the current code replaced.
 
-fbar and fhat filled mirrored tiles of 32 (fhat: 16) rows from their own
-gap reducer, and Hamming summed float32 indicator-plane products in a
-function of its own.  The bit-identity tests compare the current kernel
-with these.
+The distance kernels that ``cover._distance_matrix`` replaced: fbar and
+fhat filled mirrored tiles of 32 (fhat: 16) rows from their own gap
+reducer, and Hamming summed float32 indicator-plane products in a function
+of its own.  The hash steps that ``rng`` now runs in place: splitmix64 and
+zigzag as whole-array expressions, with a ``& ~0`` pass.  The bit-identity
+tests compare the current code with these.
 """
 
 import numpy as np
+
+_U64 = np.uint64
+_GOLDEN = _U64(0x9E3779B97F4A7C15)
+_MIX1 = _U64(0xBF58476D1CE4E5B9)
+_MIX2 = _U64(0x94D049BB133111EB)
+_MASK = (1 << 64) - 1
+
+
+def mix(z):
+    with np.errstate(over="ignore"):
+        z = (z + _GOLDEN) & ~_U64(0)
+        z = (z ^ (z >> _U64(30))) * _MIX1
+        z = (z ^ (z >> _U64(27))) * _MIX2
+        return z ^ (z >> _U64(31))
+
+
+def zigzag(i):
+    if np.isscalar(i):
+        return (2 * i) if i >= 0 else (-2 * i - 1)
+    i = np.asarray(i, dtype=np.int64)
+    return ((i << 1) ^ (i >> 63)).view(np.uint64)
+
+
+def hash64(*parts):
+    h = _U64(0)
+    for p in parts:
+        if np.isscalar(p):
+            p = _U64(int(p) & _MASK)
+        else:
+            p = np.asarray(p, dtype=np.uint64)
+        h = mix(h ^ p)
+    return h
 
 
 def pairwise_gaps(values, reduce, chunk):

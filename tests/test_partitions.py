@@ -23,6 +23,14 @@ def test_circle_intervals_sorted_and_wrapped():
     assert e.classify(SYS_R, part, 0.1) == 2  # wraps into the last cell
 
 
+def test_circle_intervals_fold_a_cut_at_one_to_zero():
+    """-1e-20 % 1.0 rounds up to 1.0; the cut is at 0.0, inside [0, 1)."""
+    assert -1e-20 % 1.0 == 1.0
+    part = e.circle_intervals([-1e-20, 0.5])
+    assert part.cuts == (0.0, 0.5)
+    assert [e.classify(SYS_R, part, x) for x in (0.0, 0.25, 0.5, 0.75)] == [0, 0, 1, 1]
+
+
 def test_cylinder_labels_little_endian():
     sys_b = make_system(e.bernoulli_shift(0.5))
     part = e.cylinder([0, 1], 2)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ergolab as e
-from ergolab.systems import make_system
+from ergolab.systems import circle_value, make_system
 
 PLAN = e.RandomPlan(1234)
 
@@ -22,6 +22,36 @@ def test_rotation_invertible():
     sys_r = make_system(e.rotation(e.GOLDEN))
     x = 0.37
     assert sys_r.step(sys_r.step(x, 5), -5) == pytest.approx(x)
+
+
+# x % 1.0 rounds up to 1.0 on each of these; as circle values they are 0.0
+TINY_NEGATIVE = (-1e-300, -5e-324, -2.0**-54, -1e-20)
+
+
+def test_circle_value_folds_a_remainder_of_one_to_zero():
+    for x in TINY_NEGATIVE:
+        assert x % 1.0 == 1.0
+        got = circle_value(x)
+        assert got == 0.0 and isinstance(got, float)
+    got = circle_value(list(TINY_NEGATIVE) + [-2.0**-53, -0.25, 1.5, -0.0, 0.5])
+    assert got.dtype == np.float64
+    assert got.tolist() == [0.0] * 4 + [1 - 2.0**-53, 0.75, 0.5, 0.0, 0.5]
+    # the point of a folded value is a valid doubling point
+    sys_d = make_system(e.doubling())
+    assert sys_d.value_orbit(sys_d.point(circle_value(-1e-300)), 1)[0] == 0.0
+
+
+def test_rotation_step_and_cut_preimages_fold_one_to_zero():
+    """x - theta is -2^-55 exactly, whose remainder rounds up to 1.0."""
+    sys_r = make_system(e.rotation(0.25))
+    x = 0.25 - 2.0**-55
+    assert (x - 0.25) % 1.0 == 1.0
+    assert sys_r.step(x, -1) == 0.0
+    assert sys_r.step(np.array([x, 0.5]), -1).tolist() == [0.0, 0.25]
+    assert sys_r._cut_preimages(x, 1) == [0.0]
+    assert e.refine(e.circle_intervals([x]), sys_r, 2).cuts == (0.0, x)
+    # a read before time 0 folds too
+    assert sys_r.rows(np.array([x]), -1, 1).tolist() == [[0.0, x]]
 
 
 def test_rotation_param_validation():
