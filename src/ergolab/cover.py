@@ -13,11 +13,24 @@ measure strictly above 1 - eps.  Two routes are provided:
 Strict inequalities (< eps for ball membership, > 1-eps for covered
 mass) follow the definitions exactly.  One kernel serves every distance
 read (covers, cluster rows and blocks, the oracle, ``ball_member``):
-``_distance_rows`` for a few rows, ``_distance_matrix`` for a whole
-matrix.  The two agree bit for bit, and every fbar/fhat tile is sized
-from the one byte budget ``systems._CHUNK_BYTES``.  Both cover routes
-count mass in exact integer units, so boundary ties resolve to "not
-covered".
+``_distance_rows`` for a few rows, ``_distance_pairs`` for scattered
+pairs, ``_distance_matrix`` for a whole matrix.  They agree bit for bit,
+and every fbar/fhat tile is sized from the one byte budget
+``systems._CHUNK_BYTES``.  Both cover routes count mass in exact integer
+units, so boundary ties resolve to "not covered".
+
+A cover needs only the relation d < eps, and ``_ball_matrix`` builds it
+bit for bit as ``_distance_matrix(...) < eps`` without a float m x m
+array.  Hamming balls compare exact agreement counts with the least count
+whose distance falls below eps.  fbar/fhat are pseudo-metrics, so the
+exact distance rows of four far-apart pivots bound every other distance
+through the triangle inequality, |d(i,p) - d(j,p)| <= d(i,j) <=
+d(i,p) + d(j,p).  Widened by a proved bound on the kernel's rounding
+(``_kernel_bound``), these settle most pairs as surely in or surely out;
+only the rest are reduced exactly, a whole tile at a time where more than
+half of its pairs stay open.  On mixing families every distance sits near
+its mean, the screen settles little, and the tiles are reduced as in
+``_distance_matrix``.
 
 One greedy, ``_greedy_cover``, serves the point estimate and every
 bootstrap resample of a curve in one call, and the oracle's upper bound.
@@ -49,12 +62,14 @@ from .partitions import NameWord, Partition, name_rows
 from .rng import RandomPlan
 from .systems import SystemHandle, _check_bytes, _chunk_rows
 
-# word cap of the exact oracle: its W x W distance and ball matrices stay
-# near 200 MB
+# word cap of the exact oracle: its W x W agreement and ball matrices stay
+# near 100 MB
 _ORACLE_WORDS = 4096
-# bytes per entry of a cover's m x m arrays: the float64 distance matrix,
-# the bool ball matrix and the greedy's copy of it (at most 8 bytes)
-_COVER_ENTRY_BYTES = 17
+# bytes per entry of a cover's m x m arrays: the float32 Hamming agreement
+# counts, the bool ball matrix and the greedy's copy of it (at most 8 bytes)
+_COVER_ENTRY_BYTES = 13
+# pivot rows of the fbar/fhat ball screen
+_PIVOTS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -99,56 +114,227 @@ def _sample_features(kind, system, samples, n) -> np.ndarray:
     return labels.astype(np.min_scalar_type(labels.max(initial=0)), copy=False)
 
 
-def _distance_rows(kind: MetricKind, feats: np.ndarray, rows) -> np.ndarray:
-    """Rows `rows` of the distance matrix of feats, bit for bit, without the
-    rest of it; the other samples are read in chunks whose gap temporary
-    stays near systems._CHUNK_BYTES.
+def _reduce_gaps(kind: MetricKind, gaps: np.ndarray) -> np.ndarray:
+    """fbar or fhat along the last axis of gaps |v_i - v_j|, which holds one
+    contiguous row per pair: the mean, or the maximum of the running means."""
+    if isinstance(kind, FbarKind):
+        return gaps.mean(axis=-1)
+    n = gaps.shape[-1]
+    return (np.cumsum(gaps, axis=-1) * (1.0 / np.arange(1, n + 1))).max(axis=-1)
+
+
+def _distance_rows(kind: MetricKind, feats: np.ndarray, rows, cols=slice(None)) -> np.ndarray:
+    """Rows `rows` of the distance matrix of feats, at the columns `cols`,
+    bit for bit, without the rest of it; those columns are read in chunks
+    whose gap temporary stays near systems._CHUNK_BYTES.
 
     The per-pair arithmetic does not depend on the chunk shape: fbar and
-    fhat reduce one contiguous row of gaps per pair (a mean; the maximum of
-    the running mean), and a Hamming distance is an exact mismatch count
-    divided by n.
+    fhat reduce one contiguous row of gaps per pair (_reduce_gaps), and a
+    Hamming distance is an exact mismatch count divided by n.
     """
-    m, n = feats.shape
+    n = feats.shape[1]
     head = feats[rows][:, None, :]
-    out = np.empty((head.shape[0], m))
+    tail = feats[cols]
+    out = np.empty((head.shape[0], len(tail)))
     step = _chunk_rows(head.shape[0] * n)
-    for lo in range(0, m, step):
-        tail = feats[None, lo : lo + step, :]
+    for lo in range(0, len(tail), step):
+        other = tail[None, lo : lo + step]
         if isinstance(kind, HammingKind):
-            out[:, lo : lo + step] = np.count_nonzero(head != tail, axis=2) / n
-        elif isinstance(kind, FbarKind):
-            out[:, lo : lo + step] = np.abs(head - tail).mean(axis=2)
+            out[:, lo : lo + step] = np.count_nonzero(head != other, axis=2) / n
         else:
-            gaps = np.cumsum(np.abs(head - tail), axis=2)
-            out[:, lo : lo + step] = (gaps * (1.0 / np.arange(1, n + 1))).max(axis=2)
+            out[:, lo : lo + step] = _reduce_gaps(kind, np.abs(head - other))
     return out
+
+
+def _distance_pairs(kind: MetricKind, feats: np.ndarray, i, j) -> np.ndarray:
+    """The fbar/fhat distances of the row pairs (feats[i[k]], feats[j[k]]),
+    bit for bit as _distance_rows reads them: one contiguous row of gaps per
+    pair, in chunks of pairs whose gap temporary stays near
+    systems._CHUNK_BYTES."""
+    out = np.empty(len(i))
+    step = _chunk_rows(feats.shape[1])
+    for lo in range(0, len(i), step):
+        gaps = np.abs(feats[i[lo : lo + step]] - feats[j[lo : lo + step]])
+        out[lo : lo + step] = _reduce_gaps(kind, gaps)
+    return out
+
+
+def _agreements(labels: np.ndarray) -> np.ndarray:
+    """The m x m counts of time steps at which two label rows agree.
+
+    Sums P_s @ P_s.T over the indicator planes P_s = (labels == s): every
+    partial sum is an integer <= n, so float32 is exact while n < 2**24,
+    whatever the BLAS blocking or thread count (float64 above).
+    """
+    m, n = labels.shape
+    dtype = np.float32 if n < 2**24 else np.float64
+    agree = np.zeros((m, m), dtype=dtype)
+    for s in range(int(labels.max()) + 1 if m else 0):
+        plane = (labels == s).astype(dtype)
+        agree += plane @ plane.T
+    return agree
 
 
 def _distance_matrix(kind: MetricKind, feats: np.ndarray) -> np.ndarray:
     """The m x m distance matrix of feats; equal, entry for entry, to
     _distance_rows, so a block of it is _distance_matrix on its own rows.
 
-    Hamming sums agreements as P_s @ P_s.T over the indicator planes
-    P_s = (labels == s): every partial sum is an integer <= n, so float32
-    is exact while n < 2**24, whatever the BLAS blocking or thread count.
-    fbar/fhat take square blocks of _distance_rows on and above the
-    diagonal and mirror them: |v_i - v_j| and |v_j - v_i| are bitwise equal.
+    Hamming divides n minus the exact agreement counts by n.  fbar/fhat take
+    square blocks of _distance_rows on and above the diagonal and mirror
+    them: |v_i - v_j| and |v_j - v_i| are bitwise equal.
     """
     m, n = feats.shape
     if isinstance(kind, HammingKind):
-        dtype = np.float32 if n < 2**24 else np.float64
-        agree = np.zeros((m, m), dtype=dtype)
-        for s in range(int(feats.max()) + 1 if m else 0):
-            plane = (feats == s).astype(dtype)
-            agree += plane @ plane.T
+        agree = _agreements(feats)
         return np.true_divide(np.subtract(n, agree, out=agree), n, dtype=np.float64)
     out = np.empty((m, m))
     step = isqrt(_chunk_rows(n))
     for lo in range(0, m, step):
-        block = _distance_rows(kind, feats[lo:], slice(0, step))
+        block = _distance_rows(kind, feats, slice(lo, lo + step), slice(lo, None))
         out[lo : lo + step, lo:] = block
         out[lo:, lo : lo + step] = block.T
+    return out
+
+
+def _kernel_bound(n: int) -> float:
+    """c with which the pivot screen of _ball_matrix settles a pair only on
+    the side of eps that the kernel's own distance falls on.
+
+    The features are float64 or complex128.  With u = 2**-53 and
+    gamma_k = k u / (1 - k u), the fbar/fhat kernel computes, for two rows
+    of n features, a distance d^ with |d^ - d| <= kappa d, kappa =
+    gamma_{n+6}, against the exact pseudo-metric d of the same two rows:
+
+    * a gap |fl(v_i - v_j)| is within u of its exact value, since the
+      subtraction is correctly rounded per component; np.abs on complex
+      numbers is assumed within 4u of |z| (see spectral._screen_bound), so
+      every gap is within gamma_5;
+    * a sum of n nonnegative terms in any order (mean's pairwise sum,
+      cumsum's running sums) is within gamma_{n-1} of the exact sum of its
+      terms, so within gamma_{n+4} of the exact sum of the exact gaps;
+    * fbar divides that sum by n once; fhat multiplies the k-th running sum
+      by the rounded 1/k (two roundings) and takes an exact maximum, which
+      keeps the relative bound: gamma_{n+6} in both.
+
+    For pivot distances a = d^(i, p), b = d^(j, p) with exact values A and
+    B, |A - a| <= kappa' a with kappa' = kappa / (1 - kappa), and the
+    triangle inequality |A - B| <= D = d(i, j) <= A + B gives
+
+        d^(i, j) >= (1 - kappa) D >= |a - b| - 2 kappa (a + b),
+        d^(i, j) <= (1 + kappa) D <= (1 + 2 kappa') (a + b).
+
+    So (a - b) - 2 kappa (a + b) >= eps proves d^(i, j) >= eps, and
+    (a + b)(1 + 2 kappa') < eps proves d^(i, j) < eps.  The screen tests
+    them as under_i >= over_j and over_i < room_j, with under =
+    a (1 - c) - eps, over = a (1 + c) and room = eps - over
+    (_pivot_screen).  The returned c = 4 kappa' doubles both margins, and
+    the half it adds, at least 2 kappa >= 14u, covers the five roundings
+    of under, over and room: they move the first test by at most
+    3.02u (a + b) and the second by about 3.01u eps.
+
+    The errors are relative while nothing overflows; underflow adds an
+    absolute error below 2**-1070 per distance, which the doubled margin
+    absorbs for eps >= 2**-1000.  For eps <= 2**900, (a + b)(1 + c) < eps
+    also bounds every partial sum of d^(i, j) far below overflow.  Outside
+    that range, and for other feature types (narrower floats round more
+    coarsely, integer differences and running sums can wrap), _ball_matrix
+    screens nothing.  A pivot distance that is not finite becomes nan and
+    fails every test, so its pairs are reduced exactly.
+    """
+    k, u = n + 6, 2.0**-53
+    kappa = k * u / (1 - k * u)
+    return 4.0 * kappa / (1 - kappa)
+
+
+def _pivot_screen(kind: MetricKind, feats: np.ndarray, eps: float) -> tuple:
+    """(under, over, room), each (P, m), from the exact distance rows a of up
+    to _PIVOTS pivots picked by farthest-first traversal from row 0 (nan
+    distances count as near): under = a (1 - c) - eps, over = a (1 + c) and
+    room = eps - over, with c = _kernel_bound(n).
+
+    Against pivot p, pair (i, j) is surely out of the ball when
+    under_i >= over_j or under_j >= over_i, and surely in when
+    over_i < room_j.  No pivot is taken where _kernel_bound does not hold:
+    for eps outside [2**-1000, 2**900], and for features other than float64
+    or complex128.
+    """
+    m, n = feats.shape
+    rows = []
+    if m and feats.dtype in (np.float64, np.complex128) and 2.0**-1000 <= eps <= 2.0**900:
+        rows.append(_distance_rows(kind, feats, [0])[0])
+        near = rows[0]
+        for _ in range(1, min(_PIVOTS, m)):
+            far = int(np.argmax(np.fmax(near, -1.0)))
+            rows.append(_distance_rows(kind, feats, [far])[0])
+            near = np.fmin(near, rows[-1])
+    a = np.array(rows).reshape(len(rows), m)
+    a[~np.isfinite(a)] = np.nan
+    c = _kernel_bound(n)
+    over = a * (1 + c)
+    return a * (1 - c) - eps, over, eps - over
+
+
+def _ball_block(kind, feats, eps, screen, lo, hi, left, right, side) -> np.ndarray:
+    """The ball relation d < eps of rows lo..hi-1 against columns
+    left..right-1, read in side x side tiles from `left` on.
+
+    The pivot screen (_pivot_screen) settles most pairs of a tile without
+    reading their features.  A tile that leaves more than half of its pairs
+    unsettled is reduced whole with _distance_rows; the unsettled pairs of
+    the other tiles are reduced one contiguous row of gaps at a time.
+    """
+    inside = np.zeros((hi - lo, right - left), dtype=bool)
+    settled = inside.copy()
+    for under, over, room in zip(*screen):
+        near = over[lo:hi, None] < room[left:right]
+        inside |= near
+        settled |= near
+        settled |= under[lo:hi, None] >= over[left:right]
+        settled |= over[lo:hi, None] <= under[left:right]
+    # unsettled pairs per tile, against the pairs it holds
+    starts = np.arange(0, right - left, side)
+    widths = np.diff(starts, append=right - left)
+    open_ = np.add.reduceat(np.count_nonzero(~settled, axis=0), starts)
+    whole = 2 * open_ > (hi - lo) * widths
+    # each run of whole tiles in one read
+    for t0, t1 in np.flatnonzero(np.diff(whole, prepend=False, append=False)).reshape(-1, 2):
+        a, b = starts[t0], starts[t1 - 1] + widths[t1 - 1]
+        rows, cols = slice(lo, hi), slice(left + a, left + b)
+        inside[:, a:b] = _distance_rows(kind, feats, rows, cols) < eps
+    settled[:, np.repeat(whole, widths)] = True
+    i, j = np.nonzero(~settled)
+    inside[i, j] = _distance_pairs(kind, feats, lo + i, left + j) < eps
+    return inside
+
+
+def _ball_matrix(kind: MetricKind, feats: np.ndarray, eps: float) -> np.ndarray:
+    """_distance_matrix(kind, feats) < eps, bit for bit, without a float
+    m x m array.
+
+    Hamming compares the exact agreement counts with the least count a* at
+    which the kernel's (n - a*) / n falls below eps; that float quotient is
+    monotone in a, so no ball moves.  fbar/fhat screen each block against
+    the exact distance rows of a few pivots (_pivot_screen, _kernel_bound) and
+    reduce exactly only what the screen leaves open (_ball_block), on and
+    above the diagonal, mirrored.
+    """
+    m, n = feats.shape
+    if isinstance(kind, HammingKind):
+        agree = np.arange(n + 1)
+        below = np.true_divide(n - agree, n, dtype=np.float64) < eps
+        return _agreements(feats) >= n + 1 - np.count_nonzero(below)
+    screen = _pivot_screen(kind, feats, eps)
+    side = isqrt(_chunk_rows(n))
+    # blocks of whole tiles whose screen temporaries stay near _CHUNK_BYTES
+    width = side * max(1, _chunk_rows(side) // side)
+    out = np.empty((m, m), dtype=bool)
+    for lo in range(0, m, side):
+        hi = min(lo + side, m)
+        for left in range(lo, m, width):
+            right = min(left + width, m)
+            block = _ball_block(kind, feats, eps, screen, lo, hi, left, right, side)
+            out[lo:hi, left:right] = block
+            out[left:right, lo:hi] = block.T
     return out
 
 
@@ -422,7 +608,7 @@ def estimate_cover_number(
     _check_budget(max_centers)
     m = len(samples)
     _check_bytes(_COVER_ENTRY_BYTES * m * m, f"a cover of {m} samples")
-    balls = pairwise_distances(kind, system, samples, n) < eps
+    balls = _ball_matrix(kind, _sample_features(kind, system, samples, n), eps)
     if weights is None:
         counts = np.ones((1, m), dtype=np.int64)
     else:
@@ -474,7 +660,7 @@ def exact_cover_number_small(word_distribution, n: int, eps: float) -> int:
     # dense labels 0..k-1: the Hamming kernel only counts labels in 0..max;
     # it reads the kind's type, not its partition
     _, labels = np.unique(np.array(words, dtype=np.int64), return_inverse=True)
-    in_ball = _distance_matrix(HammingKind(None), labels.reshape(W, n)) < eps
+    in_ball = _ball_matrix(HammingKind(None), labels.reshape(W, n), eps)
     upper = len(_greedy_cover(in_ball, np.array([units], dtype=object), eps, W)[0][0])
     members = [np.flatnonzero(row).tolist() for row in in_ball]
     gains = [sum(map(units.__getitem__, mem)) for mem in members]
@@ -579,7 +765,7 @@ def complexity_curve(
     pts = []
     for n in horizons:
         feats = _sample_features(kind, system, samples, n)
-        balls = _distance_matrix(kind, feats) < eps
+        balls = _ball_matrix(kind, feats, eps)
         # row 0 is the point estimate, rows 1.. the bootstrap resamples; one
         # greedy runs them all on the one ball matrix
         rng = plan.generator(_TAG_BOOTSTRAP, n)

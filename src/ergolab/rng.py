@@ -37,6 +37,7 @@ def _mix(z):
 def zigzag(i):
     """Map signed ints (scalar or array) to unsigned, preserving injectivity."""
     if np.isscalar(i):
+        i = int(i)  # a numpy int64 would overflow at 2i
         return (2 * i) if i >= 0 else (-2 * i - 1)
     i = np.asarray(i, dtype=np.int64)
     z = i << 1

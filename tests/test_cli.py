@@ -71,24 +71,24 @@ def _not_reached(*args):
     ["report", "--samples", "50"],
 ])
 def test_matrix_budget_exit_3_before_allocation(command, monkeypatch, tmp_path, capsys):
-    # 50 samples need 17 * 50**2 = 42500 bytes of m x m arrays
-    monkeypatch.setattr(systems, "_MATRIX_BYTES", 42_499)
-    monkeypatch.setattr(cover, "_distance_matrix", _not_reached)
+    # 50 samples need 13 * 50**2 = 32500 bytes of m x m arrays
+    monkeypatch.setattr(systems, "_MATRIX_BYTES", 32_499)
+    monkeypatch.setattr(cover, "_ball_matrix", _not_reached)
     out = tmp_path / "out"
     assert main(["--out", str(out), *command]) == 3
-    assert "over the 42499-byte cap" in capsys.readouterr().err
+    assert "over the 32499-byte cap" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
     with pytest.raises(e.BudgetExhaustedError):
         e.estimate_cover_number([e.NameWord((0,) * 4, 2)] * 50, 4, 0.2,
                                 e.HammingKind(e.halves()))
     monkeypatch.undo()
-    monkeypatch.setattr(systems, "_MATRIX_BYTES", 42_500)  # exactly enough
+    monkeypatch.setattr(systems, "_MATRIX_BYTES", 32_500)  # exactly enough
     assert main(["--out", str(out), *command]) == 0
 
 
 def test_matrix_budget_default_far_above_runs():
     # the largest sample set of a test or benchmark cover is 2000 samples
-    assert 17 * 2000**2 * 10 < systems._MATRIX_BYTES
+    assert 13 * 2000**2 * 10 < systems._MATRIX_BYTES
 
 
 def test_config_file_run(tmp_path, capsys):

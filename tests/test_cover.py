@@ -7,13 +7,15 @@ import pytest
 
 import ergolab as e
 import old_kernels
-from ergolab import systems
+from ergolab import cover, systems
 from ergolab.cover import (
     FbarKind,
     FhatKind,
     HammingKind,
+    _ball_matrix,
     _components,
     _distance_matrix,
+    _distance_pairs,
     _greedy_cover,
     _mass_units,
     _sample_features,
@@ -293,6 +295,120 @@ def test_hamming_labels_narrowed():
     assert np.array_equal(D, _naive_hamming(wide))
     words = [e.NameWord(tuple(int(v) for v in row), 300) for row in wide]
     assert _sample_features(cells, None, words, 50).dtype == np.uint16
+
+
+# ---------------------------------------------------------------------------
+# Ball matrices: the pivot screen decides exactly as the whole matrix
+
+
+SYS_D = make_system(e.doubling())
+_CELLS = e.circle_intervals([0.0, 0.3, 0.7])
+
+
+def _entry_eps(D):
+    """eps at a middle positive entry of D and one ulp to either side."""
+    vals = np.sort(D[D > 0])
+    entry = vals[len(vals) // 2]
+    return [entry, np.nextafter(entry, 0.0), np.nextafter(entry, np.inf)]
+
+
+def _assert_balls_match(kind, feats, eps_list):
+    D = _distance_matrix(kind, feats)
+    for eps in eps_list:
+        assert np.array_equal(_ball_matrix(kind, feats, eps), D < eps), (kind.label, eps)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1 << 10, systems._CHUNK_BYTES])
+@pytest.mark.parametrize("system", [SYS_R, SYS_D], ids=["rotation", "doubling"])
+def test_ball_matrix_equals_distance_matrix(monkeypatch, chunk_bytes, system):
+    # 1 << 10 bytes gives one-row strips and, at n = 64, 1 x 1 tiles
+    monkeypatch.setattr(systems, "_CHUNK_BYTES", chunk_bytes)
+    samples = system.sample_measure(90, PLAN.child(5))
+    kinds = [FbarKind(e.Character(1)), FhatKind(e.Character(1)),
+             FbarKind(e.CellIndicator(_CELLS, 1)), FhatKind(e.CellIndicator(_CELLS, 1)),
+             HammingKind(_CELLS)]
+    for kind in kinds:
+        for n in (1, 9, 64):
+            feats = _sample_features(kind, system, samples, n)
+            D = _distance_matrix(kind, feats)
+            _assert_balls_match(kind, feats, [0.05, 0.3, 1.0, 3.0, *_entry_eps(D)])
+
+
+def test_ball_matrix_on_tight_triangles():
+    # rows t * v lie on a line, so |d(i, p) - d(j, p)| = d(i, j) in exact
+    # arithmetic: only the rounding margin of the screen keeps it from
+    # settling a pair on the wrong side of an eps at a matrix entry
+    rng = np.random.default_rng(11)
+    t = np.concatenate([[0.0], np.sort(rng.random(149)), [1.0]])
+    for v in (rng.random(37), np.exp(2j * np.pi * rng.random(37))):
+        feats = t[:, None] * v
+        for kind in (FbarKind(None), FhatKind(None)):
+            D = _distance_matrix(kind, feats)
+            for j in range(1, 151, 5):
+                _assert_balls_match(kind, feats, [D[0, j], np.nextafter(D[0, j], 0.0),
+                                                  np.nextafter(D[0, j], np.inf)])
+
+
+def test_ball_matrix_degenerate_rows():
+    rng = np.random.default_rng(12)
+    for m in (1, 2, 3, 40):  # fewer rows than pivots, and more
+        values = np.exp(2j * np.pi * rng.random((m, 16)))
+        nan_row = values.copy()
+        nan_row[m // 2, 3] = np.nan
+        nan_first = values.copy()
+        nan_first[0] = np.nan  # the first pivot's row
+        inf_row = values.real.copy()
+        inf_row[m - 1, 5] = np.inf
+        huge = values.real * 2.0**1020  # some gap sums overflow to inf
+        ints = rng.integers(-3, 4, size=(m, 16))
+        cases = [values, np.repeat(values[:1], m, axis=0), nan_row, nan_first,
+                 values.real.copy(), inf_row, huge, ints, ints.astype(np.float32)]
+        for feats in cases:
+            for kind in (FbarKind(None), FhatKind(None)):
+                with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, overflow
+                    _assert_balls_match(kind, feats, [2.0**-1010, 1e-3, 0.5, 1.3, 2.0**890,
+                                                      2.0**950, np.inf, np.nan])
+        words = rng.integers(0, 3, size=(m, 16))
+        for labels in (words, np.repeat(words[:1], m, axis=0)):
+            _assert_balls_match(HAM, labels, [1e-3, 1 / 16, np.nextafter(1 / 16, 1.0),
+                                              0.5, 1.0, 2.0, np.inf, np.nan])
+    empty = np.zeros((0, 5))
+    for kind in (FbarKind(None), FhatKind(None), HAM):
+        assert _ball_matrix(kind, empty, 0.5).shape == (0, 0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000])
+def test_distance_pairs_equal_tile_entries(n):
+    # the pairs the screen leaves open are reduced one contiguous row at a
+    # time; numpy's pairwise sum blocks at 8 and 128 items
+    rng = np.random.default_rng(n)
+    i, j = np.nonzero(np.ones((12, 12), dtype=bool))
+    for feats in (rng.normal(size=(12, n)), np.exp(2j * np.pi * rng.random((12, n)))):
+        for kind in (FbarKind(None), FhatKind(None)):
+            D = _distance_matrix(kind, feats)
+            assert np.array_equal(_distance_pairs(kind, feats, i, j), D[i, j])
+
+
+def test_ball_matrix_screen_settles_most_pairs(monkeypatch):
+    # on a rotation the triangle inequality through four pivots decides
+    # most pairs; count the pairs the kernel still reduces
+    reduced = []
+
+    def counted(read):
+        def wrapped(*args):
+            out = read(*args)
+            reduced.append(out.size)
+            return out
+        return wrapped
+
+    for name in ("_distance_rows", "_distance_pairs"):
+        monkeypatch.setattr(cover, name, counted(getattr(cover, name)))
+    samples = SYS_R.sample_measure(400, PLAN.child(6))
+    for kind in (FbarKind(e.Character(1)), FhatKind(e.Character(1))):
+        reduced.clear()
+        feats = _sample_features(kind, SYS_R, samples, 64)
+        _ball_matrix(kind, feats, 0.2)
+        assert sum(reduced) < 0.2 * 400 * 401 / 2
 
 
 def test_ball_member_strict():

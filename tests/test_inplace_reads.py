@@ -132,6 +132,14 @@ def test_zigzag_equals_old_form(i):
     _check_equal_and_untouched(rng.zigzag, old_kernels.zigzag, i)
 
 
+@pytest.mark.parametrize("i", [2**62, -(2**62), -(2**63)])
+def test_zigzag_scalar_and_array_branches_agree(i):
+    # 2i leaves int64 here; the scalar branch must neither warn nor wrap
+    want = int(rng.zigzag(np.array([i], dtype=np.int64))[0])
+    for scalar in (i, np.int64(i)):
+        assert _no_warnings(rng.zigzag, scalar) == want
+
+
 @pytest.mark.parametrize("parts", [
     (42,), (42, 7, 3), (2**64 - 1, -1, 0), (np.uint64(9), np.int64(-4)),
     (99, 7, _U64_ARRAY), (99, 7, np.array(3, dtype=np.uint64)),
