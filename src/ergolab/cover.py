@@ -286,11 +286,10 @@ def _ball_block(kind, feats, eps, screen, lo, hi, left, right, side) -> np.ndarr
     inside = np.zeros((hi - lo, right - left), dtype=bool)
     settled = inside.copy()
     for under, over, room in zip(*screen):
-        near = over[lo:hi, None] < room[left:right]
-        inside |= near
-        settled |= near
+        inside |= over[lo:hi, None] < room[left:right]
         settled |= under[lo:hi, None] >= over[left:right]
         settled |= over[lo:hi, None] <= under[left:right]
+    settled |= inside
     # unsettled pairs per tile, against the pairs it holds
     starts = np.arange(0, right - left, side)
     widths = np.diff(starts, append=right - left)
