@@ -26,11 +26,16 @@ whose distance falls below eps.  fbar/fhat are pseudo-metrics, so the
 exact distance rows of four far-apart pivots bound every other distance
 through the triangle inequality, |d(i,p) - d(j,p)| <= d(i,j) <=
 d(i,p) + d(j,p).  Widened by a proved bound on the kernel's rounding
-(``_kernel_bound``), these settle most pairs as surely in or surely out;
-only the rest are reduced exactly, a whole tile at a time where more than
-half of its pairs stay open.  On mixing families every distance sits near
-its mean, the screen settles little, and the tiles are reduced as in
-``_distance_matrix``.
+(``_kernel_bound``), these settle most pairs as surely in or surely out
+on a rotation; only the rest are reduced exactly, one pair at a time.  On
+mixing families such as doubling every distance sits near its mean and
+the screen settles little, so ``_ball_matrix`` tries it on the first tile
+and, where it settles fewer than half of those pairs, reduces every block
+whole as ``_distance_matrix`` does.  That costs the pivot rows and one
+tile's screen: a doubling ``character:1`` fbar ball matrix of 500 samples
+at eps 0.5 took 0.85-1.25 times the time of ``_distance_matrix(...) <
+eps`` (medians over horizons 16, 64 and 256), inside the spread of those
+runs.
 
 One greedy, ``_greedy_cover``, serves the point estimate and every
 bootstrap resample of a curve in one call, and the oracle's upper bound.
@@ -274,15 +279,10 @@ def _pivot_screen(kind: MetricKind, feats: np.ndarray, eps: float) -> tuple:
     return a * (1 - c) - eps, over, eps - over
 
 
-def _ball_block(kind, feats, eps, screen, lo, hi, left, right, side) -> np.ndarray:
-    """The ball relation d < eps of rows lo..hi-1 against columns
-    left..right-1, read in side x side tiles from `left` on.
-
-    The pivot screen (_pivot_screen) settles most pairs of a tile without
-    reading their features.  A tile that leaves more than half of its pairs
-    unsettled is reduced whole with _distance_rows; the unsettled pairs of
-    the other tiles are reduced one contiguous row of gaps at a time.
-    """
+def _screen_block(screen, lo, hi, left, right) -> tuple:
+    """(inside, settled), each (hi - lo, right - left): the pairs of rows
+    lo..hi-1 and columns left..right-1 that the pivot screen (_pivot_screen)
+    proves in the ball, and those it decides either way."""
     inside = np.zeros((hi - lo, right - left), dtype=bool)
     settled = inside.copy()
     for under, over, room in zip(*screen):
@@ -290,20 +290,7 @@ def _ball_block(kind, feats, eps, screen, lo, hi, left, right, side) -> np.ndarr
         settled |= under[lo:hi, None] >= over[left:right]
         settled |= over[lo:hi, None] <= under[left:right]
     settled |= inside
-    # unsettled pairs per tile, against the pairs it holds
-    starts = np.arange(0, right - left, side)
-    widths = np.diff(starts, append=right - left)
-    open_ = np.add.reduceat(np.count_nonzero(~settled, axis=0), starts)
-    whole = 2 * open_ > (hi - lo) * widths
-    # each run of whole tiles in one read
-    for t0, t1 in np.flatnonzero(np.diff(whole, prepend=False, append=False)).reshape(-1, 2):
-        a, b = starts[t0], starts[t1 - 1] + widths[t1 - 1]
-        rows, cols = slice(lo, hi), slice(left + a, left + b)
-        inside[:, a:b] = _distance_rows(kind, feats, rows, cols) < eps
-    settled[:, np.repeat(whole, widths)] = True
-    i, j = np.nonzero(~settled)
-    inside[i, j] = _distance_pairs(kind, feats, lo + i, left + j) < eps
-    return inside
+    return inside, settled
 
 
 def _ball_matrix(kind: MetricKind, feats: np.ndarray, eps: float) -> np.ndarray:
@@ -313,9 +300,14 @@ def _ball_matrix(kind: MetricKind, feats: np.ndarray, eps: float) -> np.ndarray:
     Hamming compares the exact agreement counts with the least count a* at
     which the kernel's (n - a*) / n falls below eps; that float quotient is
     monotone in a, so no ball moves.  fbar/fhat screen each block against
-    the exact distance rows of a few pivots (_pivot_screen, _kernel_bound) and
-    reduce exactly only what the screen leaves open (_ball_block), on and
-    above the diagonal, mirrored.
+    the exact distance rows of a few pivots (_pivot_screen, _kernel_bound),
+    on and above the diagonal, mirrored, and reduce only the pairs it leaves
+    open (_distance_pairs).  A screened pair costs about as much as a
+    distance at horizon 16, and a pair reduced alone more than one in a
+    whole block, so the screen is kept only where it settles at least half
+    of the pairs of the first tile (the samples are independent, so those
+    pairs stand for the rest); otherwise every block is reduced whole with
+    _distance_rows, as in _distance_matrix.
     """
     m, n = feats.shape
     if isinstance(kind, HammingKind):
@@ -324,14 +316,22 @@ def _ball_matrix(kind: MetricKind, feats: np.ndarray, eps: float) -> np.ndarray:
         return _agreements(feats) >= n + 1 - np.count_nonzero(below)
     screen = _pivot_screen(kind, feats, eps)
     side = isqrt(_chunk_rows(n))
-    # blocks of whole tiles whose screen temporaries stay near _CHUNK_BYTES
+    probe = min(side, m)
+    settled = _screen_block(screen, 0, probe, 0, probe)[1]
+    screened = 2 * np.count_nonzero(settled) >= settled.size > 0
+    # side x width blocks whose screen temporaries stay near _CHUNK_BYTES
     width = side * max(1, _chunk_rows(side) // side)
     out = np.empty((m, m), dtype=bool)
     for lo in range(0, m, side):
         hi = min(lo + side, m)
         for left in range(lo, m, width):
             right = min(left + width, m)
-            block = _ball_block(kind, feats, eps, screen, lo, hi, left, right, side)
+            if screened:
+                block, settled = _screen_block(screen, lo, hi, left, right)
+                i, j = np.nonzero(~settled)
+                block[i, j] = _distance_pairs(kind, feats, lo + i, left + j) < eps
+            else:
+                block = _distance_rows(kind, feats, slice(lo, hi), slice(left, right)) < eps
             out[lo:hi, left:right] = block
             out[left:right, lo:hi] = block.T
     return out

@@ -26,8 +26,7 @@ def mix(z):
 
 
 def zigzag(i):
-    if np.isscalar(i):  # the scalar branch as it is now: exact Python ints
-        i = int(i)
+    if np.isscalar(i):
         return (2 * i) if i >= 0 else (-2 * i - 1)
     i = np.asarray(i, dtype=np.int64)
     return ((i << 1) ^ (i >> 63)).view(np.uint64)

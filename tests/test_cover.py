@@ -411,6 +411,18 @@ def test_ball_matrix_screen_settles_most_pairs(monkeypatch):
         assert sum(reduced) < 0.2 * 400 * 401 / 2
 
 
+def test_ball_matrix_drops_a_screen_that_settles_little(monkeypatch):
+    # doubling puts fbar distances near their mean, so the first tile's pairs
+    # stay mostly open: every block is reduced whole and no pair alone
+    alone = []
+    monkeypatch.setattr(cover, "_distance_pairs", lambda *args: alone.append(args))
+    samples = SYS_D.sample_measure(300, PLAN.child(7))
+    kind = FbarKind(e.Character(1))
+    feats = _sample_features(kind, SYS_D, samples, 64)
+    assert np.array_equal(_ball_matrix(kind, feats, 0.5), _distance_matrix(kind, feats) < 0.5)
+    assert not alone
+
+
 def test_ball_member_strict():
     a = e.NameWord((0, 0, 0, 0), 2)
     b = e.NameWord((1, 0, 0, 0), 2)
