@@ -36,16 +36,11 @@ def _parse_system(text: str) -> dict:
     try:
         parts = text.split(":")
         head = parts[0]
-        if head == "rotation":
+        if head in ("rotation", "sturmian"):
             theta = GOLDEN if len(parts) < 2 or parts[1] == "golden" else float(parts[1])
-            return {"family": "rotation", "params": {"theta": theta}}
-        if head == "sturmian":
-            theta = GOLDEN if len(parts) < 2 or parts[1] == "golden" else float(parts[1])
-            return {"family": "sturmian", "params": {"theta": theta}}
-        if head == "doubling":
-            return {"family": "doubling"}
-        if head == "identity":
-            return {"family": "identity"}
+            return {"family": head, "params": {"theta": theta}}
+        if head in ("doubling", "identity"):
+            return {"family": head}
         if head == "bernoulli":
             p = float(parts[1]) if len(parts) > 1 else 0.5
             k = int(parts[2]) if len(parts) > 2 else 2
@@ -150,6 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parsed arguments that are not task params
+_GLOBALS = ("seed", "out", "config", "command", "system", "target")
+
+
 def _config_obj(args) -> dict:
     if args.config is not None:
         with open(args.config) as fh:
@@ -157,27 +156,13 @@ def _config_obj(args) -> dict:
         obj.setdefault("seed", args.seed)
         return obj
     task = "dichotomy-report" if args.command == "report" else args.command
-    obj = {"task": task, "seed": args.seed, "params": {}}
+    obj = {"task": task, "seed": args.seed}
     if getattr(args, "system", None):
         obj["system"] = _parse_system(args.system)
     if getattr(args, "target", None):
         obj["target"] = _parse_target(args.target)
-    for key in (
-        "n",
-        "eps",
-        "horizons",
-        "samples",
-        "horizon",
-        "delta",
-        "pairs",
-        "radius",
-        "point",
-        "k_max",
-        "max_centers",
-    ):
-        val = getattr(args, key, None)
-        if val is not None:
-            obj["params"][key] = val
+    obj["params"] = {k: v for k, v in vars(args).items()
+                     if k not in _GLOBALS and v is not None}
     return obj
 
 

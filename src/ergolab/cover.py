@@ -67,8 +67,8 @@ from .partitions import NameWord, Partition, name_rows
 from .rng import RandomPlan
 from .systems import SystemHandle, _check_bytes, _chunk_rows
 
-# word cap of the exact oracle: its W x W agreement and ball matrices stay
-# near 100 MB
+# word cap of the exact oracle: its W x W arrays, the _COVER_ENTRY_BYTES of
+# agreement counts, balls and greedy copy per entry, stay near 218 MB
 _ORACLE_WORDS = 4096
 # bytes per entry of a cover's m x m arrays: the float32 Hamming agreement
 # counts, the bool ball matrix and the greedy's copy of it (at most 8 bytes)
@@ -359,7 +359,7 @@ def ball_member(center, candidate, n: int, eps: float, kind: MetricKind,
     bit.  Hamming points may be NameWords of length n, points, or one of
     each.
     """
-    if eps <= 0:
+    if not 0 < eps < np.inf:
         raise InvalidParameterError("ball radius must be positive")
     return _pair_distance(kind, system, center, candidate, n) < eps
 
@@ -602,10 +602,16 @@ def estimate_cover_number(
     exact word masses); by default every sample counts 1/m.  The returned
     center count upper-bounds the exact optimum on the same sample set.
     """
-    if eps <= 0:
+    if not 0 < eps < np.inf:
         raise InvalidParameterError("eps must be positive")
     _check_budget(max_centers)
     m = len(samples)
+    if weights is not None:
+        if len(weights) != m:
+            raise InvalidParameterError(
+                f"need one weight per sample, got {len(weights)} for {m}")
+        if not all(0 <= w < np.inf for w in weights) or not any(weights):
+            raise InvalidParameterError("weights must be finite, nonnegative and not all 0")
     _check_bytes(_COVER_ENTRY_BYTES * m * m, f"a cover of {m} samples")
     balls = _ball_matrix(kind, _sample_features(kind, system, samples, n), eps)
     if weights is None:
@@ -653,7 +659,7 @@ def exact_cover_number_small(word_distribution, n: int, eps: float) -> int:
         raise InvalidParameterError("word masses must sum to 1")
     if any(len(w) != n for w in words):
         raise InvalidParameterError("all words must have length n")
-    if n < 1 or eps <= 0:
+    if n < 1 or not 0 < eps < np.inf:
         raise InvalidParameterError("need n >= 1 and eps > 0")
 
     # dense labels 0..k-1: the Hamming kernel only counts labels in 0..max;
@@ -752,7 +758,7 @@ def complexity_curve(
     a horizon whose greedy cover exhausts the center budget is recorded
     with budget_hit instead of aborting the curve.
     """
-    if eps <= 0:
+    if not 0 < eps < np.inf:
         raise InvalidParameterError("eps must be positive")
     horizons = [int(h) for h in horizons]
     if len(horizons) < 3 or any(b <= a for a, b in zip(horizons, horizons[1:])):

@@ -17,7 +17,7 @@ full matrix, so they equal its entries bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .cover import (
     FbarKind,
     FhatKind,
     HammingKind,
+    _check_budget,
     _distance_matrix,
     _distance_rows,
     _sample_features,
@@ -57,13 +58,9 @@ class EquiPartition:
         return len(self.clusters)
 
     def to_json(self) -> dict:
-        return {
-            "clusters": [list(c) for c in self.clusters],
-            "eps": self.eps,
-            "covered_mass": self.covered_mass,
-            "horizon": self.horizon,
-            "diameter_bound": self.diameter_bound,
-        }
+        # clusters as lists, as json.load gives them back; vars, not asdict,
+        # which would deep-copy every member first
+        return {**vars(self), "clusters": [list(c) for c in self.clusters]}
 
 
 @dataclass(frozen=True)
@@ -81,12 +78,7 @@ class EquipartitionFailure:
         return None
 
     def to_json(self) -> dict:
-        return {
-            "eps": self.eps,
-            "k_max": self.k_max,
-            "covered_mass": self.covered_mass,
-            "horizon": self.horizon,
-        }
+        return asdict(self)
 
 
 def _greedy_clusters(kind, feats: np.ndarray, eps: float, k_max: int):
@@ -130,6 +122,7 @@ def _cluster_maxima(kind, feats: np.ndarray, clusters) -> list:
 def _build_equipartition(
     kind, system, samples, eps: float, k_max: int, horizon: int
 ) -> EquiPartition | EquipartitionFailure:
+    _check_budget(k_max)
     feats = _sample_features(kind, system, samples, horizon)
     m = feats.shape[0]
     clusters, covered = _greedy_clusters(kind, feats, eps, k_max)
@@ -165,7 +158,7 @@ def find_equipartition(
     strictly above 1 - eps within k_max clusters, else a failure record.
     """
     sup = f.sup_bound()
-    if eps <= 0 or (sup is not None and eps >= 2 * sup + 1e-12 and sup > 0):
+    if not 0 < eps < np.inf or (sup is not None and eps >= 2 * sup + 1e-12 and sup > 0):
         raise InvalidParameterError("eps must lie in (0, 2 sup|f|)")
     if k_max is None:
         k_max = _default_kmax(len(samples))
@@ -267,7 +260,7 @@ def mean_expansivity_estimate(
     """
     if pair_count < 100:
         raise InvalidParameterError("pair_count must be >= 100")
-    if delta <= 0:
+    if not 0 < delta < np.inf:
         raise InvalidParameterError("delta must be positive")
     xs = system.sample_measure(pair_count, plan.child(_TAG_PAIR_LEFT))
     ys = system.sample_measure(pair_count, plan.child(_TAG_PAIR_RIGHT))

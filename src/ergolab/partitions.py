@@ -81,15 +81,16 @@ def trivial() -> Partition:
     return Partition(TRIVIAL)
 
 
+_CONSTRUCTORS = {CIRCLE_INTERVALS: circle_intervals, CYLINDER: cylinder, TRIVIAL: trivial}
+
+
 def partition_from_json(obj: dict) -> Partition:
+    """The partition whose to_json is obj: the constructor of its kind
+    called with the other JSON keys as keyword arguments."""
     kind = obj["kind"]
-    if kind == CIRCLE_INTERVALS:
-        return circle_intervals(obj["cuts"])
-    if kind == CYLINDER:
-        return cylinder(obj["coords"], obj["alphabet"])
-    if kind == TRIVIAL:
-        return trivial()
-    raise InvalidParameterError(f"unknown partition kind {kind!r}")
+    if kind not in _CONSTRUCTORS:
+        raise InvalidParameterError(f"unknown partition kind {kind!r}")
+    return _CONSTRUCTORS[kind](**{k: v for k, v in obj.items() if k != "kind"})
 
 
 @dataclass(frozen=True)

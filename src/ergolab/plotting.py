@@ -30,6 +30,26 @@ def _lin_y(v, v_lo, v_hi):
     return _H - _MB - t * (_H - _MT - _MB)
 
 
+def _frame(x_label: str, y_label: str, marks: list) -> str:
+    """The SVG document of one plot: canvas, axes and axis labels, then the
+    plot's marks."""
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" '
+        'stroke="black"/>',
+        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" stroke="black"/>',
+        f'<text x="{_W // 2}" y="{_H - 12}" text-anchor="middle" '
+        f'font-size="13">{x_label}</text>',
+        f'<text x="16" y="{_H // 2}" text-anchor="middle" font-size="13" '
+        f'transform="rotate(-90 16 {_H // 2})">{y_label}</text>',
+        *marks,
+        "</svg>",
+    ]
+    return "\n".join(parts) + "\n"
+
+
 def curve_svg(curve) -> str:
     """Standalone SVG for a complexity curve: log-x markers + CI whiskers."""
     points = getattr(curve, "points", None)
@@ -40,18 +60,7 @@ def curve_svg(curve) -> str:
     his = [p.k_hi for p in points]
     n_lo, n_hi = min(ns), max(ns)
     v_lo, v_hi = min(min(los), 0), max(his) * 1.1 + 1
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" '
-        'stroke="black"/>',
-        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" stroke="black"/>',
-        f'<text x="{_W // 2}" y="{_H - 12}" text-anchor="middle" '
-        'font-size="13">n (log scale)</text>',
-        f'<text x="16" y="{_H // 2}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 16 {_H // 2})">K estimate</text>',
-    ]
+    parts = []
     coords = []
     for p in points:
         x = _log_x(p.n, n_lo, n_hi)
@@ -72,9 +81,8 @@ def curve_svg(curve) -> str:
         coords.append((x, y))
     if len(coords) > 1:
         path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in coords)
-        parts.insert(6, f'<polyline points="{path}" fill="none" stroke="steelblue"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.insert(0, f'<polyline points="{path}" fill="none" stroke="steelblue"/>')
+    return _frame("n (log scale)", "K estimate", parts)
 
 
 def geometry_svg(geometries) -> str:
@@ -86,18 +94,7 @@ def geometry_svg(geometries) -> str:
     ks = [g.covering_count for g in geoms]
     n_lo, n_hi = min(ns), max(ns)
     v_lo, v_hi = 0, max(ks) * 1.1 + 1
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<line x1="{_ML}" y1="{_H - _MB}" x2="{_W - _MR}" y2="{_H - _MB}" '
-        'stroke="black"/>',
-        f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_H - _MB}" stroke="black"/>',
-        f'<text x="{_W // 2}" y="{_H - 12}" text-anchor="middle" '
-        'font-size="13">horizon N (log scale)</text>',
-        f'<text x="16" y="{_H // 2}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 16 {_H // 2})">covering count</text>',
-    ]
+    parts = []
     for g in geoms:
         x = _log_x(g.horizon, n_lo, n_hi)
         y = _lin_y(g.covering_count, v_lo, v_hi)
@@ -108,8 +105,7 @@ def geometry_svg(geometries) -> str:
             f'<text x="{_fmt(x)}" y="{_H - _MB + 18}" text-anchor="middle" '
             f'font-size="11">{g.horizon}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _frame("horizon N (log scale)", "covering count", parts)
 
 
 def emit_plot(data, path) -> str:

@@ -13,7 +13,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -117,6 +117,8 @@ def config_from_json(obj: dict, out_dir: Optional[str] = None) -> ExperimentConf
             raise ConfigError(f"task {task!r} needs a target")
         if task in ("expansivity", "spectral") and not isinstance(target, Observable):
             raise ConfigError(f"task {task!r} needs an observable target")
+        if task == "dichotomy-report":
+            _versus(params)
         return ExperimentConfig(
             system=system,
             task=task,
@@ -125,8 +127,16 @@ def config_from_json(obj: dict, out_dir: Optional[str] = None) -> ExperimentConf
             out_dir=out_dir,
             seed=int(obj.get("seed", 0)),
         )
-    except (KeyError, TypeError, InvalidParameterError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidParameterError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
+
+
+def _versus(params: dict) -> tuple:
+    """The system spec and partition a dichotomy report compares against."""
+    if "versus" not in params:
+        return bernoulli_shift(0.5), cylinder([0], 2)
+    v = params["versus"]
+    return spec_from_json(v["system"]), partition_from_json(v["partition"])
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +156,7 @@ class ReportBundle:
 
     def to_json(self) -> dict:
         return {
-            "curves": [_curve_json(c) for c in self.curves],
+            "curves": [asdict(c) for c in self.curves],
             "verdicts": [[k, v] for k, v in self.verdicts],
             "equipartitions": [[k, ep] for k, ep in self.equipartitions],
             "geometries": [[k, g.to_json()] for k, g in self.geometries],
@@ -159,44 +169,9 @@ class ReportBundle:
         }
 
 
-def _curve_json(c: ComplexityCurve) -> dict:
-    return {
-        "eps": c.eps,
-        "metric_label": c.metric_label,
-        "sample_count": c.sample_count,
-        "seed": c.seed,
-        "points": [
-            {
-                "n": p.n,
-                "k_est": p.k_est,
-                "k_lo": p.k_lo,
-                "k_hi": p.k_hi,
-                "budget_hit": p.budget_hit,
-                "covered_mass": p.covered_mass,
-            }
-            for p in c.points
-        ],
-    }
-
-
 def _curve_from_json(obj: dict) -> ComplexityCurve:
-    return ComplexityCurve(
-        points=tuple(
-            CurvePoint(
-                n=p["n"],
-                k_est=p["k_est"],
-                k_lo=p["k_lo"],
-                k_hi=p["k_hi"],
-                budget_hit=p["budget_hit"],
-                covered_mass=p["covered_mass"],
-            )
-            for p in obj["points"]
-        ),
-        eps=obj["eps"],
-        metric_label=obj["metric_label"],
-        sample_count=obj["sample_count"],
-        seed=obj["seed"],
-    )
+    points = tuple(CurvePoint(**p) for p in obj["points"])
+    return ComplexityCurve(**{**obj, "points": points})
 
 
 def bundle_from_json(obj: dict) -> ReportBundle:
@@ -364,13 +339,7 @@ def _run_dichotomy(config, plan):
     samples = int(p.get("samples", 400))
     spec_a = config.system
     target_a = config.target if config.target is not None else halves()
-    if "versus" in p:
-        v = p["versus"]
-        spec_b = spec_from_json(v["system"])
-        target_b = partition_from_json(v["partition"])
-    else:
-        spec_b = bernoulli_shift(0.5)
-        target_b = cylinder([0], 2)
+    spec_b, target_b = _versus(p)
     horizons_a = p.get("horizons_bounded", [16, 64, 256, 1024])
     horizons_b = p.get("horizons_growing", [8, 16, 32, 64])
     jobs = [

@@ -295,7 +295,7 @@ def _orbit_scan(system, f, horizons, radius, sample_count, plan) -> tuple:
     The greedy is prefix-stable and row h of V does not depend on the
     horizon, so the count at h is the number of centers below h.
     """
-    if radius <= 0:
+    if not 0 < radius < np.inf:
         raise InvalidParameterError("radius must be positive")
     if horizons[0] < 1:
         raise InvalidParameterError("horizon must be >= 1")

@@ -22,8 +22,10 @@ are arrays: an ndarray of circle values for rotation and identity, a
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,37 +52,14 @@ class SystemSpec:
     description: str = ""
 
     def to_json(self) -> dict:
-        return {"family": self.family, "params": _params_json(self)}
-
-
-def _params_json(spec: SystemSpec) -> dict:
-    f = spec.family
-    p = spec.params
-    if f in ("rotation", "sturmian"):
-        return {"theta": p[0]}
-    if f == "bernoulli_shift":
-        return {"p": p[0], "alphabet_size": p[1]}
-    if f == "odometer":
-        return {"base": p[0]}
-    return {}
+        names = inspect.signature(_family(self.family).constructor).parameters
+        return {"family": self.family, "params": dict(zip(names, self.params))}
 
 
 def spec_from_json(obj: dict) -> SystemSpec:
-    family = obj["family"]
-    params = obj.get("params", {})
-    if family == "rotation":
-        return rotation(params["theta"])
-    if family == "sturmian":
-        return sturmian(params["theta"])
-    if family == "doubling":
-        return doubling()
-    if family == "bernoulli_shift":
-        return bernoulli_shift(params["p"], params.get("alphabet_size", 2))
-    if family == "odometer":
-        return odometer(params["base"])
-    if family == "identity":
-        return identity()
-    raise InvalidParameterError(f"unknown system family {family!r}")
+    """The spec whose to_json is obj: the family's constructor called with
+    the JSON params as keyword arguments."""
+    return _family(obj["family"]).constructor(**obj.get("params", {}))
 
 
 def rotation(theta: float) -> SystemSpec:
@@ -669,20 +648,30 @@ class OdometerSystem(_SymbolSystem):
         return self._digits(points, coords[-1] + 1, n)[:, :, list(coords)]
 
 
+class _Family(NamedTuple):
+    constructor: Callable[..., SystemSpec]
+    handle: type
+
+
+# the one listing of the catalog: a new family is its constructor, its
+# handle class and one entry here
 _FAMILIES = {
-    "rotation": RotationSystem,
-    "identity": IdentitySystem,
-    "doubling": DoublingSystem,
-    "bernoulli_shift": BernoulliSystem,
-    "sturmian": SturmianSystem,
-    "odometer": OdometerSystem,
+    "rotation": _Family(rotation, RotationSystem),
+    "identity": _Family(identity, IdentitySystem),
+    "doubling": _Family(doubling, DoublingSystem),
+    "bernoulli_shift": _Family(bernoulli_shift, BernoulliSystem),
+    "sturmian": _Family(sturmian, SturmianSystem),
+    "odometer": _Family(odometer, OdometerSystem),
 }
+
+
+def _family(name: str) -> _Family:
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise InvalidParameterError(f"unknown system family {name!r}") from None
 
 
 def make_system(spec: SystemSpec) -> SystemHandle:
     """Construct the handle for a validated spec; construction is pure."""
-    try:
-        cls = _FAMILIES[spec.family]
-    except KeyError:
-        raise InvalidParameterError(f"unknown system family {spec.family!r}") from None
-    return cls(spec)
+    return _family(spec.family).handle(spec)

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 import ergolab as e
-from ergolab import cover, systems
+from ergolab import cli, cover, systems
 from ergolab.cli import main
 
 
@@ -248,10 +249,48 @@ _MEANEQUI = ["meanequi", "--system", "rotation:golden", "--target", "character:1
       '{"kind": "circle_intervals", "cuts": [0.0, 0.5]}}}',
       "--delta", "0.4", "--pairs", "100", "--horizon", "64"],
      "invalid config: cell label must be an integer in [0, 2), got 0.5"),
+    (_MEANEQUI + ["--k-max", "-3"], "center budget must be >= 0"),
+    (["complexity", "--system", "rotation:golden", "--target", "halves"] + _CURVE
+     + ["--eps", "nan"], "eps must be positive"),
+    (["complexity", "--system", "rotation:golden", "--target", "halves"] + _CURVE
+     + ["--eps", "inf"], "eps must be positive"),
+    (["meanequi", "--system", "rotation:golden", "--target", "character:1",
+      "--eps", "nan"], "eps must lie in (0, 2 sup|f|)"),
+    (["report", "--eps", "nan"], "eps must be positive"),
+    (["spectral", "--system", "rotation:golden", "--target", "character:1",
+      "--horizons", "4,8,16", "--radius", "nan", "--samples", "20"],
+     "radius must be positive"),
+    (["expansivity", "--system", "rotation:golden", "--target", "character:1",
+      "--delta", "nan", "--pairs", "100", "--horizon", "64"], "delta must be positive"),
+    (["complexity", "--system", '{"family": "rotation", "params": {"theta": 0.1, "bogus": 1}}',
+      "--target", "halves"] + _CURVE,
+     "invalid config: rotation() got an unexpected keyword argument 'bogus'"),
+    (["complexity", "--system", "rotation:golden",
+      "--target", '{"partition": {"kind": "trivial", "cuts": [0.5]}}'] + _CURVE,
+     "invalid config: trivial() got an unexpected keyword argument 'cuts'"),
+    (["complexity", "--system", "odometer:2", "--target",
+      '{"partition": {"kind": "cylinder", "coords": ["a"], "alphabet": 2}}'] + _CURVE,
+     "invalid config: invalid literal for int() with base 10: 'a'"),
 ])
 def test_bad_argument_exit_2(argv, message, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+def test_dichotomy_versus_checked_before_run(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "task": "dichotomy-report",
+        "params": {"eps": 0.1, "versus": {
+            "system": {"family": "rotation", "params": {}},
+            "partition": {"kind": "circle_intervals", "cuts": [0.0, 0.5]}}}}))
+    assert main(["--config", str(cfg), "report"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: invalid config: rotation() missing 1 required positional argument: 'theta'")
+    cfg.write_text(json.dumps({"task": "dichotomy-report", "params": {
+        "eps": 0.1, "versus": {"system": {"family": "doubling"}}}}))
+    assert main(["--config", str(cfg), "report"]) == 2
+    assert capsys.readouterr().err.strip() == "error: invalid config: 'partition'"
 
 
 def test_product_family_exit_2(capsys):
@@ -280,3 +319,24 @@ def test_name_point_on_symbolic_family_exit_2(system, family, capsys):
     assert capsys.readouterr().err.strip() == (
         f"error: point is a circle value; {family} points are sampled"
     )
+
+
+# a value of each type a task flag parses
+_FLAG_VALUES = {int: "3", float: "0.5", cli._int_list: "4,8,16"}
+
+
+def test_config_params_hold_every_task_flag():
+    # every flag of every subcommand but --system and --target is a task param
+    parser = cli._build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in commands.choices.items():
+        argv, dests = [command], set()
+        for action in sub._actions:
+            if action.dest in ("help", "system", "target"):
+                continue
+            argv += [action.option_strings[0], _FLAG_VALUES[action.type]]
+            dests.add(action.dest)
+        if any(a.dest == "system" for a in sub._actions):
+            argv += ["--system", "rotation:golden", "--target", "halves"]
+        params = cli._config_obj(parser.parse_args(argv))["params"]
+        assert set(params) == dests, command

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -182,6 +183,34 @@ def test_greedy_deterministic_and_budget():
     assert exc.value.covered_mass is not None
     with pytest.raises(InvalidParameterError):
         e.estimate_cover_number(samples, 64, 0.1, kind, system=SYS_R, max_centers=-1)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, float("nan"), float("inf")])
+def test_non_finite_or_nonpositive_radius_rejected(eps):
+    samples = SYS_R.sample_measure(20, PLAN)
+    kind = e.HammingKind(e.halves())
+    word = e.NameWord((0, 1), 2)
+    with pytest.raises(InvalidParameterError):
+        e.estimate_cover_number(samples, 8, eps, kind, system=SYS_R)
+    with pytest.raises(InvalidParameterError):
+        e.complexity_curve(SYS_R, kind, [4, 8, 16], eps, 20, PLAN)
+    with pytest.raises(InvalidParameterError):
+        e.ball_member(word, word, 2, eps, kind)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([0.5, 0.5], "need one weight per sample, got 2 for 4"),
+    ([0.25] * 5, "need one weight per sample, got 5 for 4"),
+    ([0.52, 0.25, 0.25, -0.02], "weights must be finite, nonnegative and not all 0"),
+    ([0.5, 0.5, 0.0, float("nan")], "weights must be finite, nonnegative and not all 0"),
+    ([0.5, 0.5, 0.0, float("inf")], "weights must be finite, nonnegative and not all 0"),
+    ([0.0] * 4, "weights must be finite, nonnegative and not all 0"),
+])
+def test_bad_weights_rejected(weights, message):
+    words = [e.NameWord(w, 2) for w in [(0, 0), (0, 1), (1, 0), (1, 1)]]
+    kind = e.HammingKind(e.cylinder([0], 2))
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        e.estimate_cover_number(words, 2, 0.3, kind, weights=weights)
 
 
 def test_greedy_centers_pairwise_separated():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ergolab as e
+from ergolab import cli, systems
 from ergolab.systems import circle_value, make_system
 
 PLAN = e.RandomPlan(1234)
@@ -132,14 +133,25 @@ def test_odometer_carry_chain():
 
 
 def test_spec_json_roundtrip():
-    for spec in [
+    # every shortcut of the CLI catalog, with example values, parses to a
+    # family of the one family table, and each spec round-trips
+    examples = {"<theta>": "0.25", "<p>[:k]": "0.4:3", "<base>": "3"}
+    specs = []
+    for line in cli._CATALOG.splitlines():
+        text = line.split()[0]
+        for placeholder, value in examples.items():
+            text = text.replace(placeholder, value)
+        specs.append(e.spec_from_json(cli._parse_system(text)))
+    assert specs == [
         e.rotation(0.25),
         e.doubling(),
         e.bernoulli_shift(0.4, 3),
-        e.sturmian(0.3),
+        e.sturmian(0.25),
         e.odometer(3),
         e.identity(),
-    ]:
+    ]
+    assert {spec.family for spec in specs} == set(systems._FAMILIES)
+    for spec in specs:
         assert e.spec_from_json(spec.to_json()) == spec
 
 
