@@ -5,6 +5,7 @@ Regenerate with ``PYTHONPATH=src python tests/test_golden.py`` only when an
 output change is intended, and say why in the change that does it.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -14,6 +15,9 @@ from ergolab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 SEED = 7
+# 300 equal circle cells, so the labels are uint16
+CELLS300 = json.dumps({"partition": {"kind": "circle_intervals",
+                                     "cuts": [k / 300 for k in range(300)]}})
 
 CASES = {
     "complexity-rotation-halves": [
@@ -92,6 +96,11 @@ CASES = {
     "name-doubling-cuts": [
         "name", "--system", "doubling", "--target", "cuts:0.1:0.6", "--n", "96",
         "--point", "0.3"],
+    # one-column ladder steps; at n=2, eps 0.5 is exactly the distance of
+    # one disagreement, which stays outside the ball
+    "complexity-cells300-steps": [
+        "complexity", "--system", "rotation:golden", "--target", CELLS300,
+        "--eps", "0.5", "--horizons", "1,2,3", "--samples", "400"],
 }
 
 
