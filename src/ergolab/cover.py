@@ -22,9 +22,14 @@ units, so boundary ties resolve to "not covered".
 A cover needs only the relation d < eps, and ``_ball_matrix`` builds it
 bit for bit as ``_distance_matrix(...) < eps`` without a float m x m
 array.  Hamming balls compare exact agreement counts with the least count
-whose distance falls below eps.  fbar/fhat are pseudo-metrics, so the
-exact distance rows of four far-apart pivots bound every other distance
-through the triangle inequality, |d(i,p) - d(j,p)| <= d(i,j) <=
+whose distance falls below eps.  The counts are one GEMM per column block
+of stacked indicator planes (a signed plane for two symbols), exact
+integers, so a complexity curve reads its labels once at the top horizon
+and adds each rung's new columns to the counts of the rung before
+(_hamming_balls); ``_ball_matrix`` is the one-horizon case.  fbar/fhat
+curves take prefixes of one value read.  fbar/fhat are pseudo-metrics, so
+the exact distance rows of four far-apart pivots bound every other
+distance through the triangle inequality, |d(i,p) - d(j,p)| <= d(i,j) <=
 d(i,p) + d(j,p).  Widened by a proved bound on the kernel's rounding
 (``_kernel_bound``), these settle most pairs as surely in or surely out
 on a rotation; only the rest are reduced exactly, one pair at a time.  On
@@ -164,20 +169,77 @@ def _distance_pairs(kind: MetricKind, feats: np.ndarray, i, j) -> np.ndarray:
     return out
 
 
-def _agreements(labels: np.ndarray) -> np.ndarray:
-    """The m x m counts of time steps at which two label rows agree.
+def _agreements(labels: np.ndarray, agree: Optional[np.ndarray] = None) -> np.ndarray:
+    """agree plus the m x m counts of time steps at which two label rows
+    agree, added in place; a fresh float32 matrix (float64 once n >= 2**24)
+    when agree is None.
 
-    Sums P_s @ P_s.T over the indicator planes P_s = (labels == s): every
-    partial sum is an integer <= n, so float32 is exact while n < 2**24,
-    whatever the BLAS blocking or thread count (float64 above).
+    One GEMM, E @ E.T, per block of k columns.  With L >= 3 symbols E holds
+    the block's stacked indicator planes [P_0|...|P_{L-1}], P_s = (labels ==
+    s), and E @ E.T is the block's agreement count.  With two symbols E is
+    the signed plane S = P_0 - P_1, and S @ S.T counts agreements minus
+    disagreements, so the count is (k + S @ S.T) / 2.  Every partial sum is
+    an integer of size at most k, and every total at most the matrix's
+    horizon, so float32 is exact below 2**24, whatever the BLAS blocking or
+    thread count.  A block holds about max(m, _chunk_rows(m)) plane columns:
+    E is no larger than the counts unless m is small.
     """
     m, n = labels.shape
-    dtype = np.float32 if n < 2**24 else np.float64
-    agree = np.zeros((m, m), dtype=dtype)
-    for s in range(int(labels.max()) + 1 if m else 0):
-        plane = (labels == s).astype(dtype)
-        agree += plane @ plane.T
+    fresh = agree is None
+    if fresh:
+        agree = np.zeros((m, m), dtype=np.float32 if n < 2**24 else np.float64)
+    if not labels.size:
+        return agree
+    symbols = int(labels.max()) + 1
+    planes = 1 if symbols == 2 else symbols
+    step = max(1, max(m, _chunk_rows(m)) // planes)
+    values = np.arange(symbols, dtype=labels.dtype)[:, None]
+    E = gram = None  # gram holds every product but that of a fresh first block
+    for lo in range(0, n, step):
+        block = labels[:, lo : lo + step]
+        k = block.shape[1]
+        if E is None or E.shape[1] != planes * k:
+            E = np.empty((m, planes * k), dtype=agree.dtype)
+        if symbols == 2:
+            np.equal(block, 0, out=E, casting="unsafe")
+            E *= 2
+            E -= 1
+        else:
+            np.equal(block[:, None, :], values, out=E.reshape(m, symbols, k),
+                     casting="unsafe")
+        into = agree if fresh and lo == 0 else gram
+        if into is None:
+            into = gram = np.empty_like(agree)
+        np.matmul(E, E.T, out=into)
+        if symbols == 2:
+            into += k
+            into *= 0.5
+        if into is gram:
+            agree += gram
     return agree
+
+
+def _least_agreement(n: int, eps: float) -> int:
+    """The least agreement count a at which the kernel's Hamming distance
+    (n - a) / n falls below eps (n + 1 when none does); that float quotient
+    is monotone in a, so agree >= a is exactly distance < eps."""
+    agree = np.arange(n + 1)
+    below = np.true_divide(n - agree, n, dtype=np.float64) < eps
+    return n + 1 - int(np.count_nonzero(below))
+
+
+def _hamming_balls(labels: np.ndarray, horizons, eps: float):
+    """Yield _distance_matrix(kind, labels[:, :n]) < eps for each n of the
+    increasing horizons, bit for bit, from one running agreement matrix:
+    the counts at n are those at the previous horizon plus _agreements over
+    the columns between, exact integers either way."""
+    m, top = labels.shape
+    agree = None if top < 2**24 else np.zeros((m, m))
+    done = 0
+    for n in horizons:
+        agree = _agreements(labels[:, done:n], agree)
+        done = n
+        yield agree >= _least_agreement(n, eps)
 
 
 def _distance_matrix(kind: MetricKind, feats: np.ndarray) -> np.ndarray:
@@ -297,23 +359,21 @@ def _ball_matrix(kind: MetricKind, feats: np.ndarray, eps: float) -> np.ndarray:
     """_distance_matrix(kind, feats) < eps, bit for bit, without a float
     m x m array.
 
-    Hamming compares the exact agreement counts with the least count a* at
-    which the kernel's (n - a*) / n falls below eps; that float quotient is
-    monotone in a, so no ball moves.  fbar/fhat screen each block against
-    the exact distance rows of a few pivots (_pivot_screen, _kernel_bound),
-    on and above the diagonal, mirrored, and reduce only the pairs it leaves
-    open (_distance_pairs).  A screened pair costs about as much as a
-    distance at horizon 16, and a pair reduced alone more than one in a
-    whole block, so the screen is kept only where it settles at least half
-    of the pairs of the first tile (the samples are independent, so those
-    pairs stand for the rest); otherwise every block is reduced whole with
-    _distance_rows, as in _distance_matrix.
+    Hamming is the one-horizon case of _hamming_balls: the exact agreement
+    counts against the least count at which the kernel's distance falls
+    below eps (_least_agreement), so no ball moves.  fbar/fhat screen each
+    block against the exact distance rows of a few pivots (_pivot_screen,
+    _kernel_bound), on and above the diagonal, mirrored, and reduce only
+    the pairs it leaves open (_distance_pairs).  A screened pair costs
+    about as much as a distance at horizon 16, and a pair reduced alone
+    more than one in a whole block, so the screen is kept only where it
+    settles at least half of the pairs of the first tile (the samples are
+    independent, so those pairs stand for the rest); otherwise every block
+    is reduced whole with _distance_rows, as in _distance_matrix.
     """
     m, n = feats.shape
     if isinstance(kind, HammingKind):
-        agree = np.arange(n + 1)
-        below = np.true_divide(n - agree, n, dtype=np.float64) < eps
-        return _agreements(feats) >= n + 1 - np.count_nonzero(below)
+        return next(_hamming_balls(feats, [n], eps))
     screen = _pivot_screen(kind, feats, eps)
     side = isqrt(_chunk_rows(n))
     probe = min(side, m)
@@ -767,10 +827,16 @@ def complexity_curve(
     _check_bytes(_COVER_ENTRY_BYTES * sample_count**2, f"a cover of {sample_count} samples")
     samples = system.sample_measure(sample_count, plan.child(_TAG_CURVE_SAMPLES))
     budget = sample_count if max_centers is None else max_centers
+    # one feature read at the top horizon; every horizon reads a prefix of it
+    top = _sample_features(kind, system, samples, horizons[-1])
+    if isinstance(kind, HammingKind):
+        ladder = _hamming_balls(top, horizons, eps)
+    else:
+        # a contiguous prefix reads a few percent faster than a strided one
+        ladder = (_ball_matrix(kind, np.ascontiguousarray(top[:, :n]), eps)
+                  for n in horizons)
     pts = []
-    for n in horizons:
-        feats = _sample_features(kind, system, samples, n)
-        balls = _ball_matrix(kind, feats, eps)
+    for n, balls in zip(horizons, ladder):
         # row 0 is the point estimate, rows 1.. the bootstrap resamples; one
         # greedy runs them all on the one ball matrix
         rng = plan.generator(_TAG_BOOTSTRAP, n)

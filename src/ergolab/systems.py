@@ -72,11 +72,16 @@ def doubling() -> SystemSpec:
     return SystemSpec("doubling", (), "angle doubling (natural extension)")
 
 
+def _check_size(size, what: str) -> None:
+    """An alphabet size or base: an integer >= 2, never truncated from a float."""
+    if not isinstance(size, (int, np.integer)) or size < 2:
+        raise InvalidParameterError(f"{what} must be an integer >= 2, got {size!r}")
+
+
 def bernoulli_shift(p: float, alphabet_size: int = 2) -> SystemSpec:
     if not 0.0 < p < 1.0:
         raise InvalidParameterError(f"bernoulli p must lie in (0,1), got {p}")
-    if alphabet_size < 2:
-        raise InvalidParameterError("alphabet_size must be >= 2")
+    _check_size(alphabet_size, "alphabet_size")
     return SystemSpec(
         "bernoulli_shift",
         (float(p), int(alphabet_size)),
@@ -91,8 +96,7 @@ def sturmian(theta: float) -> SystemSpec:
 
 
 def odometer(base: int) -> SystemSpec:
-    if base < 2:
-        raise InvalidParameterError(f"odometer base must be >= 2, got {base}")
+    _check_size(base, "odometer base")
     return SystemSpec("odometer", (int(base),), f"base-{base} odometer")
 
 

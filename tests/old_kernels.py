@@ -2,10 +2,10 @@
 
 The distance kernels that ``cover._distance_matrix`` replaced: fbar and
 fhat filled mirrored tiles of 32 (fhat: 16) rows from their own gap
-reducer, and Hamming summed float32 indicator-plane products in a function
-of its own.  The hash steps that ``rng`` now runs in place: splitmix64 and
-zigzag as whole-array expressions, with a ``& ~0`` pass.  The bit-identity
-tests compare the current code with these.
+reducer, and Hamming summed float32 indicator-plane products, one product
+and one m x m sum per symbol (``agreements``).  The hash steps that ``rng``
+now runs in place: splitmix64 and zigzag as whole-array expressions, with a
+``& ~0`` pass.  The bit-identity tests compare the current code with these.
 """
 
 import numpy as np
@@ -64,13 +64,19 @@ def fhat_reduce(gaps):
     return (np.cumsum(gaps, axis=2) * inv).max(axis=2)
 
 
-def pairwise_hamming(labels):
+def agreements(labels):
     m, n = labels.shape
     dtype = np.float32 if n < 2**24 else np.float64
     agree = np.zeros((m, m), dtype=dtype)
     for s in range(int(labels.max()) + 1 if m else 0):
         plane = (labels == s).astype(dtype)
         agree += plane @ plane.T
+    return agree
+
+
+def pairwise_hamming(labels):
+    n = labels.shape[1]
+    agree = agreements(labels)
     return np.true_divide(np.subtract(n, agree, out=agree), n, dtype=np.float64)
 
 

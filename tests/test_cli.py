@@ -271,6 +271,20 @@ _MEANEQUI = ["meanequi", "--system", "rotation:golden", "--target", "character:1
     (["complexity", "--system", "odometer:2", "--target",
       '{"partition": {"kind": "cylinder", "coords": ["a"], "alphabet": 2}}'] + _CURVE,
      "invalid config: invalid literal for int() with base 10: 'a'"),
+    (["complexity", "--system", '{"family": "odometer", "params": {"base": 2.7}}',
+      "--target", "cylinder:0"] + _CURVE,
+     "invalid config: odometer base must be an integer >= 2, got 2.7"),
+    (["complexity", "--system", '{"family": "odometer", "params": {"base": 1}}',
+      "--target", "cylinder:0"] + _CURVE,
+     "invalid config: odometer base must be an integer >= 2, got 1"),
+    (["complexity", "--system",
+      '{"family": "bernoulli_shift", "params": {"p": 0.5, "alphabet_size": 2.5}}',
+      "--target", "cylinder:0"] + _CURVE,
+     "invalid config: alphabet_size must be an integer >= 2, got 2.5"),
+    (["complexity", "--system",
+      '{"family": "bernoulli_shift", "params": {"p": 0.5, "alphabet_size": "3"}}',
+      "--target", "cylinder:0"] + _CURVE,
+     "invalid config: alphabet_size must be an integer >= 2, got '3'"),
 ])
 def test_bad_argument_exit_2(argv, message, capsys):
     assert main(argv) == 2

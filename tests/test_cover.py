@@ -8,11 +8,12 @@ import pytest
 
 import ergolab as e
 import old_kernels
-from ergolab import cover, systems
+from ergolab import cover, observables, systems
 from ergolab.cover import (
     FbarKind,
     FhatKind,
     HammingKind,
+    _agreements,
     _ball_matrix,
     _components,
     _distance_matrix,
@@ -23,6 +24,7 @@ from ergolab.cover import (
     _units_needed,
 )
 from ergolab.errors import BudgetExhaustedError, InvalidParameterError
+from ergolab.report import config_from_json, run_experiment
 from ergolab.systems import make_system
 
 PLAN = e.RandomPlan(4242)
@@ -324,6 +326,92 @@ def test_hamming_labels_narrowed():
     assert np.array_equal(D, _naive_hamming(wide))
     words = [e.NameWord(tuple(int(v) for v in row), 300) for row in wide]
     assert _sample_features(cells, None, words, 50).dtype == np.uint16
+
+
+@pytest.mark.parametrize("chunk_bytes", [64, systems._CHUNK_BYTES])
+@pytest.mark.parametrize("m", [0, 1, 2, 31, 300])
+def test_agreements_equal_plane_loop(monkeypatch, chunk_bytes, m):
+    # 64 bytes gives blocks of m plane columns: several blocks once n > m
+    # (two symbols) or n > m / L; the default gives one block at m <= 31
+    monkeypatch.setattr(systems, "_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(m)
+    for n in sorted({1, 2, 7, m - 1, m, m + 1, 3 * m} - {-1, 0}):
+        for alphabet in (1, 2, 3, 16, 300):
+            if alphabet == 300 and m * n > 10**4:
+                continue  # the old loop's 300 products take seconds at m = 300
+            wide = rng.integers(0, alphabet, size=(m, n))
+            narrow = wide.astype(np.min_scalar_type(alphabet - 1))
+            assert narrow.dtype == (np.uint16 if alphabet == 300 else np.uint8)
+            want = old_kernels.agreements(wide)
+            for labels in (narrow, wide):  # the oracle's labels are int64
+                got = _agreements(labels)
+                assert got.dtype == np.float32 and np.array_equal(got, want), (n, alphabet)
+            # added in place to the counts of other columns
+            head = rng.integers(0, alphabet, size=(m, 5))
+            agree = old_kernels.agreements(head)
+            assert _agreements(narrow, agree) is agree
+            assert np.array_equal(agree, old_kernels.agreements(np.hstack([head, wide])))
+
+
+SYS_B16 = make_system(e.bernoulli_shift(0.5, 4))
+_LADDER = [1, 2, 3, 8, 40]
+
+
+@pytest.mark.parametrize("system, kind, eps", [
+    # eps is the distance of 1 of 2, 4 of 8 and 20 of 40 disagreements
+    (SYS_R, HammingKind(e.halves()), 0.5),
+    # ... of 1 of 3 disagreements, on doubling's integer label read
+    (make_system(e.doubling()), HammingKind(e.circle_intervals([0.0, 0.3, 0.7])), 1 / 3),
+    # ... of 7 of 8 and 35 of 40 disagreements, over 16 symbols
+    (SYS_B16, HammingKind(e.cylinder([0, 1], 4)), 0.875),
+    (SYS_R, FbarKind(e.Character(1)), 0.3),
+    (make_system(e.doubling()), FhatKind(e.Character(1)), 0.5),
+], ids=["hamming2", "hamming3", "hamming16", "fbar", "fhat"])
+def test_curve_ladder_balls_equal_fresh_reads(monkeypatch, system, kind, eps):
+    # every rung's balls, built from the one read at the top horizon, are
+    # the balls of a fresh read at that horizon
+    seen = []
+    greedy = cover._greedy_cover
+
+    def recording(balls, *args):
+        seen.append(balls.copy())
+        return greedy(balls, *args)
+
+    monkeypatch.setattr(cover, "_greedy_cover", recording)
+    plan = e.RandomPlan(31)
+    e.complexity_curve(system, kind, _LADDER, eps, 70, plan)
+    samples = system.sample_measure(70, plan.child(cover._TAG_CURVE_SAMPLES))
+    assert len(seen) == len(_LADDER)
+    on_boundary = []
+    for n, balls in zip(_LADDER, seen):
+        feats = _sample_features(kind, system, samples, n)
+        D = _distance_matrix(kind, feats)
+        assert np.array_equal(balls, D < eps), n
+        on_boundary.append(bool(np.any(D == eps)))
+    # a pair at distance exactly eps is met, and left out of its ball
+    assert any(on_boundary) or not isinstance(kind, HammingKind)
+
+
+@pytest.mark.parametrize("target, reader", [
+    ({"partition": {"kind": "circle_intervals", "cuts": [0.0, 0.5]}}, "name_rows"),
+    ({"observable": {"kind": "character", "k": 1}}, "orbit_rows"),
+])
+def test_complexity_run_reads_features_once(monkeypatch, target, reader):
+    reads = []
+    if reader == "name_rows":
+        read = cover.name_rows
+        monkeypatch.setattr(cover, "name_rows", lambda system, part, samples, n: (
+            reads.append((len(samples), n)) or read(system, part, samples, n)))
+    else:
+        read = observables.Character.orbit_rows
+        monkeypatch.setattr(observables.Character, "orbit_rows", lambda f, system, samples, n: (
+            reads.append((len(samples), n)) or read(f, system, samples, n)))
+    cfg = {"task": "complexity", "system": {"family": "rotation", "params": {"theta": 0.1}},
+           "target": target,
+           "params": {"eps": 0.2, "horizons": [4, 16, 64], "samples": 30}, "seed": 3}
+    bundle = run_experiment(config_from_json(cfg))
+    assert [p.n for p in bundle.curves[0].points] == [4, 16, 64]
+    assert reads == [(30, 64)]
 
 
 # ---------------------------------------------------------------------------
