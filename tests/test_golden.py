@@ -18,6 +18,9 @@ SEED = 7
 # 300 equal circle cells, so the labels are uint16
 CELLS300 = json.dumps({"partition": {"kind": "circle_intervals",
                                      "cuts": [k / 300 for k in range(300)]}})
+# 16 cells with cuts (2k+1)/32: dyadic depth 5, and below 1/32 is the last cell
+DYADIC16 = json.dumps({"partition": {"kind": "circle_intervals",
+                                     "cuts": [(2 * k + 1) / 32 for k in range(16)]}})
 
 CASES = {
     "complexity-rotation-halves": [
@@ -101,6 +104,11 @@ CASES = {
     "complexity-cells300-steps": [
         "complexity", "--system", "rotation:golden", "--target", CELLS300,
         "--eps", "0.5", "--horizons", "1,2,3", "--samples", "400"],
+    # doubling labels under dyadic cuts of depth 5, none at 0, so the wrap
+    # of the cell below the first cut is read
+    "complexity-doubling-dyadic": [
+        "complexity", "--system", "doubling", "--target", DYADIC16,
+        "--eps", "0.3", "--horizons", "4,8,16", "--samples", "200"],
 }
 
 
