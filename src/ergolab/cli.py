@@ -12,6 +12,7 @@ System and target arguments accept either compact shortcuts
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -91,6 +92,7 @@ def _int_list(text: str) -> list:
     return [int(v) for v in text.split(",")]
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ergolab", description=__doc__.splitlines()[0])
     ap.add_argument("--version", action="version", version=f"ergolab {__version__}")

@@ -19,30 +19,61 @@ _MIX2 = _U64(0x94D049BB133111EB)
 _MASK = (1 << 64) - 1
 
 
-def _mix(z):
-    # splitmix64 finalizer; works elementwise on uint64 arrays.  The first
-    # sum is a new array, so the later steps run in place on it; on numpy
-    # scalars (and Python ints, which the sum turns into one) each step
-    # makes a new scalar, as the plain expressions would.
+def _mix(z, scratch=None):
+    # splitmix64 finalizer; works elementwise on uint64 arrays.  Without
+    # `scratch` the first sum is a new array, so the later steps run in
+    # place on it; on numpy scalars (and Python ints, which the sum turns
+    # into one) each step makes a new scalar, as the plain expressions would.
+    # With `scratch`, a uint64 array shaped like the uint64 array z, every
+    # step runs in place on z and the shifts go through scratch.
     with np.errstate(over="ignore"):  # wraparound is the point
-        z = z + _GOLDEN
-        z ^= z >> _U64(30)
+        if scratch is None:
+            z = z + _GOLDEN
+        else:
+            z += _GOLDEN
+        z ^= _shifted(z, 30, scratch)
         z *= _MIX1
-        z ^= z >> _U64(27)
+        z ^= _shifted(z, 27, scratch)
         z *= _MIX2
-        z ^= z >> _U64(31)
+        z ^= _shifted(z, 31, scratch)
         return z
 
 
-def zigzag(i):
-    """Map signed ints (scalar or array) to unsigned, preserving injectivity."""
+def _shifted(z, k: int, scratch):
+    if scratch is None:
+        return z >> _U64(k)
+    return np.right_shift(z, _U64(k), out=scratch)
+
+
+def zigzag(i, scratch=None):
+    """Map signed ints (scalar or array) to unsigned, preserving injectivity.
+    With `scratch`, an int64 array shaped like the int64 array i, the map
+    runs in place on i and returns its uint64 view."""
     if np.isscalar(i):
         i = int(i)  # a numpy int64 would overflow at 2i
         return (2 * i) if i >= 0 else (-2 * i - 1)
-    i = np.asarray(i, dtype=np.int64)
-    z = i << 1
-    z ^= i >> 63  # 2i, or -2i-1 = ~2i below 0
-    return z.view(np.uint64)
+    if scratch is None:
+        i = np.asarray(i, dtype=np.int64)
+        z = i << 1
+        z ^= i >> 63  # 2i, or -2i-1 = ~2i below 0
+        return z.view(np.uint64)
+    np.right_shift(i, 63, out=scratch)
+    i <<= 1
+    i ^= scratch
+    return i.view(np.uint64)
+
+
+def stream_hash(keys: np.ndarray, tag: int, starts: np.ndarray, width: int) -> np.ndarray:
+    """(m, width) uint64 stream hashes: row k is hash64(keys[k], tag, zigzag(j))
+    at j = starts[k] + [0, width).  The index, its zigzag and the last
+    splitmix64 round run in place in the output, through one scratch array
+    of its size."""
+    out = np.empty((len(starts), width), dtype=np.int64)
+    scratch = np.empty_like(out)
+    np.add(starts[:, None], np.arange(width), out=out)
+    z = zigzag(out, scratch)
+    z ^= hash64(keys, tag)[:, None]
+    return _mix(z, scratch.view(np.uint64))
 
 
 def hash64(*parts):

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BudgetExhaustedError, InvalidParameterError, UnsupportedRefinementError
-from .rng import RandomPlan, hash64, uniform01, zigzag
+from .rng import RandomPlan, hash64, stream_hash, uniform01, zigzag
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -157,7 +157,8 @@ class PrefixSymbols:
 
 
 def _top_bits(h: np.ndarray) -> np.ndarray:
-    return (h >> np.uint64(63)).astype(np.int64)
+    """The top bit of each uint64 hash, as int64, in place on h."""
+    return np.right_shift(h, np.uint64(63), out=h).view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -308,14 +309,10 @@ def _batched(m: int, tail: tuple, dtype, read, width=None) -> np.ndarray:
     return out
 
 
-def _stream_hash(keys: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    """(m, width) stream hashes: row k at indices starts[k] + [0, width) of
-    the hash stream seeded by keys[k]."""
-    idx = starts[:, None] + np.arange(width)
-    return hash64(keys[:, None], _TAG_SYMBOL, zigzag(idx))
-
-
 _VALUE_BITS = 53
+# cut depth K up to which doubling looks its labels up in a table of all
+# 2^K window labels (512 KB at 16)
+_TABLE_DEPTH = 16
 
 
 def _window_words(bits: np.ndarray, n: int, width: int) -> np.ndarray:
@@ -463,7 +460,6 @@ class RotationSystem(SystemHandle):
     def __init__(self, spec: SystemSpec):
         self.spec = spec
         self.theta = spec.params[0]
-        self.rational_angle = is_rational_angle(self.theta)
 
     def step(self, x, k: int = 1):
         return circle_value(circle_value(x) + k * self.theta)
@@ -519,7 +515,7 @@ class DoublingSystem(SystemHandle):
 
     def _bits(self, points, starts, width) -> np.ndarray:
         """Row k holds bits starts[k] + [0, width) of points[k]'s stream."""
-        hashes = _stream_hash(points.keys, starts, width)
+        hashes = stream_hash(points.keys, _TAG_SYMBOL, starts, width)
         return points.read_own(_top_bits(hashes), starts)
 
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
@@ -533,16 +529,22 @@ class DoublingSystem(SystemHandle):
         # exactly when V >= ceil(c 2^K): below the cap every cut is a multiple
         # of 2^-K, so no cut lies inside the 2^-K cell that V names; at K = 53,
         # V is W.  The labels equal those of the float values, and a row reads
-        # only n + K - 1 bits.
+        # only n + K - 1 bits.  Up to _TABLE_DEPTH, V is looked up in the
+        # labels of all 2^K words, built once.
         ratios = [float(c).as_integer_ratio() for c in cuts]
         depth = max(den.bit_length() - 1 for _, den in ratios)
         depth = min(_VALUE_BITS, max(1, depth))
         thresholds = np.array([-((-num << depth) // den) for num, den in ratios])
+        if depth <= _TABLE_DEPTH:
+            table = _circle_labels(thresholds, np.arange(2**depth))
 
         def read(a, b):
             part = points[a:b]
             bits = self._bits(part, part.offsets, n + depth - 1)
-            return _circle_labels(thresholds, _window_words(bits, n, depth))
+            words = _window_words(bits, n, depth)
+            if depth > _TABLE_DEPTH:
+                return _circle_labels(thresholds, words)
+            return np.take(table, words, out=words, mode="clip")
 
         return _batched(len(points), (n,), np.int64, read, n + depth - 1)
 
@@ -570,7 +572,7 @@ class _SymbolSystem(SystemHandle):
     def _symbol_rows(self, points, starts, width) -> np.ndarray:
         """Row k holds symbols starts[k] + [0, width) of the hash stream
         keyed by points.keys[k]; own points read their own streams."""
-        hashes = _stream_hash(points.keys, starts, width)
+        hashes = stream_hash(points.keys, _TAG_SYMBOL, starts, width)
         return points.read_own(_threshold_symbols(hashes, self.thresholds), starts)
 
     def _prefix_point(self, prefix, seed: int) -> Points:
@@ -604,7 +606,6 @@ class SturmianSystem(_SymbolSystem):
     def __init__(self, spec: SystemSpec):
         self.spec = spec
         self.theta = spec.params[0]
-        self.rational_angle = is_rational_angle(self.theta)
 
     def point(self, angle: float) -> Points:
         return Points(np.array([circle_value(angle)]), np.zeros(1, dtype=np.int64))

@@ -354,3 +354,36 @@ def test_config_params_hold_every_task_flag():
             argv += ["--system", "rotation:golden", "--target", "halves"]
         params = cli._config_obj(parser.parse_args(argv))["params"]
         assert set(params) == dests, command
+
+
+def _outcome(argv, capsys):
+    """Exit code, stdout and stderr of one main call, argparse exits included."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    got = capsys.readouterr()
+    return rc, got.out, got.err
+
+
+_REPEATED = [
+    ["name", "--system", "doubling", "--target", "halves", "--n", "8", "--point", "0.375"],
+    ["complexity", "--system", "rotation:golden", "--target", "halves",
+     "--eps", "0.2", "--horizons", "4,8,16", "--samples", "40"],
+    ["expansivity", "--system", "doubling", "--target", "indicator:halves:0",
+     "--delta", "0.4", "--pairs", "100", "--horizon", "32"],
+    ["systems"],
+    ["complexity", "--system", "rotation:2.5", "--target", "halves",  # config error
+     "--eps", "0.2", "--horizons", "4,8,16"],
+    ["complexity", "--system", "rotation:golden"],  # argparse error
+    ["--version"],
+]
+
+
+def test_parser_built_once_and_reused_unchanged(capsys):
+    cli._build_parser.cache_clear()
+    first = [_outcome(argv, capsys) for argv in _REPEATED]
+    assert [rc for rc, _, _ in first] == [0, 0, 0, 0, 2, 2, 0]
+    assert cli._build_parser() is cli._build_parser()
+    for _ in range(2):
+        assert [_outcome(argv, capsys) for argv in _REPEATED] == first

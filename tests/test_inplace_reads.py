@@ -1,10 +1,12 @@
 """The in-place circle feature reads against the forms they replaced.
 
 Circle values are reduced mod 1 as v - floor(v) in place (`systems._frac`),
-cell labels wrap through a lookup table, a character read is one complex
-buffer, and the splitmix64 and zigzag steps run in place.  Each must equal
-its old form bit for bit, leave the caller's arrays alone and not depend on
-the chunk size.
+cell labels wrap through a lookup table, doubling labels of shallow dyadic
+cuts come from a table of every window's label, a character read is one
+complex buffer, and the splitmix64 and zigzag steps run in place, the
+stream hash in one output and one scratch array.  Each must equal its old
+form bit for bit, leave the caller's arrays alone and not depend on the
+chunk size.
 """
 
 import warnings
@@ -95,6 +97,84 @@ def test_label_wrap_equals_remainder_formula(name):
 
 
 # ---------------------------------------------------------------------------
+# Doubling labels from a table of every K-bit window equal the searched ones
+
+
+def _dyadic_cuts(depth, at_zero):
+    """Sorted cuts of dyadic depth `depth`: odd multiples of 2^-depth, the
+    first and last among them, and 0 if asked."""
+    odd = np.arange(1, 2**depth, 2)
+    pick = np.random.default_rng(depth).choice(odd, size=min(4, len(odd)), replace=False)
+    nums = sorted({int(odd[0]), int(odd[-1]), *map(int, pick)} | ({0} if at_zero else set()))
+    return np.array(nums) / 2.0**depth
+
+
+def _doubling_points(dbl, cuts):
+    pts = dbl.sample_measure(30, PLAN)
+    for v in _values_at_cuts(cuts)[:6]:
+        pts = pts + dbl.point(v)
+    return pts + pts[::4].step(-5)  # bits at negative indices too
+
+
+def _searched_labels(dbl, pts, cuts, n):
+    """The labels as searchsorted gives them: thresholds ceil(c 2^K) placed
+    among the K-bit window words."""
+    ratios = [float(c).as_integer_ratio() for c in cuts]
+    depth = min(53, max(1, max(den.bit_length() - 1 for _, den in ratios)))
+    thresholds = np.array([-((-num << depth) // den) for num, den in ratios])
+    bits = dbl._bits(pts, pts.offsets, n + depth - 1)
+    return systems._circle_labels(thresholds, systems._window_words(bits, n, depth))
+
+
+def _label_calls(monkeypatch):
+    """The value arrays that systems._circle_labels is called with."""
+    calls = []
+    search = systems._circle_labels
+
+    def spy(cuts, values):
+        calls.append(np.array(values))
+        return search(cuts, values)
+
+    monkeypatch.setattr(systems, "_circle_labels", spy)
+    return calls
+
+
+@pytest.mark.parametrize("at_zero", [True, False])
+@pytest.mark.parametrize("depth", range(1, 17))
+def test_table_labels_equal_searched_labels(depth, at_zero, monkeypatch):
+    dbl = make_system(e.doubling())
+    cuts = _dyadic_cuts(depth, at_zero)
+    pts = _doubling_points(dbl, cuts)
+    want = _searched_labels(dbl, pts, cuts, 40)
+    assert np.array_equal(want, _old_labels(cuts, dbl.rows(pts, 0, 40)))
+    calls = _label_calls(monkeypatch)
+    got = dbl.circle_labels(pts, cuts, 40)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    # one search, over every word
+    assert len(calls) == 1 and np.array_equal(calls[0], np.arange(2**depth))
+    monkeypatch.setattr(systems, "_CHUNK_BYTES", 64)
+    assert np.array_equal(dbl.circle_labels(pts, cuts, 40), want)
+
+
+@pytest.mark.parametrize("cuts", [
+    (0.0, 1 / 2**17, 0.5),  # depth 17, one past the table
+    (0.25, 0.5 + 2.0**-20),
+    (0.0, 0.3, 0.7),  # not dyadic: depth 53
+    (0.1, 0.6),
+])
+def test_deep_cuts_keep_searching(cuts, monkeypatch):
+    dbl = make_system(e.doubling())
+    cuts = np.array(cuts)
+    pts = _doubling_points(dbl, cuts)
+    want = _old_labels(cuts, dbl.rows(pts, 0, 40))
+    calls = _label_calls(monkeypatch)
+    assert np.array_equal(dbl.circle_labels(pts, cuts, 40), want)
+    assert calls and all(c.shape == (len(pts), 40) for c in calls)
+    monkeypatch.setattr(systems, "_CHUNK_BYTES", 64)
+    assert np.array_equal(dbl.circle_labels(pts, cuts, 40), want)
+
+
+# ---------------------------------------------------------------------------
 # The in-place hash equals its old expressions
 
 
@@ -158,6 +238,31 @@ def test_hash64_equals_old_form(parts):
     for p, k in zip(parts, keep):
         if isinstance(p, np.ndarray):
             assert _same_bits(p, k)
+
+
+@pytest.mark.parametrize("starts", [
+    [0, -1, -5, -1000, 2**40, -(2**40), 7],
+    [-3],
+    [],
+])
+def test_stream_hash_equals_old_form(starts):
+    keys = np.resize(_U64_ARRAY, len(starts))
+    starts = np.array(starts, dtype=np.int64)
+    keep_keys, keep_starts = keys.copy(), starts.copy()
+    got = _no_warnings(rng.stream_hash, keys, systems._TAG_SYMBOL, starts, 9)
+    idx = starts[:, None] + np.arange(9)
+    want = old_kernels.hash64(keys[:, None], systems._TAG_SYMBOL, old_kernels.zigzag(idx))
+    assert _same_bits(got, want)
+    assert _same_bits(keys, keep_keys) and _same_bits(starts, keep_starts)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63, 2**64 - 1, -1])
+@pytest.mark.parametrize("tag", [0, 7, 101, -3])
+def test_scalar_hashes_unchanged(seed, tag):
+    want = old_kernels.hash64(seed, tag)
+    assert type(rng.hash64(seed, tag)) is type(want) and rng.hash64(seed, tag) == want
+    assert e.RandomPlan(seed).child(tag).master_seed == int(want)
+    assert rng.hash64(seed, tag, 5) == old_kernels.hash64(seed, tag, 5)
 
 
 # ---------------------------------------------------------------------------
