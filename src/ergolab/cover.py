@@ -47,8 +47,11 @@ bootstrap resample of a curve in one call, and the oracle's upper bound.
 Its picks come in strictly increasing key order (-gain, index) and do not
 interact across components of the ball graph, so it steps every (row,
 component) in lockstep on exact integer gains and merges the sequences by
-key.  A cover whose m x m arrays would exceed ``systems._MATRIX_BYTES``
-raises BudgetExhaustedError before it builds any of them.
+key.  Where one component holds every sample, a step is a plain argmax per
+row and needs no merge.  The gains are built and updated from the bool
+balls in blocks of rows, so the greedy holds no m x m float copy.  A cover
+whose m x m arrays would exceed ``systems._MATRIX_BYTES`` raises
+BudgetExhaustedError before it builds any of them.
 """
 
 from __future__ import annotations
@@ -72,11 +75,14 @@ from .partitions import NameWord, Partition, name_rows
 from .rng import RandomPlan
 from .systems import SystemHandle, _check_bytes, _chunk_rows
 
-# word cap of the exact oracle: its W x W arrays, the _COVER_ENTRY_BYTES of
-# agreement counts, balls and greedy copy per entry, stay near 218 MB
+# word cap of the exact oracle: its W x W arrays, charged
+# _COVER_ENTRY_BYTES per entry, stay near 218 MB
 _ORACLE_WORDS = 4096
-# bytes per entry of a cover's m x m arrays: the float32 Hamming agreement
-# counts, the bool ball matrix and the greedy's copy of it (at most 8 bytes)
+# bytes per entry of a cover's m x m arrays, at most 10 of them in use: the
+# float32 Hamming agreement counts, with a block product added to them
+# beside the bool balls of this rung and the last, or with the balls and,
+# on a ball graph of several components, the greedy's member list and one
+# label read of it (at most 4 bytes); the greedy holds no m x m float copy
 _COVER_ENTRY_BYTES = 13
 # pivot rows of the fbar/fhat ball screen
 _PIVOTS = 4
@@ -456,19 +462,47 @@ def _gain_dtype(total: int):
     return np.float64 if total < 2**53 else object
 
 
-def _mass_product(mass: np.ndarray, ball: np.ndarray) -> np.ndarray:
-    """mass @ ball, exact for the integer masses of _gain_dtype's types.
-    Python ints (object) pass through float64 BLAS in limbs narrow enough
-    that every partial sum of a limb stays below 2**52."""
+def _mass_product(mass: np.ndarray, balls: np.ndarray, rows, nodes=None, spans=None) -> tuple:
+    """(cols, mass @ B[rows] at cols), for B the ball matrix in component
+    order, balls[nodes][:, nodes] (balls itself when nodes is None), exact
+    for the integer masses of _gain_dtype's types.
+
+    B[rows] is read from the bool balls in blocks of the ascending rows,
+    each converted to the product's float type, so no float copy of the
+    ball matrix is held.  With spans = (first, last), the column stretch of
+    each row's component, a block reads only the columns from its first
+    row's component to its last row's.  Float products come whole (cols is
+    a full slice).  Python ints (object) pass through float64 BLAS in limbs
+    narrow enough that every partial sum of a limb stays below 2**52, and
+    come back only at the columns the rows reach, since each column costs
+    Python arithmetic.
+    """
+    R, width = len(mass), len(balls) if nodes is None else len(nodes)
+    parts, shifts = mass, ()
+    if mass.dtype == object:
+        bits = 52 - len(rows).bit_length()
+        top = max((int(v).bit_length() for v in mass.flat), default=0)
+        shifts = range(0, top, bits)
+        parts = np.zeros((R * len(shifts), mass.shape[1]))
+        for k, s in enumerate(shifts):
+            parts[k * R : (k + 1) * R] = (mass >> s) & ((1 << bits) - 1)
+    out = np.zeros((len(parts), width), dtype=parts.dtype)
+    step = _chunk_rows(width)
+    for lo in range(0, len(rows), step):
+        at = rows[lo : lo + step]
+        a, b = (0, width) if spans is None else (spans[0][at[0]], spans[1][at[-1]])
+        if nodes is None:
+            block = balls[at, a:b]
+        else:
+            block = balls[nodes[at]].take(nodes[a:b], axis=1)
+        out[:, a:b] += parts[:, lo : lo + step] @ block.astype(parts.dtype)
     if mass.dtype != object:
-        return mass @ ball
-    bits = 52 - len(ball).bit_length()
-    top = max((int(v).bit_length() for v in mass.flat), default=0)
-    out = np.zeros((len(mass), ball.shape[1]), dtype=object)
-    for shift in range(0, top, bits):
-        limb = ((mass >> shift) & ((1 << bits) - 1)).astype(np.float64)
-        out += (limb @ ball).astype(np.int64).astype(object) << shift
-    return out
+        return slice(None), out
+    hit = np.flatnonzero(out.any(axis=0))
+    total = np.zeros((R, len(hit)), dtype=object)
+    for k, s in enumerate(shifts):
+        total += out[k * R : (k + 1) * R, hit].astype(np.int64).astype(object) << s
+    return hit, total
 
 
 def _components(balls: np.ndarray) -> tuple:
@@ -476,21 +510,33 @@ def _components(balls: np.ndarray) -> tuple:
     by component of the ball graph (i ~ j iff balls[i, j]) and ascending
     within each, and the offset of each component in nodes.
 
-    Labels start as the sample indices.  Each round lowers every label, and
-    the label its label points to, to the least label in its ball, then
-    takes the label's own label, until every component carries its least
-    index.  The ball members are read in row chunks and kept in the
-    narrowest index type.
+    A breadth-first search from the first such sample settles the common
+    case of one component that holds them all.  Otherwise labels start as
+    the sample indices.  Each round lowers every label, and the label its
+    label points to, to the least label in its ball, then takes the label's
+    own label, until every component carries its least index.  Ball rows are
+    read in chunks, and the members are kept in the narrowest index type.
     """
     m = len(balls)
     size = np.count_nonzero(balls, axis=1)
     rows = np.flatnonzero(size > 1)
     step = _chunk_rows(m)
-    members = np.concatenate([np.flatnonzero(balls[rows[lo : lo + step]]) % m
-                              for lo in range(0, max(len(rows), 1), step)])
-    members = members.astype(np.min_scalar_type(m))
+    seen = np.zeros(m, dtype=bool)
+    frontier = rows[:1]
+    while frontier.size:
+        seen[frontier] = True
+        reach = np.zeros(m, dtype=bool)
+        for lo in range(0, len(frontier), step):
+            reach |= balls[frontier[lo : lo + step]].any(axis=0)
+        frontier = np.flatnonzero(reach & ~seen)
+    if seen[rows].all():
+        return rows, np.zeros(min(1, len(rows)), dtype=np.intp)
     first = np.cumsum(size[rows]) - size[rows]
-    label = np.arange(m)
+    label = np.arange(m, dtype=np.min_scalar_type(m))
+    members = np.empty(int(size[rows].sum()), dtype=label.dtype)
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        members[first[lo] : first[lo] + size[block].sum()] = np.flatnonzero(balls[block]) % m
     while True:
         low = np.minimum.reduceat(label[members], first)
         hop = label.copy()
@@ -526,17 +572,28 @@ def _greedy_cover(balls: np.ndarray, counts: np.ndarray, eps: float,
     * Along a sequence the key (-gain, index) strictly increases (gains
       never rise, and a tie went to the lower index), so a row's cover is
       the key-sorted merge of its sequences.
-    * A step takes the argmax in every live (row, component) and subtracts
-      the newly covered mass from the gains with one product.  A pick not
-      yet computed has a larger key than the smallest latest key of the
-      row's live components, so a row stops once the merged picks up to
-      that key reach its target mass or exceed its budget.
+    * A step takes the best candidate in every live (row, component) and
+      subtracts the newly covered mass from the gains with one product of
+      the fresh mass and the bool ball rows it lies in (_mass_product).  A
+      pick not yet computed has a larger key than the smallest latest key
+      of the row's live components, so a row stops once the merged picks up
+      to that key reach its target mass or exceed its budget.
+    * When one component holds every sample, each step's pick is the row's
+      next one: the step is a plain argmax, and nothing waits for a merge.
+      Otherwise the step reduces each component's stretch of the samples,
+      held in component order, with reduceat.
     * Gains are exact integers, held in the type _gain_dtype picks.
+
+    Besides the bool balls it is given, the greedy holds (R, m) arrays and
+    the blocks of _mass_product; only a graph of several components adds
+    its member list and one label read of it (_components), each at most 2
+    bytes per ball entry below 65536 samples.
     """
     counts = np.asarray(counts)
     R, m = counts.shape
     totals = [int(t) for t in counts.sum(axis=1)]
-    needs = [_units_needed(t, eps) for t in totals]
+    need_of = {t: _units_needed(t, eps) for t in set(totals)}  # resamples share a total
+    needs = [need_of[t] for t in totals]
     dtype = _gain_dtype(max(totals, default=0))
     exact = object if dtype is object else np.float64  # for sums of gains
     # a pick of gain 0 only ever serves a target above the total mass
@@ -544,70 +601,100 @@ def _greedy_cover(balls: np.ndarray, counts: np.ndarray, eps: float,
     counts = counts.astype(dtype)
 
     nodes, starts = _components(balls)
+    one = len(nodes) == m and len(starts) == 1
     lone = np.flatnonzero(np.bincount(nodes, minlength=m) == 0)
     # a lone sample's ball is itself, or empty when its distances are nan
     gain = np.where(balls[lone, lone], counts[:, lone], 0)
     row, col = np.nonzero(gain >= floor[:, None])
     pending = [row, gain[row, col], lone[col]]  # known picks: row, gain, index
-
     comp = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(nodes)))
-    # block diagonal; no gather when one component holds every sample
-    ball = balls if len(nodes) == m and len(starts) == 1 else balls[:, nodes][nodes]
-    ball = ball.astype(np.float64 if dtype is object else dtype)
-    left = counts[:, nodes]  # mass not yet covered
-    gains = _mass_product(left, ball)
-    cand = np.ones(left.shape, dtype=bool)
+
+    # samples in component order (one component: the samples as they are),
+    # and each one's component stretch
+    P, at = len(nodes), np.arange(len(nodes))
+    gather = None if one else nodes
+    spans = None if one else (starts[comp], np.append(starts[1:], P)[comp])
+    w = counts if one else counts[:, nodes]
+    # a sample's gain stays >= 0 while it is uncovered, and below 0 after
+    gains = np.zeros(w.shape, dtype=dtype)
+    hit, start = _mass_product(w, balls, at, gather, spans)
+    gains[:, hit] = start
 
     mass, taken = np.zeros(R, dtype=exact), np.zeros(R, dtype=np.int64)
     needs_at = np.array(needs, dtype=exact)
     kg, ki = np.zeros(R, dtype=exact), np.zeros(R, dtype=np.intp)
     log = []
     live = np.arange(R)
-    P, at = len(nodes), np.arange(len(nodes))
     while True:
         # each live (row, component): its best candidate and that gain
-        masked = np.where(cand, gains, -1)
-        top = np.maximum.reduceat(masked, starts, axis=1)
-        pos = np.minimum.reduceat(np.where(masked == top[:, comp], at, P), starts, axis=1)
+        if one:
+            pos = gains.argmax(axis=1)[:, None]
+            top = gains[np.arange(len(live))[:, None], pos]
+        else:
+            top = np.maximum.reduceat(gains, starts, axis=1)
+            pos = np.minimum.reduceat(np.where(gains == top[:, comp], at, P), starts, axis=1)
         going = top >= floor[live, None]
         best = np.where(going, top, -1).max(axis=1, initial=-1)
-        # the row's smallest new key; with no pick (gain -1) every key is known
-        kg[live] = best
-        ki[live] = np.where(going & (top == best[:, None]), nodes[pos], m).min(axis=1, initial=m)
+        if not one:
+            # the row's smallest new key; with no pick (gain -1) every key is known
+            kg[live] = best
+            ki[live] = np.where(going & (top == best[:, None]), nodes[pos], m).min(axis=1, initial=m)
         pr, pc = np.nonzero(going)
         pos = pos[pr, pc]
         new = [live[pr], top[pr, pc], nodes[pos]]
-        pending = [np.concatenate(pair) for pair in zip(pending, new)]
-        r, g, i = pending
-        known = (g > kg[r]) | ((g == kg[r]) & (i <= ki[r]))
-        np.add.at(mass, r[known], g[known])
-        taken += np.bincount(r[known], minlength=R)
-        log.append([a[known] for a in pending])
+        if one:
+            known = new
+        else:
+            r, g, i = pending = [np.concatenate(pair) for pair in zip(pending, new)]
+            wait = (g < kg[r]) | ((g == kg[r]) & (i > ki[r]))
+            known = [a[~wait] for a in pending]
+            pending = [a[wait] for a in pending]
+        log.append(known)
+        if dtype is object:
+            np.add.at(mass, known[0], known[1])
+        else:
+            mass += np.bincount(known[0], weights=known[1], minlength=R)
+        taken += np.bincount(known[0], minlength=R)
 
         done = (mass[live] >= needs_at[live]) | (taken[live] > max_centers) | (best == -1)
-        running = np.zeros(R, dtype=bool)
-        running[live[~done]] = True
-        pending = [a[~known & running[r]] for a in pending]
+        if not one:
+            running = np.zeros(R, dtype=bool)
+            running[live[~done]] = True
+            pending = [a[running[pending[0]]] for a in pending]
         if done.all():
             break
-        keep = ~done
-        live, gains, cand, left = live[keep], gains[keep], cand[keep], left[keep]
-        stay = keep[pr]
-        pr, pc, pos = (np.cumsum(keep) - 1)[pr[stay]], pc[stay], pos[stay]
-        # cover the picks' balls; row p of the block-diagonal ball is zero
-        # outside p's component
-        src = np.full((live.size, len(starts)), -1)
-        src[pr, pc] = pos
-        src = src[:, comp]
-        covered = (src >= 0) & (ball.take(src * P + at) > 0)
-        cand &= ~covered
-        fresh = np.where(covered, left, 0)
-        left -= fresh
-        touched = np.flatnonzero(fresh.any(axis=0))
-        gains -= _mass_product(fresh[:, touched], ball[touched])
+        if done.any():
+            keep = ~done
+            live, gains, w = live[keep], gains[keep], w[keep]
+            stay = keep[pr]
+            pr, pc, pos = (np.cumsum(keep) - 1)[pr[stay]], pc[stay], pos[stay]
+        # cover the picks' balls; in component order a pick's ball lies in
+        # its own component's stretch
+        if one:
+            covered = balls[pos]
+        else:
+            src = np.full((live.size, len(starts)), -1)
+            src[pr, pc] = pos
+            src = src[:, comp]
+            covered = (src >= 0) & balls[nodes[src], nodes]
+        covered &= gains >= 0  # newly covered
+        gains[covered] = -1
+        gains[pr, pos] = -1
+        if not (gains >= 0).any():
+            continue  # no candidate is left to update
+        touched = np.flatnonzero(covered.any(axis=0))
+        fresh = w.take(touched, axis=1) * covered.take(touched, axis=1)
+        hit, drop = _mass_product(fresh, balls, touched, gather, spans)
+        gains[:, hit] -= drop
 
     r, g, i = (np.concatenate(a) for a in zip(*log))
-    order = np.lexsort((i, -g, r))
+    # by row, then key (-gain, index): stable sorts, which take a radix sort
+    # on integers narrowed to 16 bits or fewer
+    order = np.arange(len(r))
+    for key in (i, g.max(initial=0) - g, r):
+        if key.dtype != object:
+            key = key.astype(np.min_scalar_type(int(key.max(initial=0))))
+        order = order[np.argsort(key[order], kind="stable")]
     r, i = r[order], i[order]
     g = g[order] if dtype is object else g[order].astype(np.int64)
     bounds = np.searchsorted(r, np.arange(R + 1))

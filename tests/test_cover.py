@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -662,7 +663,8 @@ def _argmax_greedy(balls, counts, eps, max_centers):
     m = balls.shape[0]
     total = int(counts.sum())
     uncovered = np.ones(m, dtype=bool)
-    gains = balls @ counts.astype(np.float64)
+    weights = counts.astype(np.float64)  # row blocks: no float m x m temporary
+    gains = np.concatenate([balls[lo : lo + 256] @ weights for lo in range(0, m, 256)])
     covered = 0
     centers = []
     while not exceeds(covered, total):
@@ -915,3 +917,77 @@ def test_estimate_cover_centers_match_reference():
         res = e.estimate_cover_number(samples, n, eps, kind, system=SYS_R)
         assert list(res.centers) == want
         assert res.covered_mass == covered / total
+
+
+def _arc_balls(rng, m, eps):
+    """Balls of d(x, y) = 2|x - y| on m random circle points: open arcs of
+    length eps, one component of the ball graph at these sizes."""
+    x = rng.random(m)
+    gap = np.abs(x[:, None] - x[None, :])
+    balls = 2 * np.minimum(gap, 1 - gap) < eps
+    nodes, starts = _components(balls)
+    assert len(nodes) == m and len(starts) == 1
+    return balls
+
+
+def _bootstrap_counts(rng, m, resamples=20):
+    return np.stack([np.ones(m, dtype=np.int64)] + [
+        np.bincount(rng.integers(0, m, m), minlength=m) for _ in range(resamples)])
+
+
+def test_one_component_rows_match_argmax_greedy_at_full_size():
+    # the size of a complexity rung: one arc component, a row of ones and
+    # 20 bootstrap rows, each the reference run on that row alone
+    rng = np.random.default_rng(14)
+    for m, radius, eps in ((400, 0.2, 0.2), (700, 0.1, 0.1)):
+        balls = _arc_balls(rng, m, radius)
+        counts = _bootstrap_counts(rng, m)
+        assert _batched(balls, counts, eps, m) == _reference(balls, counts, eps, m)
+
+
+def test_all_12_bit_words_match_argmax_greedy():
+    # the oracle's upper bound at its word cap: one long component of
+    # Hamming balls, with uniform masses and with random integer masses that
+    # float64 sums exactly
+    words = np.array(list(itertools.product((0, 1), repeat=12)))
+    balls = _ball_matrix(HammingKind(None), words, 0.1)
+    rng = np.random.default_rng(15)
+    for counts in (np.ones(4096, dtype=np.int64), rng.integers(0, 2**20, 4096)):
+        assert _batched(balls, counts[None], 0.1, 4096) == [
+            _argmax_greedy(balls, counts, 0.1, 4096)]
+
+
+@pytest.mark.parametrize("chunk_bytes", [1 << 12, 1 << 15])
+def test_greedy_picks_any_block_size(monkeypatch, chunk_bytes):
+    # small blocks split the gain build and every update into several
+    # blocks of ball rows; the picks must not move
+    rng = np.random.default_rng(16)
+    cases = [(_arc_balls(rng, 300, 0.15), _bootstrap_counts(rng, 300, 6))]
+    for trial in range(4):  # several components and lone samples
+        balls = _cluster_balls(rng, 120, int(rng.integers(0, 20)))
+        cases.append((balls, _bootstrap_counts(rng, 120, 4)))
+    big = _bootstrap_counts(rng, 120, 2).astype(object) * 2**70 + 1  # Python ints
+    cases.append((cases[-1][0], big))
+    want = [_greedy_cover(balls, counts, eps, 40)
+            for balls, counts in cases for eps in (0.0, 0.1, 0.3)]
+    monkeypatch.setattr(systems, "_CHUNK_BYTES", chunk_bytes)
+    assert systems._chunk_rows(120) < 120
+    got = [_greedy_cover(balls, counts, eps, 40)
+           for balls, counts in cases for eps in (0.0, 0.1, 0.3)]
+    assert got == want
+
+
+def test_greedy_holds_no_ball_sized_copy():
+    # besides the bool balls it is given, a one-component greedy holds
+    # (rows x m) arrays and blocks of ball rows: under 2 bytes per entry
+    m = 1500
+    rng = np.random.default_rng(17)
+    balls = _arc_balls(rng, m, 0.1)
+    counts = _bootstrap_counts(rng, m)
+    tracemalloc.start()
+    try:
+        _greedy_cover(balls, counts, 0.1, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * m * m
