@@ -113,6 +113,14 @@ class FhatKind:
 MetricKind = HammingKind | FbarKind | FhatKind
 
 
+def _metric_kind(target, fhat: bool = False) -> MetricKind:
+    """The metric a target reads: Hamming for a partition, else fbar (fhat
+    when asked) for an observable."""
+    if isinstance(target, Partition):
+        return HammingKind(target)
+    return FhatKind(target) if fhat else FbarKind(target)
+
+
 def _sample_features(kind, system, samples, n) -> np.ndarray:
     """(m, n) horizon-n features: observable values, or name labels (cell
     indices, precomputed NameWords taken as they are) in the narrowest
@@ -890,6 +898,14 @@ _TAG_BOOTSTRAP = 33
 _RESAMPLES = 20  # bootstrap resamples per horizon
 
 
+def _ladder(horizons) -> tuple:
+    """The horizons as ints, checked to be at least 3 and strictly increasing."""
+    horizons = tuple(int(h) for h in horizons)
+    if len(horizons) < 3 or any(b <= a for a, b in zip(horizons, horizons[1:])):
+        raise InvalidParameterError("need >= 3 strictly increasing horizons")
+    return horizons
+
+
 def complexity_curve(
     system: SystemHandle,
     kind: MetricKind,
@@ -907,9 +923,7 @@ def complexity_curve(
     """
     if not 0 < eps < np.inf:
         raise InvalidParameterError("eps must be positive")
-    horizons = [int(h) for h in horizons]
-    if len(horizons) < 3 or any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise InvalidParameterError("need >= 3 strictly increasing horizons")
+    horizons = _ladder(horizons)
     _check_budget(max_centers)
     _check_bytes(_COVER_ENTRY_BYTES * sample_count**2, f"a cover of {sample_count} samples")
     samples = system.sample_measure(sample_count, plan.child(_TAG_CURVE_SAMPLES))

@@ -24,16 +24,17 @@ import numpy as np
 
 from .cover import (
     FbarKind,
-    FhatKind,
     HammingKind,
     _check_budget,
     _distance_matrix,
     _distance_rows,
+    _ladder,
+    _metric_kind,
     _sample_features,
     _units_needed,
 )
 from .errors import InvalidParameterError
-from .metrics import _ladder, _limit_rule, default_tolerance, geometric_horizons
+from .metrics import _limit_rule, default_tolerance, geometric_horizons
 from .observables import Observable
 from .partitions import Partition
 from .rng import RandomPlan
@@ -200,24 +201,19 @@ def verify_equipartition(
 ) -> VerifyReport:
     """Re-evaluate within-cluster distances against ep.eps.
 
-    limsup mode takes limit_estimate's value over a horizon ladder, which
-    is fbar (or Hamming) at the ladder's last horizon; uniform mode checks
-    fhat at the largest horizon (a bound over all prefixes).  target is an
-    Observable or a Partition (Hamming mode).
+    limsup mode is not a limsup: it checks the horizon ladder and reads
+    fbar (or Hamming) at its last horizon only, with no converged flag
+    read, so a pair that has not settled passes or fails on its last value
+    (ROADMAP item 4).  uniform mode checks fhat at the largest horizon (a
+    bound over all prefixes).  target is an Observable or a Partition
+    (Hamming mode).
     """
     if mode not in ("limsup", "uniform"):
         raise InvalidParameterError(f"unknown verify mode {mode!r}")
     if horizons is None:
         horizons = geometric_horizons(max(4, ep.horizon))
-    horizons = [int(h) for h in horizons]
-    if isinstance(target, Partition):
-        kind = HammingKind(target)
-    elif mode == "uniform":
-        kind = FhatKind(target)
-    else:
-        kind = FbarKind(target)
-    if mode == "limsup":
-        horizons = _ladder(horizons)
+    horizons = _ladder(horizons) if mode == "limsup" else [int(h) for h in horizons]
+    kind = _metric_kind(target, fhat=mode == "uniform")
     feats = _sample_features(kind, system, samples, max(horizons))
 
     per_cluster = [(ci, *pair) for ci, pair in

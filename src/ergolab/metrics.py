@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cover import FbarKind, FhatKind, _pair_distance
+from .cover import FbarKind, FhatKind, _ladder, _pair_distance
 from .errors import InvalidParameterError, LengthMismatchError
 from .observables import Observable
 from .partitions import NameWord
@@ -102,15 +102,6 @@ def limit_estimate(
         converged=bool(converged),
         tolerance=tol,
     )
-
-
-def _ladder(horizons) -> tuple:
-    horizons = tuple(int(h) for h in horizons)
-    if len(horizons) < 3:
-        raise InvalidParameterError("need at least 3 horizons")
-    if any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise InvalidParameterError("horizons must be strictly increasing")
-    return horizons
 
 
 def _limit_rule(evals: np.ndarray, tolerance: float) -> tuple:

@@ -1,10 +1,10 @@
 """Experiment configs, batch execution and diff-able artifact export.
 
-A validated ``ExperimentConfig`` drives one task (name / complexity /
-meanequi / expansivity / spectral / dichotomy-report) and yields a
-``ReportBundle`` whose JSON round-trips exactly.  All file artifacts are
-deterministic for a fixed master seed: CSV and JSON carry the config hash
-in a header but no timestamps, so reruns are byte-identical.
+A validated ``ExperimentConfig`` drives one task of the ``_TASKS`` table
+and yields a ``ReportBundle`` whose JSON round-trips exactly.  All file
+artifacts are deterministic for a fixed master seed: CSV and JSON carry
+the config hash in a header but no timestamps, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -13,16 +13,15 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from ._version import __version__
 from .cover import (
     ComplexityCurve,
     CurvePoint,
-    FbarKind,
-    HammingKind,
+    _metric_kind,
     classify_boundedness,
     complexity_curve,
     curve_csv_rows,
@@ -47,18 +46,6 @@ from .systems import (
     rotation,
     spec_from_json,
 )
-
-_TASKS = ("name", "complexity", "meanequi", "expansivity", "spectral", "dichotomy-report")
-
-_REQUIRED = {
-    "name": ("n",),
-    "complexity": ("eps", "horizons", "samples"),
-    "meanequi": ("eps", "samples", "horizon"),
-    "expansivity": ("delta", "pairs", "horizon"),
-    "spectral": ("horizons", "radius", "samples"),
-    "dichotomy-report": ("eps",),
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -92,7 +79,8 @@ def config_from_json(obj: dict, out_dir: Optional[str] = None) -> ExperimentConf
     try:
         task = obj["task"]
         if task not in _TASKS:
-            raise ConfigError(f"unknown task {task!r}; expected one of {_TASKS}")
+            raise ConfigError(f"unknown task {task!r}; expected one of {tuple(_TASKS)}")
+        entry = _TASKS[task]
         system = spec_from_json(obj["system"]) if "system" in obj else None
         if system is None and task != "dichotomy-report":
             raise ConfigError("config needs a 'system' entry")
@@ -108,15 +96,12 @@ def config_from_json(obj: dict, out_dir: Optional[str] = None) -> ExperimentConf
             else:
                 raise ConfigError("target must hold 'partition' or 'observable'")
         params = dict(obj.get("params", {}))
-        missing = [k for k in _REQUIRED[task] if k not in params]
+        missing = [k for k in entry.required if k not in params]
         if missing:
             raise ConfigError(f"task {task!r} missing parameters: {missing}")
-        if task == "name" and not isinstance(target, Partition):
-            raise ConfigError("task 'name' needs a partition target")
-        if task in ("complexity", "meanequi") and target is None:
-            raise ConfigError(f"task {task!r} needs a target")
-        if task in ("expansivity", "spectral") and not isinstance(target, Observable):
-            raise ConfigError(f"task {task!r} needs an observable target")
+        types, needed = _TARGET_RULES[entry.target]
+        if not isinstance(target, types):
+            raise ConfigError(f"task {task!r} needs {needed}")
         if task == "dichotomy-report":
             _versus(params)
         return ExperimentConfig(
@@ -180,21 +165,7 @@ def bundle_from_json(obj: dict) -> ReportBundle:
         curves=tuple(_curve_from_json(c) for c in obj["curves"]),
         verdicts=tuple((k, v) for k, v in obj["verdicts"]),
         equipartitions=tuple((k, ep) for k, ep in obj["equipartitions"]),
-        geometries=tuple(
-            (
-                k,
-                OrbitGeometry(
-                    horizon=g["horizon"],
-                    radius=g["radius"],
-                    covering_count=g["covering_count"],
-                    dist_min=g["distances"]["min"],
-                    dist_median=g["distances"]["median"],
-                    dist_max=g["distances"]["max"],
-                    sample_count=g["sample_count"],
-                ),
-            )
-            for k, g in obj["geometries"]
-        ),
+        geometries=tuple((k, OrbitGeometry.from_json(g)) for k, g in obj["geometries"]),
         tables=tuple((k, rows) for k, rows in obj["tables"]),
         config_hash=prov.get("config_hash", ""),
         seed=prov.get("seed", 0),
@@ -204,12 +175,6 @@ def bundle_from_json(obj: dict) -> ReportBundle:
 
 # ---------------------------------------------------------------------------
 # Task runners
-
-
-def _curve_kind(target):
-    if isinstance(target, Partition):
-        return HammingKind(target)
-    return FbarKind(target)
 
 
 def _run_name(config, plan):
@@ -225,44 +190,22 @@ def _run_name(config, plan):
         x = system.sample_measure(1, plan)
     word = name_word(system, config.target, x, n)
     rows = [list(word.symbols)]  # one CSV row: the name itself
-    return ReportBundle(
-        tables=(("name", rows),),
-        config_hash=config.config_hash,
-        seed=plan.master_seed,
-    )
-
-
-def _make_curve(spec, target, eps, horizons, samples, plan, max_centers=None):
-    system = make_system(spec)
-    return complexity_curve(
-        system,
-        _curve_kind(target),
-        horizons,
-        eps,
-        samples,
-        plan,
-        max_centers=max_centers,
-    )
+    return ReportBundle(tables=(("name", rows),))
 
 
 def _run_complexity(config, plan):
     p = config.params
-    curve = _make_curve(
-        config.system,
-        config.target,
-        float(p["eps"]),
+    curve = complexity_curve(
+        make_system(config.system),
+        _metric_kind(config.target),
         p["horizons"],
+        float(p["eps"]),
         int(p["samples"]),
         plan,
         max_centers=p.get("max_centers"),
     )
     verdict = classify_boundedness(curve)
-    return ReportBundle(
-        curves=(curve,),
-        verdicts=(("complexity", verdict),),
-        config_hash=config.config_hash,
-        seed=plan.master_seed,
-    )
+    return ReportBundle(curves=(curve,), verdicts=(("complexity", verdict),))
 
 
 _TAG_EQUI_SAMPLES = 71
@@ -286,8 +229,6 @@ def _run_meanequi(config, plan):
     return ReportBundle(
         verdicts=(("meanequi", "success" if ok else "failure"),),
         equipartitions=(("meanequi", ep.to_json()),),
-        config_hash=config.config_hash,
-        seed=plan.master_seed,
     )
 
 
@@ -309,8 +250,6 @@ def _run_expansivity(config, plan):
     return ReportBundle(
         tables=(("expansivity", rows),),
         verdicts=(("expansive", "yes" if est.value >= 0.98 else "no"),),
-        config_hash=config.config_hash,
-        seed=plan.master_seed,
     )
 
 
@@ -327,8 +266,6 @@ def _run_spectral(config, plan):
     return ReportBundle(
         verdicts=(("spectral", verdict),),
         geometries=tuple((f"N={g.horizon}", g) for g in geoms),
-        config_hash=config.config_hash,
-        seed=plan.master_seed,
     )
 
 
@@ -346,33 +283,48 @@ def _run_dichotomy(config, plan):
         (spec_a, target_a, horizons_a),
         (spec_b, target_b, horizons_b),
     ]
-    curves = [_make_curve(s, t, eps, h, samples, plan) for s, t, h in jobs]
+    curves = [complexity_curve(make_system(s), _metric_kind(t), h, eps, samples, plan)
+              for s, t, h in jobs]
     verdicts = tuple(
         (spec.family, classify_boundedness(curve))
         for (spec, _, _), curve in zip(jobs, curves)
     )
-    return ReportBundle(
-        curves=tuple(curves),
-        verdicts=verdicts,
-        config_hash=config.config_hash,
-        seed=plan.master_seed,
-    )
+    return ReportBundle(curves=tuple(curves), verdicts=verdicts)
 
 
-_RUNNERS = {
-    "name": _run_name,
-    "complexity": _run_complexity,
-    "meanequi": _run_meanequi,
-    "expansivity": _run_expansivity,
-    "spectral": _run_spectral,
-    "dichotomy-report": _run_dichotomy,
+@dataclass(frozen=True)
+class _Task:
+    run: Callable        # (config, plan) -> ReportBundle without provenance
+    required: tuple      # params the config must hold
+    target: str          # a key of _TARGET_RULES
+
+
+# target rule -> (target types accepted, what the error says the task needs)
+_TARGET_RULES = {
+    "partition": (Partition, "a partition target"),
+    "observable": (Observable, "an observable target"),
+    "either": ((Partition, Observable), "a target"),
+    "none": (object, None),  # optional; a missing target is None
+}
+
+_TASKS = {
+    "name": _Task(_run_name, ("n",), "partition"),
+    "complexity": _Task(_run_complexity, ("eps", "horizons", "samples"), "either"),
+    "meanequi": _Task(_run_meanequi, ("eps", "samples", "horizon"), "either"),
+    "expansivity": _Task(_run_expansivity, ("delta", "pairs", "horizon"), "observable"),
+    "spectral": _Task(_run_spectral, ("horizons", "radius", "samples"), "observable"),
+    "dichotomy-report": _Task(_run_dichotomy, ("eps",), "none"),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
     """Execute one task and (if out_dir is set) write JSON/CSV/SVG artifacts."""
     plan = RandomPlan(config.seed)
-    bundle = _RUNNERS[config.task](config, plan)
+    bundle = replace(
+        _TASKS[config.task].run(config, plan),
+        config_hash=config.config_hash,
+        seed=plan.master_seed,
+    )
     if config.out_dir is not None:
         write_bundle(bundle, config.out_dir)
     return bundle

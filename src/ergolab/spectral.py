@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .cover import _ladder
 from .errors import InvalidParameterError
 from .observables import Observable, eval_many
 from .rng import RandomPlan
@@ -100,6 +101,12 @@ class OrbitGeometry:
             },
             "sample_count": self.sample_count,
         }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "OrbitGeometry":
+        d = obj["distances"]
+        return cls(obj["horizon"], obj["radius"], obj["covering_count"],
+                   d["min"], d["median"], d["max"], obj["sample_count"])
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +318,6 @@ def _geometry(X, horizon, radius, count, sample_count) -> OrbitGeometry:
     return OrbitGeometry(horizon, radius, count, lo, med, hi, sample_count)
 
 
-def _ap_horizons(horizons) -> list:
-    horizons = [int(h) for h in horizons]
-    if len(horizons) < 3 or any(b <= a for a, b in zip(horizons, horizons[1:])):
-        raise InvalidParameterError("need >= 3 strictly increasing horizons")
-    return horizons
-
-
 def _ap_verdict(horizons, counts) -> str:
     if counts[-1] == counts[-2]:
         return "ap"
@@ -354,7 +354,7 @@ def classify_almost_periodic(
     of the horizon itself.  One orbit matrix at the largest horizon serves
     all shorter ones, so the counts are exactly nested.
     """
-    horizons = _ap_horizons(horizons)
+    horizons = _ladder(horizons)
     _, counts = _orbit_scan(system, f, horizons, radius, sample_count, plan)
     return _ap_verdict(horizons, counts)
 
@@ -362,7 +362,7 @@ def classify_almost_periodic(
 def _spectral_scan(system, f, horizons, radius, sample_count, plan) -> tuple:
     """The spectral task from one scan: the verdict of classify_almost_periodic
     and the OrbitGeometry that orbit_covering_number gives at each horizon."""
-    horizons = _ap_horizons(horizons)
+    horizons = _ladder(horizons)
     X, counts = _orbit_scan(system, f, horizons, radius, sample_count, plan)
     geoms = [_geometry(X, h, radius, c, sample_count) for h, c in zip(horizons, counts)]
     return _ap_verdict(horizons, counts), geoms

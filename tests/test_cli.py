@@ -4,7 +4,7 @@ import json
 import pytest
 
 import ergolab as e
-from ergolab import cli, cover, systems
+from ergolab import cli, cover, report, systems
 from ergolab.cli import main
 
 
@@ -354,6 +354,30 @@ def test_config_params_hold_every_task_flag():
             argv += ["--system", "rotation:golden", "--target", "halves"]
         params = cli._config_obj(parser.parse_args(argv))["params"]
         assert set(params) == dests, command
+
+
+# a target shortcut of each target rule of report._TASKS ("none" takes the default)
+_RULE_TARGETS = {"partition": "halves", "either": "halves", "observable": "character:1"}
+
+
+def test_every_task_has_a_subcommand_that_builds_its_config():
+    # a task listed in report._TASKS but not in the CLI, or the reverse, fails
+    # here; so does a subcommand whose required flags leave out a required param
+    parser = cli._build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    task_of = {c: "dichotomy-report" if c == "report" else c
+               for c in commands.choices if c != "systems"}
+    assert set(task_of.values()) == set(report._TASKS)
+    for command, task in task_of.items():
+        argv = [command, "--system", "rotation:golden"]
+        rule = report._TASKS[task].target
+        if rule in _RULE_TARGETS:
+            argv += ["--target", _RULE_TARGETS[rule]]
+        for action in commands.choices[command]._actions:
+            if action.required and action.dest not in ("system", "target"):
+                argv += [action.option_strings[0], _FLAG_VALUES[action.type]]
+        config = report.config_from_json(cli._config_obj(parser.parse_args(argv)))
+        assert config.task == task
 
 
 def _outcome(argv, capsys):

@@ -107,6 +107,28 @@ def test_limit_estimate_validation():
         e.limit_estimate([1.0, 2.0], [10, 100, 1000])
 
 
+_EP = e.EquiPartition(clusters=((0, 1),), eps=0.5, covered_mass=1.0, horizon=16,
+                      diameter_bound=0.0)
+# every entry point that reads a horizon ladder, called with the ladder alone
+_LADDER_READERS = {
+    "complexity_curve": lambda h: e.complexity_curve(
+        SYS_R, e.HammingKind(e.halves()), h, 0.2, 10, PLAN),
+    "classify_almost_periodic": lambda h: e.classify_almost_periodic(
+        SYS_R, e.Character(1), h, 0.5, 10, PLAN),
+    "limit_estimate": lambda h: e.limit_estimate(lambda n: 0.0, h),
+    "verify_equipartition": lambda h: e.verify_equipartition(
+        _EP, SYS_R, e.Character(1), [0.1, 0.2], h),
+}
+
+
+@pytest.mark.parametrize("horizons", [[8, 16], [64, 16, 4]])
+@pytest.mark.parametrize("reader", sorted(_LADDER_READERS))
+def test_every_ladder_reader_rejects_a_bad_ladder_alike(reader, horizons):
+    with pytest.raises(e.InvalidParameterError) as info:
+        _LADDER_READERS[reader](horizons)
+    assert str(info.value) == "need >= 3 strictly increasing horizons"
+
+
 def test_geometric_horizons():
     assert e.geometric_horizons(4096) == (256, 1024, 4096)
     hs = e.geometric_horizons(10)
