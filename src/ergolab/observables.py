@@ -25,8 +25,8 @@ class Observable:
     def orbit_values(self, system: SystemHandle, x, n: int) -> np.ndarray:
         return self.orbit_rows(system, system.as_batch(x), n)[0]
 
-    def orbit_rows(self, system: SystemHandle, samples, n: int) -> np.ndarray:
-        """(m, n): row k holds f(T^i samples[k]) for i < n."""
+    def orbit_rows(self, system: SystemHandle, samples, n: int, lo: int = 0) -> np.ndarray:
+        """(m, n): row k holds f(T^i samples[k]) for lo <= i < lo + n."""
         raise NotImplementedError
 
     def sup_bound(self) -> Optional[float]:
@@ -43,14 +43,14 @@ class Character(Observable):
 
     k: int = 1
 
-    def orbit_rows(self, system, samples, n):
+    def orbit_rows(self, system, samples, n, lo=0):
         if not system.has_circle_values:
             raise IncompatibleObservableError(
                 f"character observables need a circle family, not {system.spec.family}"
             )
         # one complex buffer: the same product and exp as
         # np.exp(2j * np.pi * k * rows), with the exp written in place
-        z = np.multiply(2j * np.pi * self.k, system.rows(samples, 0, n))
+        z = np.multiply(2j * np.pi * self.k, system.rows(samples, lo, lo + n))
         return np.exp(z, out=z)
 
     def sup_bound(self):
@@ -74,8 +74,8 @@ class CellIndicator(Observable):
                 f"cell label must be an integer in [0, {count}), got {self.label}"
             )
 
-    def orbit_rows(self, system, samples, n):
-        return (name_rows(system, self.partition, samples, n) == self.label).astype(float)
+    def orbit_rows(self, system, samples, n, lo=0):
+        return (name_rows(system, self.partition, samples, n, lo) == self.label).astype(float)
 
     def sup_bound(self):
         return 1.0
@@ -94,12 +94,12 @@ class CoordinateRead(Observable):
 
     index: int = 0
 
-    def orbit_rows(self, system, samples, n):
+    def orbit_rows(self, system, samples, n, lo=0):
         if system.kind != "shift":
             raise IncompatibleObservableError(
                 "coordinate reads are only defined on shift families"
             )
-        return system.rows(samples, self.index, self.index + n).astype(float)
+        return system.rows(samples, self.index + lo, self.index + lo + n).astype(float)
 
     def to_json(self):
         return {"kind": "coordinate_read", "index": self.index}
@@ -109,7 +109,7 @@ class CoordinateRead(Observable):
 class Constant(Observable):
     value: complex = 0.0
 
-    def orbit_rows(self, system, samples, n):
+    def orbit_rows(self, system, samples, n, lo=0):
         return np.full((len(samples), n), self.value)
 
     def sup_bound(self):
@@ -135,8 +135,8 @@ class TableObservable(Observable):
                 "table needs one value per partition cell"
             )
 
-    def orbit_rows(self, system, samples, n):
-        return np.asarray(self.values)[name_rows(system, self.partition, samples, n)]
+    def orbit_rows(self, system, samples, n, lo=0):
+        return np.asarray(self.values)[name_rows(system, self.partition, samples, n, lo)]
 
     def sup_bound(self):
         return float(np.max(np.abs(self.values)))

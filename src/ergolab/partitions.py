@@ -124,8 +124,10 @@ def _cylinder_labels(symbol_rows: np.ndarray, alphabet: int) -> np.ndarray:
 # Name words
 
 
-def name_rows(system: SystemHandle, partition: Partition, samples, n: int) -> np.ndarray:
-    """(m, n) labels: row k holds the cells of T^i samples[k] for i < n."""
+def name_rows(system: SystemHandle, partition: Partition, samples, n: int,
+              lo: int = 0) -> np.ndarray:
+    """(m, n) labels: row k holds the cells of T^i samples[k] for
+    lo <= i < lo + n."""
     if n < 1:
         raise InvalidParameterError("name length must be >= 1")
     if partition.kind == TRIVIAL:
@@ -135,7 +137,7 @@ def name_rows(system: SystemHandle, partition: Partition, samples, n: int) -> np
             raise IncompatiblePartitionError(
                 "circle-interval partition cannot classify a symbolic point"
             )
-        return system.circle_labels(samples, partition.cuts, n)
+        return system.circle_labels(samples, partition.cuts, n, lo)
     if partition.kind == CYLINDER:
         if system.kind not in ("shift", "odometer"):
             raise IncompatiblePartitionError(
@@ -143,7 +145,7 @@ def name_rows(system: SystemHandle, partition: Partition, samples, n: int) -> np
             )
 
         def read(a, b):
-            cols = system.cylinder_rows(samples[a:b], partition.coords, n)
+            cols = system.cylinder_rows(samples[a:b], partition.coords, n, lo)
             if (cols >= partition.alphabet).any():
                 raise IncompatiblePartitionError(
                     "point symbols exceed the cylinder alphabet"

@@ -289,7 +289,8 @@ def _chunk_rows(width: int) -> int:
 
 
 # cap on the bytes of the m x m arrays of one cover (its distance matrix,
-# ball matrix and greedy copy); a larger request fails before it allocates
+# ball matrix and greedy copy), and of the orbit columns a Koopman scan
+# keeps; a larger request fails before it allocates
 _MATRIX_BYTES = 1 << 31
 
 
@@ -430,12 +431,13 @@ class SystemHandle:
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
         raise NotImplementedError(f"{self.kind} systems have no batched read")
 
-    def circle_labels(self, points, cuts, n: int) -> np.ndarray:
+    def circle_labels(self, points, cuts, n: int, lo: int = 0) -> np.ndarray:
         """(m, n) int64 labels: row k holds the cells of T^i points[k] for
-        i < n in the partition of the sorted cuts (see `_circle_labels`)."""
+        lo <= i < lo + n in the partition of the sorted cuts (see
+        `_circle_labels`)."""
         cuts = np.asarray(cuts)
         return _batched(len(points), (n,), np.int64,
-                        lambda a, b: _circle_labels(cuts, self.rows(points[a:b], 0, n)))
+                        lambda a, b: _circle_labels(cuts, self.rows(points[a:b], lo, lo + n)))
 
     def value_orbit(self, x, n: int) -> np.ndarray:
         """Circle positions of x, Tx, ..., T^{n-1}x (circle families only)."""
@@ -523,7 +525,7 @@ class DoublingSystem(SystemHandle):
         bits = self._bits(points, points.offsets + lo, hi - lo + self._row_margin)
         return _window_values(bits, hi - lo)
 
-    def circle_labels(self, points, cuts, n: int) -> np.ndarray:
+    def circle_labels(self, points, cuts, n: int, lo: int = 0) -> np.ndarray:
         # Labels from the integer V of the first K bits of each 53-bit window
         # W, K the cuts' largest dyadic depth clamped to [1, 53].  W 2^-53 >= c
         # exactly when V >= ceil(c 2^K): below the cap every cut is a multiple
@@ -540,7 +542,7 @@ class DoublingSystem(SystemHandle):
 
         def read(a, b):
             part = points[a:b]
-            bits = self._bits(part, part.offsets, n + depth - 1)
+            bits = self._bits(part, part.offsets + lo, n + depth - 1)
             words = _window_words(bits, n, depth)
             if depth > _TABLE_DEPTH:
                 return _circle_labels(thresholds, words)
@@ -559,15 +561,15 @@ class _SymbolSystem(SystemHandle):
     def metric(self, x, y) -> float:
         return _first_difference_metric(*self.rows(x + y, 0, DEFAULT_WINDOW))
 
-    def cylinder_rows(self, points, coords, n: int) -> np.ndarray:
-        """(m, n, len(coords)): coordinate c of T^i points[k] at [k, i, j],
-        for the sorted coords; on a shift it is symbol i + c."""
-        lo, hi = coords[0], coords[-1]
-        window = self.rows(points, lo, hi + n)
-        cols = np.lib.stride_tricks.sliding_window_view(window, hi - lo + 1, axis=1)[:, :n]
-        if len(coords) == hi - lo + 1:  # consecutive coords: a view
+    def cylinder_rows(self, points, coords, n: int, lo: int = 0) -> np.ndarray:
+        """(m, n, len(coords)): coordinate c of T^(lo+i) points[k] at [k, i, j],
+        for the sorted coords; on a shift it is symbol lo + i + c."""
+        first, last = coords[0], coords[-1]
+        window = self.rows(points, lo + first, lo + last + n)
+        cols = np.lib.stride_tricks.sliding_window_view(window, last - first + 1, axis=1)[:, :n]
+        if len(coords) == last - first + 1:  # consecutive coords: a view
             return cols
-        return cols[:, :, [c - lo for c in coords]]
+        return cols[:, :, [c - first for c in coords]]
 
     def _symbol_rows(self, points, starts, width) -> np.ndarray:
         """Row k holds symbols starts[k] + [0, width) of the hash stream
@@ -647,10 +649,10 @@ class OdometerSystem(_SymbolSystem):
             raise InvalidParameterError("odometer digits have nonnegative indices")
         return self._digits(points, hi, 1)[:, 0, lo:]
 
-    def cylinder_rows(self, points, coords, n: int) -> np.ndarray:
+    def cylinder_rows(self, points, coords, n: int, lo: int = 0) -> np.ndarray:
         if coords[0] < 0:
             raise InvalidParameterError("odometer digits have nonnegative indices")
-        return self._digits(points, coords[-1] + 1, n)[:, :, list(coords)]
+        return self._digits(points.step(lo), coords[-1] + 1, n)[:, :, list(coords)]
 
 
 class _Family(NamedTuple):

@@ -1,11 +1,12 @@
 """The lazy distance readers against test-local copies of the full-matrix code.
 
-The spectral greedy and distance summary decide most pairs from a Gram
-screen, and the equipartition readers compute only center rows and
-in-cluster blocks.  Every value they return must equal, bit for bit, what
-the old code computed from the whole matrix.  The ``_old_*`` helpers below
-copy that code; they read whole matrices from the old kernels in
-``old_kernels``.
+The streamed spectral scan decides most pairs from a Gram screen and holds
+only some columns of the orbit read, and the equipartition readers compute
+only center rows and in-cluster blocks.  Every value they return must
+equal, bit for bit, what the old code computed from the whole matrix.  The
+``_old_*`` helpers below copy that code; they read whole matrices from the
+old kernels in ``old_kernels``.  The scan is driven through a column reader
+over a fixed read X, in blocks of every width.
 """
 
 import numpy as np
@@ -24,12 +25,7 @@ from ergolab.cover import (
     _units_needed,
 )
 from ergolab.equicont import EquiPartition, EquipartitionFailure
-from ergolab.spectral import (
-    _distance_summary,
-    _greedy_orbit_centers,
-    _l2_pairs,
-    _spectral_scan,
-)
+from ergolab.spectral import _l2_pairs, _scan_columns, _spectral_scan
 from ergolab.systems import make_system
 
 # ---------------------------------------------------------------------------
@@ -125,6 +121,7 @@ OBSERVABLE_CASES = {
 }
 SIZES_M = (1, 2, 40, 300)
 SIZES_N = (1, 2, 3, 7, 256, 601)
+WIDTHS = (1, 7, 64, None)  # None: one block of at least N columns
 
 
 def _orbit_read(case, m, N):
@@ -134,23 +131,38 @@ def _orbit_read(case, m, N):
     return f.orbit_rows(system, samples, N), radius
 
 
+def _scan(X, r, horizons=(), width=None):
+    """Greedy centers and the summaries at `horizons` of the streamed scan
+    over the columns of X, read in blocks of `width` columns."""
+    N = X.shape[1]
+    return _scan_columns(lambda lo, n: X[:, lo : lo + n], N, r, horizons, width or N + 3)
+
+
+def _centers(X, r, width=None):
+    return _scan(X, r, (), width)[0]
+
+
 @pytest.mark.parametrize("case", sorted(OBSERVABLE_CASES))
 @pytest.mark.parametrize("m", SIZES_M)
 def test_greedy_and_summary_equal_full_matrix(case, m):
     for N in SIZES_N:
         X, radius = _orbit_read(case, m, N)
         V = X.T
-        assert _greedy_orbit_centers(X, radius) == _old_greedy(V, radius), N
-        for h in sorted({1, N // 2, N - 1, N} - {0}):
-            assert _distance_summary(X, h) == _old_summary(V[:h]), (N, h)
+        horizons = sorted({1, N // 2, N - 1, N} - {0})
+        want = [_old_summary(V[:h]) for h in horizons]
+        for width in WIDTHS:
+            centers, summaries = _scan(X, radius, horizons, width)
+            assert centers == _old_greedy(V, radius), (N, width)
+            assert [summaries[h] for h in horizons] == want, (N, width)
 
 
 def test_greedy_membership_at_exactly_r():
     # rows 0, 0.5 and 1.0 on 16 samples: d(row 0, row 1) is exactly 0.5
     X = np.repeat([[0.0, 0.5, 1.0, 0.25]], 16, axis=0)
     assert _old_l2(X.T[0], X.T[1]) == 0.5
-    assert _greedy_orbit_centers(X, 0.5) == _old_greedy(X.T, 0.5) == [0, 2]
-    assert _greedy_orbit_centers(X, np.nextafter(0.5, 0)) == [0, 1, 2]
+    for width in WIDTHS:
+        assert _centers(X, 0.5, width) == _old_greedy(X.T, 0.5) == [0, 2]
+        assert _centers(X, np.nextafter(0.5, 0), width) == [0, 1, 2]
 
 
 @pytest.mark.parametrize("case", ["rotation", "doubling"])
@@ -158,9 +170,11 @@ def test_greedy_membership_at_exactly_r():
 def test_greedy_and_summary_any_block_size(monkeypatch, case, chunk_bytes):
     monkeypatch.setattr(systems, "_CHUNK_BYTES", chunk_bytes)
     X, radius = _orbit_read(case, 40, 601)
-    assert _greedy_orbit_centers(X, radius) == _old_greedy(X.T, radius)
-    for h in (7, 256, 601):
-        assert _distance_summary(X, h) == _old_summary(X.T[:h])
+    want = [_old_summary(X.T[:h]) for h in (7, 256, 601)]
+    for width in WIDTHS:
+        centers, summaries = _scan(X, radius, (7, 256, 601), width)
+        assert centers == _old_greedy(X.T, radius), width
+        assert [summaries[h] for h in (7, 256, 601)] == want, width
 
 
 def _order_split():
@@ -168,8 +182,8 @@ def _order_split():
     rng = np.random.default_rng(8)
     while True:
         X = np.exp(2j * np.pi * rng.random((64, 2)))
-        seq = _l2_pairs(X.T, [0], [1], pairwise=False)[0]
-        if seq != _l2_pairs(X.T, [0], [1], pairwise=True)[0]:
+        seq = _l2_pairs(X.T, [0], X.T, [1], pairwise=False)[0]
+        if seq != _l2_pairs(X.T, [0], X.T, [1], pairwise=True)[0]:
             return X, seq
 
 
@@ -178,7 +192,8 @@ def test_greedy_decides_ties_in_the_old_summation_order():
     assert _old_l2(X.T[0], X.T[1]) != d  # one row alone sums pairwise ...
     assert _old_l2(X.T, X.T[0])[1] == d  # ... the greedy's full read sequentially
     for r in (d, np.nextafter(d, 0), np.nextafter(d, 2)):
-        assert _greedy_orbit_centers(X, r) == _old_greedy(X.T, r)
+        for width in WIDTHS:
+            assert _centers(X, r, width) == _old_greedy(X.T, r)
 
 
 @pytest.mark.parametrize("offset", [-1e-13, -1e-15, 0.0, 1e-15, 1e-13])
@@ -190,8 +205,10 @@ def test_greedy_and_summary_near_ties(offset):
     step *= r * (1 + offset) / _old_l2(step, 0)
     # row k is base + k * step / 2: pairs two steps apart sit at about r
     X = np.stack([base + k * step / 2 for k in range(9)], axis=1)
-    assert _greedy_orbit_centers(X, r) == _old_greedy(X.T, r)
-    assert _distance_summary(X, 9) == _old_summary(X.T)
+    for width in WIDTHS:
+        centers, summaries = _scan(X, r, [9], width)
+        assert centers == _old_greedy(X.T, r)
+        assert summaries[9] == _old_summary(X.T)
 
 
 def test_summation_order_pinned():
@@ -201,14 +218,17 @@ def test_summation_order_pinned():
     m, N = 300, 40
     V = np.exp(2j * np.pi * rng.random((m, N))).T
     pi, pj = np.triu_indices(N, 1)  # the old list's pair order
-    seq = _l2_pairs(V, pi, pj, pairwise=False)
-    pair = _l2_pairs(V, pi, pj, pairwise=True)
+    seq = _l2_pairs(V, pi, V, pj, pairwise=False)
+    pair = _l2_pairs(V, pi, V, pj, pairwise=True)
     old = np.concatenate([_old_l2(V[i + 1:], V[i]) for i in range(N - 2)])
     assert np.array_equal(old, seq[: old.size])
     assert not np.array_equal(old, pair[: old.size])  # the orders differ here
     assert _old_l2(V[N - 1:], V[N - 2])[0] == pair[-1]
     W = V[[0, 5, 9, 20, 39]]
-    assert np.array_equal(_old_l2(W[1:], W[0]), _l2_pairs(W, [0] * 4, [1, 2, 3, 4], True))
+    assert np.array_equal(_old_l2(W[1:], W[0]), _l2_pairs(W, [0] * 4, W, [1, 2, 3, 4], True))
+    # rows of two different arrays: the store's and a block's
+    C = np.ascontiguousarray(V)
+    assert np.array_equal(_l2_pairs(C, pi, V, pj, pairwise=False), seq)
     # add.reduce on a one-column slice is pairwise, not the sequential order
     sq = np.abs(V[1:] - V[0]) ** 2
     cum = np.cumsum(sq, axis=1)[:, -1]
@@ -232,19 +252,20 @@ def test_scan_promotes_float32_values():
 def test_screen_rechecks_few_pairs(monkeypatch):
     X, radius = _orbit_read("rotation", 300, 256)
     rechecked = _counting_l2_pairs(monkeypatch)
-    centers = _greedy_orbit_centers(X, radius)
-    assert sum(rechecked) < 0.05 * len(centers) * 256
+    centers = _centers(X, radius, 64)
+    greedy = sum(rechecked)
+    assert greedy < 0.05 * len(centers) * 256
     rechecked.clear()
-    _distance_summary(X, 256)
-    assert sum(rechecked) < 0.05 * 256 * 255 / 2
+    _scan(X, radius, [256], 64)  # the same greedy, then the summary
+    assert sum(rechecked) - greedy < 0.05 * 256 * 255 / 2
 
 
 def _counting_l2_pairs(monkeypatch):
     rechecked = []
 
-    def counting(V, i, j, pairwise):
+    def counting(A, i, B, j, pairwise):
         rechecked.append(len(j))
-        return _l2_pairs(V, i, j, pairwise)
+        return _l2_pairs(A, i, B, j, pairwise)
 
     monkeypatch.setattr(spectral, "_l2_pairs", counting)
     return rechecked
@@ -253,11 +274,10 @@ def _counting_l2_pairs(monkeypatch):
 def test_summary_skips_identical_rows(monkeypatch):
     # every row of a constant orbit is the same, so every distance is 0 and
     # no pair needs the per-pair recompute
-    X, _ = _orbit_read("constant", 300, 256)
+    X, radius = _orbit_read("constant", 300, 256)
     rechecked = _counting_l2_pairs(monkeypatch)
-    assert _distance_summary(X, 256) == (0.0, 0.0, 0.0)
+    assert _scan(X, radius, [256], 64)[1][256] == (0.0, 0.0, 0.0) == _old_summary(X.T)
     assert sum(rechecked) == 0
-    assert _distance_summary(X, 256) == _old_summary(X.T)
 
 
 @pytest.mark.parametrize("bad", [None, np.nan])
@@ -268,9 +288,12 @@ def test_summary_repeated_rows_equal_full_matrix(bad):
     X = np.ascontiguousarray(X[:, [0, 1, 0, 2, 1, 0, 3, 4, 3, 5, 6, 7, 0]])  # as read
     if bad is not None:
         X[5, [0, 2]] = bad
-    for h in (2, 3, 6, 13):
-        got, want = _distance_summary(X, h), _old_summary(X.T[:h])
-        assert np.array_equal(got, want, equal_nan=True), (bad, h)
+    for width in WIDTHS:
+        centers, summaries = _scan(X, 0.5, (2, 3, 6, 13), width)
+        assert centers == _old_greedy(X.T, 0.5)
+        for h in (2, 3, 6, 13):
+            got, want = summaries[h], _old_summary(X.T[:h])
+            assert np.array_equal(got, want, equal_nan=True), (bad, h, width)
 
 
 # ---------------------------------------------------------------------------

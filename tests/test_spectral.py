@@ -1,3 +1,4 @@
+import tracemalloc
 from bisect import bisect_left
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import ergolab as e
 from ergolab import observables, systems
 from ergolab.observables import eval_many
+from ergolab.cli import main
 from ergolab.report import config_from_json, run_experiment
 from ergolab.spectral import _TAG_L2, OrbitGeometry, _spectral_scan
 from ergolab.systems import make_system
@@ -223,6 +225,9 @@ def test_one_scan_matches_rebuild_per_horizon(spec, f, radius):
 
 
 def test_spectral_run_builds_orbit_matrix_once(monkeypatch):
+    """One sample set, and orbit_rows windows that tile the columns [0, N)
+    of the orbit read exactly once over all samples."""
+    monkeypatch.setattr(systems, "_CHUNK_BYTES", 4096)  # blocks of 34 columns
     calls = {"sample_measure": [], "orbit_rows": [], "orbit_values": []}
 
     def counting(cls, name, size):
@@ -235,16 +240,21 @@ def test_spectral_run_builds_orbit_matrix_once(monkeypatch):
         monkeypatch.setattr(cls, name, wrapper)
 
     counting(systems.DoublingSystem, "sample_measure", lambda a: a[1])
-    counting(observables.Character, "orbit_rows", lambda a: len(a[2]))
+    counting(observables.Character, "orbit_rows", lambda a: (len(a[2]), a[4], a[3]))
     counting(observables.Observable, "orbit_values", lambda a: 1)
     cfg = {"task": "spectral", "system": {"family": "doubling"},
            "target": {"observable": {"kind": "character", "k": 1}},
-           "params": {"horizons": [8, 16, 32], "radius": 1.0, "samples": 30},
+           "params": {"horizons": [8, 16, 100], "radius": 1.0, "samples": 30},
            "seed": 3}
     bundle = run_experiment(config_from_json(cfg))
-    assert [g.horizon for _, g in bundle.geometries] == [8, 16, 32]
-    # one sample set, one batched read of all 30 orbits, no per-sample read
-    assert calls == {"sample_measure": [30], "orbit_rows": [30], "orbit_values": []}
+    assert [g.horizon for _, g in bundle.geometries] == [8, 16, 100]
+    # one sample set, no per-sample read, and windows of all 30 orbits that
+    # follow each other from column 0 to the largest horizon
+    assert calls["sample_measure"] == [30] and calls["orbit_values"] == []
+    windows = calls["orbit_rows"]
+    assert len(windows) > 1 and {size for size, _, _ in windows} == {30}
+    assert [lo for _, lo, _ in windows] == list(np.cumsum([0] + [n for _, _, n in windows]))[:-1]
+    assert sum(n for _, _, n in windows) == 100
 
 
 def _old_step_values(system, samples):
@@ -266,3 +276,56 @@ def test_eigen_residual_array_step_bit_exact(spec):
             fx1 = eval_many(f, system, _old_step_values(system, samples))
             want = float(np.sqrt(np.mean(np.abs(fx1 - lam * fx) ** 2)))
             assert e.eigen_residual(system, f, lam, 777, PLAN) == want
+
+
+def _traced_peak(run) -> int:
+    """Peak traced bytes of run(), called once before to leave imports and
+    caches out of the measure."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectral_scan_holds_under_half_the_orbit_read():
+    # 8 centers: the scan keeps the 448 columns the summaries read, and
+    # drops those of horizons 64 and 256 once their summaries are taken
+    m, horizons, f = 1500, [64, 256, 1024], e.Character(1)
+    peak = _traced_peak(lambda: _spectral_scan(SYS_R, f, horizons, 0.5, m, PLAN))
+    assert peak < m * horizons[-1] * 16 / 2
+
+
+def test_all_centers_scan_holds_no_more_than_the_orbit_read():
+    # every column is a center: the store grows to the N columns of the
+    # read, and beside it the scan holds one block read at a time
+    m, horizons, f = 1000, [64, 256, 1024], e.Character(1)
+    N = horizons[-1]
+    _, geoms = _spectral_scan(SYS_D, f, horizons, 1.0, m, PLAN)
+    assert [g.covering_count for g in geoms] == horizons
+    samples = SYS_D.sample_measure(m, PLAN.child(_TAG_L2))
+    width = 2 * systems._chunk_rows(m)
+    block = _traced_peak(lambda: f.orbit_rows(SYS_D, samples, width, N - width))
+    peak = _traced_peak(lambda: _spectral_scan(SYS_D, f, horizons, 1.0, m, PLAN))
+    assert peak <= m * N * 16 + block
+
+
+@pytest.mark.parametrize("run", ["api", "cli"])
+def test_spectral_store_is_charged_before_it_grows(run, monkeypatch, tmp_path, capsys):
+    # 50 samples and horizon 32: the store's one page holds the 32 columns
+    # the summaries read, 32 * 50 * 16 = 25600 bytes
+    monkeypatch.setattr(systems, "_MATRIX_BYTES", 25_599)
+    command = ["spectral", "--system", "rotation:golden", "--target", "character:1",
+               "--horizons", "8,16,32", "--radius", "0.5", "--samples", "50"]
+    out = tmp_path / "out"
+    if run == "cli":
+        assert main(["--out", str(out), *command]) == 3
+        assert "kept columns needs 25600 bytes" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+    else:
+        with pytest.raises(e.BudgetExhaustedError):
+            e.orbit_covering_number(SYS_R, e.Character(1), 32, 0.5, 50, PLAN)
+    monkeypatch.setattr(systems, "_MATRIX_BYTES", 25_600)  # exactly enough
+    assert main(["--out", str(out), *command]) == 0
