@@ -84,6 +84,9 @@ _ORACLE_WORDS = 4096
 # on a ball graph of several components, the greedy's member list and one
 # label read of it (at most 4 bytes); the greedy holds no m x m float copy
 _COVER_ENTRY_BYTES = 13
+# bytes per entry of _distance_matrix at its peak: the float64 distances
+# beside the float32 Hamming agreement counts they are divided from
+_MATRIX_ENTRY_BYTES = 12
 # pivot rows of the fbar/fhat ball screen
 _PIVOTS = 4
 
@@ -262,9 +265,11 @@ def _distance_matrix(kind: MetricKind, feats: np.ndarray) -> np.ndarray:
 
     Hamming divides n minus the exact agreement counts by n.  fbar/fhat take
     square blocks of _distance_rows on and above the diagonal and mirror
-    them: |v_i - v_j| and |v_j - v_i| are bitwise equal.
+    them: |v_i - v_j| and |v_j - v_i| are bitwise equal.  A matrix over
+    systems._MATRIX_BYTES raises BudgetExhaustedError before it is built.
     """
     m, n = feats.shape
+    _check_bytes(_MATRIX_ENTRY_BYTES * m * m, f"a distance matrix of {m} samples")
     if isinstance(kind, HammingKind):
         agree = _agreements(feats)
         return np.true_divide(np.subtract(n, agree, out=agree), n, dtype=np.float64)
@@ -899,10 +904,13 @@ _RESAMPLES = 20  # bootstrap resamples per horizon
 
 
 def _ladder(horizons) -> tuple:
-    """The horizons as ints, checked to be at least 3 and strictly increasing."""
+    """The horizons as ints, checked to be at least 3, strictly increasing
+    and positive."""
     horizons = tuple(int(h) for h in horizons)
     if len(horizons) < 3 or any(b <= a for a, b in zip(horizons, horizons[1:])):
         raise InvalidParameterError("need >= 3 strictly increasing horizons")
+    if horizons[0] < 1:
+        raise InvalidParameterError("horizon must be >= 1")
     return horizons
 
 

@@ -12,7 +12,8 @@ The equipartition readers never build the m x m distance matrix: the
 greedy computes one row per center, and the diameter bound and
 ``verify_equipartition`` share one reader of the block inside each
 cluster.  Rows and blocks come from the same per-pair reducers as the
-full matrix, so they equal its entries bit for bit.
+full matrix, so they equal its entries bit for bit.  Each block is
+charged against systems._MATRIX_BYTES before it is built.
 """
 
 from __future__ import annotations
@@ -113,9 +114,10 @@ def _cluster_maxima(kind, feats: np.ndarray, clusters) -> list:
             continue
         idx = np.array(cluster)
         sub = _distance_matrix(kind, feats[idx])
-        rows, cols = np.triu_indices(len(idx), k=1)
-        pos = int(np.argmax(sub[rows, cols]))
-        i, j = rows[pos], cols[pos]
+        # -inf on and below the diagonal: argmax is then the first maximum
+        # above it in row order, with a bool mask the only other block
+        sub[np.tri(len(idx), dtype=bool)] = -np.inf
+        i, j = divmod(int(np.argmax(sub)), len(idx))
         out.append((int(idx[i]), int(idx[j]), float(sub[i, j])))
     return out
 

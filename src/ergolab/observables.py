@@ -149,24 +149,31 @@ class TableObservable(Observable):
         }
 
 
+# observable kind -> class, the listing observable_from_json reads
+_KINDS = {
+    "character": Character,
+    "cell_indicator": CellIndicator,
+    "coordinate_read": CoordinateRead,
+    "constant": Constant,
+    "table": TableObservable,
+}
+
+
 def observable_from_json(obj: dict) -> Observable:
+    """The observable whose to_json is obj: the class of its kind called with
+    the other JSON keys as keyword arguments, a partition read back through
+    partition_from_json, a [re, im] value as a complex and values as a tuple."""
     kind = obj["kind"]
-    if kind == "character":
-        return Character(obj.get("k", 1))
-    if kind == "cell_indicator":
-        return CellIndicator(partition_from_json(obj["partition"]), obj["label"])
-    if kind == "coordinate_read":
-        return CoordinateRead(obj.get("index", 0))
-    if kind == "constant":
-        v = obj["value"]
-        if isinstance(v, list):
-            v = complex(v[0], v[1])
-        return Constant(v)
-    if kind == "table":
-        return TableObservable(
-            partition_from_json(obj["partition"]), tuple(obj["values"])
-        )
-    raise InvalidParameterError(f"unknown observable kind {kind!r}")
+    if kind not in _KINDS:
+        raise InvalidParameterError(f"unknown observable kind {kind!r}")
+    args = {k: v for k, v in obj.items() if k != "kind"}
+    if "partition" in args:
+        args["partition"] = partition_from_json(args["partition"])
+    if isinstance(args.get("value"), list):
+        args["value"] = complex(*args["value"])
+    if "values" in args:
+        args["values"] = tuple(args["values"])
+    return _KINDS[kind](**args)
 
 
 def eval_many(f: Observable, system: SystemHandle, points) -> np.ndarray:

@@ -99,6 +99,9 @@ def config_from_json(obj: dict, out_dir: Optional[str] = None) -> ExperimentConf
         missing = [k for k in entry.required if k not in params]
         if missing:
             raise ConfigError(f"task {task!r} missing parameters: {missing}")
+        unknown = [k for k in params if k not in entry.required + entry.optional]
+        if unknown:
+            raise ConfigError(f"task {task!r} has unknown parameters: {unknown}")
         types, needed = _TARGET_RULES[entry.target]
         if not isinstance(target, types):
             raise ConfigError(f"task {task!r} needs {needed}")
@@ -296,6 +299,7 @@ def _run_dichotomy(config, plan):
 class _Task:
     run: Callable        # (config, plan) -> ReportBundle without provenance
     required: tuple      # params the config must hold
+    optional: tuple      # params it may hold besides
     target: str          # a key of _TARGET_RULES
 
 
@@ -308,12 +312,15 @@ _TARGET_RULES = {
 }
 
 _TASKS = {
-    "name": _Task(_run_name, ("n",), "partition"),
-    "complexity": _Task(_run_complexity, ("eps", "horizons", "samples"), "either"),
-    "meanequi": _Task(_run_meanequi, ("eps", "samples", "horizon"), "either"),
-    "expansivity": _Task(_run_expansivity, ("delta", "pairs", "horizon"), "observable"),
-    "spectral": _Task(_run_spectral, ("horizons", "radius", "samples"), "observable"),
-    "dichotomy-report": _Task(_run_dichotomy, ("eps",), "none"),
+    "name": _Task(_run_name, ("n",), ("point",), "partition"),
+    "complexity": _Task(_run_complexity, ("eps", "horizons", "samples"), ("max_centers",),
+                        "either"),
+    "meanequi": _Task(_run_meanequi, ("eps", "samples", "horizon"), ("k_max",), "either"),
+    "expansivity": _Task(_run_expansivity, ("delta", "pairs", "horizon"), (), "observable"),
+    "spectral": _Task(_run_spectral, ("horizons", "radius", "samples"), (), "observable"),
+    "dichotomy-report": _Task(
+        _run_dichotomy, ("eps",),
+        ("samples", "versus", "horizons_bounded", "horizons_growing"), "none"),
 }
 
 

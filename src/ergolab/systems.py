@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BudgetExhaustedError, InvalidParameterError, UnsupportedRefinementError
-from .rng import RandomPlan, hash64, stream_hash, uniform01, zigzag
+from .rng import _MASK, RandomPlan, hash64, stream_hash, uniform01
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -120,18 +120,6 @@ def is_rational_angle(theta: float, max_den: int = 1000, tol: float = 1e-9) -> b
 # Lazy two-sided streams
 
 
-@dataclass(frozen=True)
-class HashSymbols:
-    """Two-sided i.i.d. symbol stream: symbol(i) = F(seed, i), recomputable."""
-
-    seed: int
-    thresholds: tuple  # cumulative probabilities, length alphabet-1
-
-    def symbols(self, lo: int, hi: int) -> np.ndarray:
-        idx = zigzag(np.arange(lo, hi, dtype=np.int64))
-        return _threshold_symbols(hash64(self.seed, _TAG_SYMBOL, idx), self.thresholds)
-
-
 def _threshold_symbols(h: np.ndarray, thresholds) -> np.ndarray:
     """Symbols from stream hashes: the number of thresholds at or below u."""
     u = uniform01(h)
@@ -143,17 +131,17 @@ def _threshold_symbols(h: np.ndarray, thresholds) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrefixSymbols:
-    """Finite symbol buffer at indices >= 0, extended lazily by a hash stream."""
+    """Finite symbol buffer at indices >= 0 over the point's hash stream."""
 
     prefix: tuple
-    tail: HashSymbols
 
-    def read(self, lo: int, hi: int) -> np.ndarray:
-        out = self.tail.symbols(lo, hi)
+    def read(self, lo: int, hi: int, stream: np.ndarray) -> np.ndarray:
+        """Symbols lo..hi-1: `stream`, the hash stream's symbols there, with
+        the prefix written over indices [0, len(prefix)) in place."""
         a, b = max(lo, 0), min(hi, len(self.prefix))
         if a < b:
-            out[a - lo : b - lo] = self.prefix[a:b]
-        return out
+            stream[a - lo : b - lo] = self.prefix[a:b]
+        return stream
 
 
 def _top_bits(h: np.ndarray) -> np.ndarray:
@@ -175,7 +163,9 @@ class FloatBits:
         num, den = float(x).as_integer_ratio()
         return cls(num, den.bit_length() - 1)
 
-    def read(self, lo: int, hi: int) -> np.ndarray:
+    def read(self, lo: int, hi: int, stream: np.ndarray) -> np.ndarray:
+        """Bits lo..hi-1.  The tail past the float is zero, so `stream`, the
+        point's hash stream there, is not read."""
         out = np.zeros(hi - lo, dtype=np.int64)
         a, b = max(lo, 0), min(hi, self.exponent)
         if a < b:
@@ -197,9 +187,11 @@ class Points:
     ``keys`` holds each point's stream seed (uint64), or its angle for
     sturmian (float64); ``offsets`` holds each point's origin in its stream
     (int64), or its shift for odometer.  ``own`` lists (row, source) for the
-    few user-made points that read their own stream (a ``PrefixSymbols``,
-    or the ``FloatBits`` of a float given to doubling); their keys are not
-    read.  A single point is a batch of one: an integer index gives one.
+    few user-made points whose source rewrites their stream row: a
+    ``PrefixSymbols`` writes its prefix over the row its key hashed, and the
+    ``FloatBits`` of a float given to doubling replaces the row (its key is
+    0 and not read).  A single point is a batch of one: an integer index
+    gives one.
     """
 
     keys: np.ndarray
@@ -230,17 +222,19 @@ class Points:
         return Points(self.keys, self.offsets + k, self.own)
 
     def read_own(self, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """rows, with row r of each own point replaced by its source read at
-        indices starts[r] + [0, width)."""
+        """rows, the stream rows at indices starts[k] + [0, width), with row
+        r of each own point read through its source."""
         for r, src in self.own:
             lo = int(starts[r])
-            rows[r] = src.read(lo, lo + rows.shape[1])
+            rows[r] = src.read(lo, lo + rows.shape[1], rows[r])
         return rows
 
 
-def _own_point(source) -> Points:
-    """A batch of one point that reads its own stream `source`."""
-    return Points(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.int64), ((0, source),))
+def _own_point(source, seed: int = 0) -> Points:
+    """A batch of one point whose stream row, keyed by seed, is read
+    through `source`."""
+    return Points(np.array([seed & _MASK], dtype=np.uint64), np.zeros(1, dtype=np.int64),
+                  ((0, source),))
 
 
 def _frac(v: np.ndarray) -> np.ndarray:
@@ -381,9 +375,11 @@ class SystemHandle:
     """
 
     kind = "abstract"
-    spec: SystemSpec
     # stream positions a row reads beyond hi - lo (the doubling's value window)
     _row_margin = 0
+
+    def __init__(self, spec: SystemSpec):
+        self.spec = spec
 
     def as_batch(self, x):
         """x as a batch: a Points batch as it is, a circle value or an array
@@ -459,9 +455,9 @@ class SystemHandle:
 class RotationSystem(SystemHandle):
     kind = "circle"
 
-    def __init__(self, spec: SystemSpec):
-        self.spec = spec
-        self.theta = spec.params[0]
+    @property
+    def theta(self) -> float:
+        return self.spec.params[0]
 
     def step(self, x, k: int = 1):
         return circle_value(circle_value(x) + k * self.theta)
@@ -481,31 +477,18 @@ class RotationSystem(SystemHandle):
         return [circle_value(c - k * self.theta)]
 
 
-class IdentitySystem(SystemHandle):
-    kind = "circle"
+class IdentitySystem(RotationSystem):
+    """The rotation by 0, with a plain copy for its rows."""
 
-    def __init__(self, spec: SystemSpec):
-        self.spec = spec
-
-    def step(self, x, k: int = 1):
-        return circle_value(x)
-
-    def _sample(self, count: int, plan: RandomPlan) -> np.ndarray:
-        return plan.uniforms(_TAG_POINT, np.arange(count))
+    theta = 0.0
 
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
         return np.repeat(circle_value(points)[:, None], hi - lo, axis=1)
-
-    def _cut_preimages(self, c: float, k: int) -> list:
-        return [c]
 
 
 class DoublingSystem(SystemHandle):
     kind = "circle"
     _row_margin = _VALUE_BITS - 1
-
-    def __init__(self, spec: SystemSpec):
-        self.spec = spec
 
     def as_batch(self, x) -> Points:
         return x if isinstance(x, Points) else self.point(x)
@@ -578,14 +561,16 @@ class _SymbolSystem(SystemHandle):
         return points.read_own(_threshold_symbols(hashes, self.thresholds), starts)
 
     def _prefix_point(self, prefix, seed: int) -> Points:
-        return _own_point(PrefixSymbols(tuple(prefix), HashSymbols(seed, self.thresholds)))
+        """The point whose symbols are `prefix` from index 0 on, and the
+        stream keyed by seed elsewhere."""
+        return _own_point(PrefixSymbols(tuple(prefix)), seed)
 
 
 class BernoulliSystem(_SymbolSystem):
     kind = "shift"
 
     def __init__(self, spec: SystemSpec):
-        self.spec = spec
+        super().__init__(spec)
         self.p, self.alphabet = spec.params
         if self.alphabet == 2:
             probs = (1.0 - self.p, self.p)
@@ -606,7 +591,7 @@ class SturmianSystem(_SymbolSystem):
     kind = "shift"
 
     def __init__(self, spec: SystemSpec):
-        self.spec = spec
+        super().__init__(spec)
         self.theta = spec.params[0]
 
     def point(self, angle: float) -> Points:
@@ -626,7 +611,7 @@ class OdometerSystem(_SymbolSystem):
     kind = "odometer"
 
     def __init__(self, spec: SystemSpec):
-        self.spec = spec
+        super().__init__(spec)
         self.base = spec.params[0]
         self.thresholds = tuple(np.arange(1, self.base) / self.base)
 

@@ -18,7 +18,7 @@ from ergolab import equicont, systems
 from ergolab.partitions import CIRCLE_INTERVALS, CYLINDER, TRIVIAL
 from ergolab.rng import hash64, uniform01, zigzag
 from ergolab.spectral import _TAG_L2
-from ergolab.systems import FloatBits, HashSymbols, PrefixSymbols, make_system
+from ergolab.systems import FloatBits, PrefixSymbols, make_system
 
 PLAN = e.RandomPlan(99)
 _BIT_WEIGHTS = 0.5 ** np.arange(1, 54)
@@ -33,6 +33,22 @@ class _OldHashBits:
     """The fair-bit stream of a sampled doubling point."""
 
     seed: int
+
+
+@dataclass(frozen=True)
+class _OldHashSymbols:
+    """The i.i.d. symbol stream keyed by seed: symbol i from hash(seed, i)."""
+
+    seed: int
+    thresholds: tuple  # cumulative probabilities, length alphabet-1
+
+
+@dataclass(frozen=True)
+class _OldPrefixSymbols:
+    """A finite symbol buffer at indices >= 0 over a symbol stream."""
+
+    prefix: tuple
+    tail: _OldHashSymbols
 
 
 @dataclass(frozen=True)
@@ -51,14 +67,16 @@ def _old_points(system, pts):
     own = dict(pts.own)
     out = []
     for k, (key, offset) in enumerate(zip(pts.keys, pts.offsets)):
-        if k in own:
+        if isinstance(own.get(k), PrefixSymbols):
+            src = _OldPrefixSymbols(own[k].prefix, _OldHashSymbols(int(key), system.thresholds))
+        elif k in own:
             src = own[k]
         elif system.spec.family == "sturmian":
             src = float(key)
         elif system.spec.family == "doubling":
             src = _OldHashBits(int(key))
         else:
-            src = HashSymbols(int(key), system.thresholds)
+            src = _OldHashSymbols(int(key), system.thresholds)
         out.append(_OldPoint(src, int(offset)))
     return out
 
@@ -70,14 +88,14 @@ def _old_step(system, x, k):
 
 
 def _old_stream(src, lo, hi):
-    if isinstance(src, HashSymbols):
+    if isinstance(src, _OldHashSymbols):
         idx = zigzag(np.arange(lo, hi, dtype=np.int64))
         u = uniform01(hash64(src.seed, systems._TAG_SYMBOL, idx))
         out = np.zeros(hi - lo, dtype=np.int64)
         for t in src.thresholds:
             out += u >= t
         return out
-    if isinstance(src, PrefixSymbols):
+    if isinstance(src, _OldPrefixSymbols):
         out = _old_stream(src.tail, lo, hi)
         for j in range(max(lo, 0), min(hi, len(src.prefix))):
             out[j - lo] = src.prefix[j]
@@ -374,14 +392,18 @@ def test_stream_reads_equal_index_loops():
     for v in list(rng.random(40)) + [0.0, 0.5, 2.0**-1074, 1 - 2.0**-53]:
         src = FloatBits.from_float(float(v))
         for lo, hi in ((0, 60), (-7, 3), (50, 1100), (1070, 1080), (-3, -1)):
-            assert np.array_equal(src.read(lo, hi), _old_stream(src, lo, hi))
+            # the tail past the float is zero, whatever the stream row holds
+            assert np.array_equal(src.read(lo, hi, np.full(hi - lo, -1)), _old_stream(src, lo, hi))
     odd = FloatBits(2**70 + 12345, 75)  # a numerator wider than a float's
-    assert np.array_equal(odd.read(-2, 80), _old_stream(odd, -2, 80))
-    tail = HashSymbols(11, (0.3, 0.6))
-    for prefix in ((), (2,), (1, 0, 2, 2, 1)):
-        src = PrefixSymbols(prefix, tail)
-        for lo, hi in ((-4, 9), (2, 4), (5, 12), (-3, -1)):
-            assert np.array_equal(src.read(lo, hi), _old_stream(src, lo, hi))
+    assert np.array_equal(odd.read(-2, 80, np.full(82, -1)), _old_stream(odd, -2, 80))
+    # a prefix point reads the stream keyed by its seed, the seed taken mod 2^64
+    system = make_system(e.bernoulli_shift(0.7, 3))  # thresholds 0.3, 0.65
+    for seed in (11, -1, 2**63 + 5, 2**64 + 11):
+        for prefix in ((), (2,), (1, 0, 2, 2, 1)):
+            pt = system.point(symbols=prefix, seed=seed)
+            old = _OldPrefixSymbols(prefix, _OldHashSymbols(seed, system.thresholds))
+            for lo, hi in ((-4, 9), (2, 4), (5, 12), (-3, -1)):
+                assert np.array_equal(system.rows(pt, lo, hi)[0], _old_stream(old, lo, hi))
 
 
 _HALF_DOWN, _HALF_UP = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)

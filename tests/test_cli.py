@@ -87,6 +87,33 @@ def test_matrix_budget_exit_3_before_allocation(command, monkeypatch, tmp_path, 
     assert main(["--out", str(out), *command]) == 0
 
 
+def test_meanequi_cluster_block_budget_exit_3(monkeypatch, capsys):
+    # identity names are constant, so halves makes two clusters of about
+    # 1000 samples; each block is charged 12 bytes per entry before it is built
+    monkeypatch.setattr(systems, "_MATRIX_BYTES", 1 << 20)
+    assert main(["meanequi", "--system", "identity", "--target", "halves", "--eps", "0.2",
+                 "--samples", "2000", "--horizon", "8"]) == 3
+    assert "over the 1048576-byte cap" in capsys.readouterr().err
+
+
+def test_unknown_task_param_exit_2(tmp_path, capsys):
+    obj = {"task": "complexity", "system": {"family": "rotation", "params": {"theta": 0.618}},
+           "target": {"partition": {"kind": "circle_intervals", "cuts": [0.0, 0.5]}},
+           "params": {"eps": 0.2, "horizons": [8, 16, 32], "samples": 100, "max_centres": 3}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    assert main(["--config", str(cfg), "systems"]) == 0  # systems reads no config
+    capsys.readouterr()
+    argv = ["--config", str(cfg), "complexity", "--system", "x", "--target", "y",
+            "--eps", "1", "--horizons", "1,2,3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == \
+        "error: task 'complexity' has unknown parameters: ['max_centres']"
+    obj["params"]["max_centers"] = obj["params"].pop("max_centres")
+    cfg.write_text(json.dumps(obj))
+    assert main(argv) == 0
+
+
 def test_matrix_budget_default_far_above_runs():
     # the largest sample set of a test or benchmark cover is 2000 samples
     assert 13 * 2000**2 * 10 < systems._MATRIX_BYTES
@@ -285,6 +312,13 @@ _MEANEQUI = ["meanequi", "--system", "rotation:golden", "--target", "character:1
       '{"family": "bernoulli_shift", "params": {"p": 0.5, "alphabet_size": "3"}}',
       "--target", "cylinder:0"] + _CURVE,
      "invalid config: alphabet_size must be an integer >= 2, got '3'"),
+    (["complexity", "--system", "rotation:golden", "--target", "halves", "--eps", "0.1",
+      "--horizons", "0,1,2", "--samples", "50"], "horizon must be >= 1"),
+    (["complexity", "--system", "rotation:golden", "--target", "character:1", "--eps", "0.1",
+      "--horizons", "0,1,2", "--samples", "50"], "horizon must be >= 1"),
+    (["complexity", "--system", "rotation:golden",
+      "--target", '{"observable": {"kind": "character", "K": 3}}'] + _CURVE,
+     "invalid config: Character.__init__() got an unexpected keyword argument 'K'"),
 ])
 def test_bad_argument_exit_2(argv, message, capsys):
     assert main(argv) == 2
@@ -354,6 +388,9 @@ def test_config_params_hold_every_task_flag():
             argv += ["--system", "rotation:golden", "--target", "halves"]
         params = cli._config_obj(parser.parse_args(argv))["params"]
         assert set(params) == dests, command
+        if command != "systems":  # the one subcommand without a task
+            task = report._TASKS["dichotomy-report" if command == "report" else command]
+            assert dests <= set(task.required + task.optional), command
 
 
 # a target shortcut of each target rule of report._TASKS ("none" takes the default)

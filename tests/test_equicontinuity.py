@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ergolab as e
+from ergolab import cover, equicont, systems
 from ergolab.systems import make_system
 
 PLAN = e.RandomPlan(7)
@@ -132,3 +135,44 @@ def test_equipartition_json():
     ep = e.find_equipartition(SYS_R, e.Character(1), 0.8, samples, 64)
     obj = ep.to_json()
     assert sum(len(c) for c in obj["clusters"]) <= 50
+
+
+def test_cluster_blocks_charged_before_they_are_built(monkeypatch):
+    # a cluster's block, like a pairwise distance matrix, is charged 12 bytes
+    # per entry: float64 distances beside float32 Hamming agreement counts
+    system = make_system(e.identity())
+    samples = system.sample_measure(300, PLAN)
+    ep = e.hamming_equipartition(system, e.halves(), 0.2, samples, 8)
+    c = max(map(len, ep.clusters))
+    calls = [
+        lambda: e.hamming_equipartition(system, e.halves(), 0.2, samples, 8),
+        lambda: e.verify_equipartition(ep, system, e.halves(), samples, [2, 4, 8]),
+        lambda: e.pairwise_distances(e.HammingKind(e.halves()), system, samples[:c], 8),
+    ]
+    monkeypatch.setattr(systems, "_MATRIX_BYTES", 12 * c * c - 1)
+    for call in calls:
+        with pytest.raises(e.BudgetExhaustedError, match=f"a distance matrix of {c} samples"):
+            call()
+    monkeypatch.setattr(systems, "_MATRIX_BYTES", 12 * c * c)  # exactly enough
+    assert calls[0]() == ep
+    assert calls[1]().passed
+    assert calls[2]().shape == (c, c)
+
+
+@pytest.mark.parametrize("spec, kind", [
+    (e.identity(), e.HammingKind(e.halves())),
+    (e.doubling(), e.HammingKind(e.circle_intervals([0.0, 0.3, 0.7]))),
+    (e.rotation(e.GOLDEN), e.FbarKind(e.Character(1))),
+])
+def test_cluster_block_peak_within_its_charge(spec, kind):
+    system = make_system(spec)
+    c = 1000
+    feats = cover._sample_features(kind, system, system.sample_measure(c, PLAN), 64)
+    tracemalloc.start()
+    try:
+        equicont._cluster_maxima(kind, feats, [tuple(range(c))])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 12 bytes per entry, and 1 MB for the feature copy and the tiles
+    assert peak < 12 * c * c + (1 << 20)

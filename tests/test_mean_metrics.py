@@ -129,6 +129,14 @@ def test_every_ladder_reader_rejects_a_bad_ladder_alike(reader, horizons):
     assert str(info.value) == "need >= 3 strictly increasing horizons"
 
 
+@pytest.mark.parametrize("horizons", [[0, 1, 2], [-4, 2, 8]])
+@pytest.mark.parametrize("reader", sorted(_LADDER_READERS))
+def test_every_ladder_reader_rejects_a_horizon_below_1(reader, horizons):
+    with pytest.raises(e.InvalidParameterError) as info:
+        _LADDER_READERS[reader](horizons)
+    assert str(info.value) == "horizon must be >= 1"
+
+
 def test_geometric_horizons():
     assert e.geometric_horizons(4096) == (256, 1024, 4096)
     hs = e.geometric_horizons(10)

@@ -23,10 +23,27 @@ def test_config_validation_errors():
     bad["params"] = {"eps": 0.2}  # horizons/samples missing
     with pytest.raises(e.ConfigError):
         config_from_json(bad)
+    unknown = json.loads(json.dumps(BASE_COMPLEXITY))
+    unknown["params"]["max_centres"] = 3  # the param is max_centers
+    with pytest.raises(e.ConfigError, match="unknown parameters: \\['max_centres'\\]"):
+        config_from_json(unknown)
     no_target = dict(BASE_COMPLEXITY)
     no_target.pop("target")
     with pytest.raises(e.ConfigError):
         config_from_json(no_target)
+
+
+def test_observable_json_roundtrip():
+    cuts3 = e.circle_intervals([0.0, 0.3, 0.7])
+    for f in [e.Character(3), e.CellIndicator(cuts3, 2), e.CoordinateRead(-2),
+              e.Constant(2.5), e.Constant(1.5 - 2j), e.TableObservable(cuts3, (1.0, -2.0, 0.5)),
+              e.TableObservable(e.cylinder([0, 2], 2), (0, 1, 2, 3))]:
+        obj = json.loads(json.dumps(f.to_json()))
+        assert e.observable_from_json(obj) == f
+    for obj in [{"kind": "character", "K": 3}, {"kind": "coordinate_read", "idx": 1},
+                {"kind": "constant", "value": 1.0, "imag": 2.0}, {"kind": "wavelet"}]:
+        with pytest.raises((TypeError, e.InvalidParameterError)):
+            e.observable_from_json(obj)
 
 
 def test_config_hash_stable_and_sensitive():
