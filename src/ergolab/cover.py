@@ -50,8 +50,9 @@ component) in lockstep on exact integer gains and merges the sequences by
 key.  Where one component holds every sample, a step is a plain argmax per
 row and needs no merge.  The gains are built and updated from the bool
 balls in blocks of rows, so the greedy holds no m x m float copy.  A cover
-whose m x m arrays would exceed ``systems._MATRIX_BYTES`` raises
-BudgetExhaustedError before it builds any of them.
+whose m x m arrays or m x n feature read would exceed
+``systems._MATRIX_BYTES`` raises BudgetExhaustedError before it builds any
+of them.
 """
 
 from __future__ import annotations
@@ -87,6 +88,10 @@ _COVER_ENTRY_BYTES = 13
 # bytes per entry of _distance_matrix at its peak: the float64 distances
 # beside the float32 Hamming agreement counts they are divided from
 _MATRIX_ENTRY_BYTES = 12
+# bytes per entry charged for a feature read: int64 name labels, or observable
+# values read as complex128, the widest type an observable returns
+_LABEL_BYTES = 8
+_VALUE_BYTES = 16
 # pivot rows of the fbar/fhat ball screen
 _PIVOTS = 4
 
@@ -130,7 +135,10 @@ def _sample_features(kind, system, samples, n) -> np.ndarray:
     unsigned type that holds them."""
     if n < 1:
         raise InvalidParameterError("horizon must be >= 1")
-    if not isinstance(kind, HammingKind):
+    hamming = isinstance(kind, HammingKind)
+    _check_bytes(len(samples) * n * (_LABEL_BYTES if hamming else _VALUE_BYTES),
+                 f"a feature read of {len(samples)} samples at horizon {n}")
+    if not hamming:
         return kind.observable.orbit_rows(system, samples, n)
     if len(samples) and isinstance(samples[0], NameWord):
         if any(w.n != n for w in samples):

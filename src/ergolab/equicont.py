@@ -203,10 +203,10 @@ def verify_equipartition(
 ) -> VerifyReport:
     """Re-evaluate within-cluster distances against ep.eps.
 
-    limsup mode is not a limsup: it checks the horizon ladder and reads
-    fbar (or Hamming) at its last horizon only, with no converged flag
-    read, so a pair that has not settled passes or fails on its last value
-    (ROADMAP item 4).  uniform mode checks fhat at the largest horizon (a
+    Both modes check the horizon ladder and read its last horizon only.
+    limsup mode is not a limsup: it reads fbar (or Hamming) there, with no
+    converged flag read, so a pair that has not settled passes or fails on
+    its last value (ROADMAP item 4).  uniform mode reads fhat there (a
     bound over all prefixes).  target is an Observable or a Partition
     (Hamming mode).
     """
@@ -214,9 +214,9 @@ def verify_equipartition(
         raise InvalidParameterError(f"unknown verify mode {mode!r}")
     if horizons is None:
         horizons = geometric_horizons(max(4, ep.horizon))
-    horizons = _ladder(horizons) if mode == "limsup" else [int(h) for h in horizons]
+    horizons = _ladder(horizons)
     kind = _metric_kind(target, fhat=mode == "uniform")
-    feats = _sample_features(kind, system, samples, max(horizons))
+    feats = _sample_features(kind, system, samples, horizons[-1])
 
     per_cluster = [(ci, *pair) for ci, pair in
                    enumerate(_cluster_maxima(kind, feats, ep.clusters))]
@@ -254,7 +254,8 @@ def mean_expansivity_estimate(
     Each pair's fbar is tracked over a geometric horizon ladder; the
     fraction uses the final-horizon value for every pair, and the share of
     pairs whose ladder had not settled is reported alongside rather than
-    being dropped (dropping would bias the rate).
+    being dropped (dropping would bias the rate).  The per-step gaps come
+    from ``f.gap_rows``, a chunk of pairs at a time.
     """
     if pair_count < 100:
         raise InvalidParameterError("pair_count must be >= 100")
@@ -268,10 +269,7 @@ def mean_expansivity_estimate(
     nonconv = 0
     step = _chunk_rows(horizon)
     for a in range(0, pair_count, step):
-        gaps = np.abs(
-            f.orbit_rows(system, xs[a : a + step], horizon)
-            - f.orbit_rows(system, ys[a : a + step], horizon)
-        )
+        gaps = f.gap_rows(system, xs[a : a + step], ys[a : a + step], horizon)
         cums = np.cumsum(gaps, axis=1)
         evals = np.stack([cums[:, h - 1] / h for h in horizons], axis=1)
         _, converged = _limit_rule(evals, tol)

@@ -32,7 +32,10 @@ def hamming_avg(w1: NameWord, w2: NameWord) -> float:
 
 def fbar_prefix_means(system: SystemHandle, f: Observable, x, y, n: int) -> np.ndarray:
     """Array of fbar_k(x,y) for k = 1..n, computed in one pass with the
-    cover kernel's arithmetic, so its maximum is fhat_n bit for bit."""
+    cover kernel's arithmetic, so its maximum is fhat_n bit for bit.  That
+    is why it takes its gaps from two orbit_values reads, as the kernel
+    does, and not from f.gap_rows, whose character sine differs from them
+    in the last bits."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
     gaps = np.abs(f.orbit_values(system, x, n) - f.orbit_values(system, y, n))

@@ -283,8 +283,9 @@ def _chunk_rows(width: int) -> int:
 
 
 # cap on the bytes of the m x m arrays of one cover (its distance matrix,
-# ball matrix and greedy copy), and of the orbit columns a Koopman scan
-# keeps; a larger request fails before it allocates
+# ball matrix and greedy copy), of the m x n feature read a cover or an
+# equipartition takes, and of the orbit columns a Koopman scan keeps; a
+# larger request fails before it allocates
 _MATRIX_BYTES = 1 << 31
 
 

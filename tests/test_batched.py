@@ -459,6 +459,8 @@ EXPANSIVITY_CASES = [  # system, observable, delta, horizon
     (e.doubling(), e.Character(2), 0.9, 96),
     (e.bernoulli_shift(0.5), e.CellIndicator(e.cylinder([0], 2), 0), 0.5, 96),
     (e.odometer(2), e.CellIndicator(e.cylinder([0, 1], 2), 3), 0.2, 40),
+    (e.rotation(e.GOLDEN), e.Character(3), 1.0, 96),
+    (e.doubling(), e.Character(1), 1.2, 96),
 ]
 
 

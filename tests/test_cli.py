@@ -72,7 +72,9 @@ def _not_reached(*args):
     ["report", "--samples", "50"],
 ])
 def test_matrix_budget_exit_3_before_allocation(command, monkeypatch, tmp_path, capsys):
-    # 50 samples need 13 * 50**2 = 32500 bytes of m x m arrays
+    # 50 samples need 13 * 50**2 = 32500 bytes of m x m arrays, and the
+    # report's largest feature read, 50 x 1024 int64 Hamming labels, needs
+    # 409600 bytes; at 32499 bytes its first cover fails before that read
     monkeypatch.setattr(systems, "_MATRIX_BYTES", 32_499)
     monkeypatch.setattr(cover, "_ball_matrix", _not_reached)
     out = tmp_path / "out"
@@ -83,7 +85,10 @@ def test_matrix_budget_exit_3_before_allocation(command, monkeypatch, tmp_path, 
         e.estimate_cover_number([e.NameWord((0,) * 4, 2)] * 50, 4, 0.2,
                                 e.HammingKind(e.halves()))
     monkeypatch.undo()
-    monkeypatch.setattr(systems, "_MATRIX_BYTES", 32_500)  # exactly enough
+    enough = 409_600 if command[0] == "report" else 32_500
+    monkeypatch.setattr(systems, "_MATRIX_BYTES", enough - 1)
+    assert main(["--out", str(out), *command]) == 3
+    monkeypatch.setattr(systems, "_MATRIX_BYTES", enough)  # exactly enough
     assert main(["--out", str(out), *command]) == 0
 
 
@@ -94,6 +99,16 @@ def test_meanequi_cluster_block_budget_exit_3(monkeypatch, capsys):
     assert main(["meanequi", "--system", "identity", "--target", "halves", "--eps", "0.2",
                  "--samples", "2000", "--horizon", "8"]) == 3
     assert "over the 1048576-byte cap" in capsys.readouterr().err
+
+
+def test_meanequi_feature_read_budget_exit_3(monkeypatch, capsys):
+    # 200 samples of 10000 character values, charged 16 bytes each
+    monkeypatch.setattr(systems, "_MATRIX_BYTES", 1 << 20)
+    assert main(["meanequi", "--system", "rotation:golden", "--target", "character:1",
+                 "--eps", "1.9", "--samples", "200", "--horizon", "10000",
+                 "--k-max", "400"]) == 3
+    assert "a feature read of 200 samples at horizon 10000 needs 32000000 bytes" in \
+        capsys.readouterr().err
 
 
 def test_unknown_task_param_exit_2(tmp_path, capsys):

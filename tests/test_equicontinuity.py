@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import ergolab as e
-from ergolab import cover, equicont, systems
+from ergolab import cover, equicont, observables, systems
+from ergolab.report import config_from_json, run_experiment
 from ergolab.systems import make_system
 
 PLAN = e.RandomPlan(7)
@@ -100,6 +101,16 @@ def test_verify_modes():
     assert rep_u.max_pairwise < 0.5
 
 
+@pytest.mark.parametrize("mode", ["limsup", "uniform"])
+@pytest.mark.parametrize("horizons", [[-3, 0, 16], [16, 4]])
+def test_verify_checks_horizon_ladder_in_both_modes(mode, horizons):
+    samples = SYS_R.sample_measure(100, PLAN)
+    f = e.Character(1)
+    ep = e.find_equipartition(SYS_R, f, 0.5, samples, 16)
+    with pytest.raises(e.InvalidParameterError):
+        e.verify_equipartition(ep, SYS_R, f, samples, horizons, mode=mode)
+
+
 def test_verify_detects_merged_far_clusters():
     # antipodal character values sit at distance 2; a merged cluster fails
     samples = [0.0, 0.5]
@@ -128,6 +139,51 @@ def test_expansivity_doubling_high_rate():
     est = e.mean_expansivity_estimate(SYS_D, f, 0.4, 500, 2048, PLAN)
     assert est.value >= 0.97
     assert 0.0 <= est.nonconverged_fraction <= 1.0
+
+
+@pytest.mark.parametrize("system", [SYS_R, SYS_D], ids=["rotation", "doubling"])
+@pytest.mark.parametrize("k", [1, 2, -3])
+def test_character_gap_rows_match_orbit_rows(system, k):
+    # the orbit_rows path rounds each exp argument 2 pi k a (below 19 for
+    # |k| = 3) to half an ulp, at most 1.8e-15; two such roundings put the
+    # two paths within about 4e-15 of each other
+    f = e.Character(k)
+    xs = system.sample_measure(300, PLAN.child(1))
+    ys = system.sample_measure(300, PLAN.child(2))
+    gaps = f.gap_rows(system, xs, ys, 200)
+    want = np.abs(f.orbit_rows(system, xs, 200) - f.orbit_rows(system, ys, 200))
+    assert gaps.shape == want.shape == (300, 200)
+    assert np.max(np.abs(gaps - want)) <= 4e-15
+
+
+def test_character_gap_rows_need_a_circle_family():
+    xs = SYS_B.sample_measure(10, PLAN)
+    with pytest.raises(e.IncompatibleObservableError, match="need a circle family"):
+        e.Character(1).gap_rows(SYS_B, xs, xs, 8)
+
+
+def test_rotation_character_expansivity_closed_form():
+    # a rotation keeps x - y, so every gap of a pair is 2 sin(pi arc(x, y))
+    pairs, delta = 2000, 0.4
+    est = e.mean_expansivity_estimate(SYS_R, e.Character(1), delta, pairs, 1024, PLAN)
+    xs = SYS_R.sample_measure(pairs, PLAN.child(equicont._TAG_PAIR_LEFT))
+    ys = SYS_R.sample_measure(pairs, PLAN.child(equicont._TAG_PAIR_RIGHT))
+    arc = np.abs(xs - ys)
+    arc = np.minimum(arc, 1.0 - arc)
+    assert est.value == np.count_nonzero(2.0 * np.sin(np.pi * arc) > delta) / pairs
+    assert est.nonconverged_fraction == 0.0
+
+
+def test_character_expansivity_run_reads_no_orbit_rows(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("Character.orbit_rows was called")
+
+    monkeypatch.setattr(observables.Character, "orbit_rows", unreachable)
+    cfg = {"task": "expansivity", "system": {"family": "rotation", "params": {"theta": 0.1}},
+           "target": {"observable": {"kind": "character", "k": 1}},
+           "params": {"delta": 0.4, "pairs": 200, "horizon": 64}, "seed": 3}
+    bundle = run_experiment(config_from_json(cfg))
+    assert bundle.tables[0][0] == "expansivity"
 
 
 def test_equipartition_json():
