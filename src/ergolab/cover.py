@@ -301,8 +301,9 @@ def _kernel_bound(n: int) -> float:
 
     * a gap |fl(v_i - v_j)| is within u of its exact value, since the
       subtraction is correctly rounded per component; np.abs on complex
-      numbers is assumed within 4u of |z| (see spectral._screen_bound), so
-      every gap is within gamma_5;
+      numbers is assumed within 4u of |z| (numpy's SIMD hypot is not
+      correctly rounded; 2u is the largest error measured on random inputs
+      against math.hypot), so every gap is within gamma_5;
     * a sum of n nonnegative terms in any order (mean's pairwise sum,
       cumsum's running sums) is within gamma_{n-1} of the exact sum of its
       terms, so within gamma_{n+4} of the exact sum of the exact gaps;

@@ -1,20 +1,22 @@
-"""The lazy distance readers against test-local copies of the full-matrix code.
+"""The lazy distance readers against test-local references.
 
-The streamed spectral scan decides most pairs from a Gram screen and holds
-only some columns of the orbit read, and the equipartition readers compute
-only center rows and in-cluster blocks.  Every value they return must
-equal, bit for bit, what the old code computed from the whole matrix.  The
-``_old_*`` helpers below copy that code; they read whole matrices from the
-old kernels in ``old_kernels``.  The scan is driven through a column reader
-over a fixed read X, in blocks of every width.
+The Koopman leg estimates the lag autocorrelation of the orbit read with
+one FFT per sample row, in blocks of rows; its lag distances, greedy
+centers and distance summaries are compared with the direct O(m N^2) lag
+sums over the whole read in ``lag_reference``.  The equipartition readers
+compute only center rows and in-cluster blocks; every value they return
+must equal, bit for bit, what the old code computed from the whole
+matrix.  The ``_old_*`` helpers below copy that code; they read whole
+matrices from the old kernels in ``old_kernels``.
 """
 
 import numpy as np
 import pytest
 
 import ergolab as e
+import lag_reference as ref
 import old_kernels
-from ergolab import spectral, systems
+from ergolab import systems
 from ergolab.cover import (
     FbarKind,
     FhatKind,
@@ -25,36 +27,17 @@ from ergolab.cover import (
     _units_needed,
 )
 from ergolab.equicont import EquiPartition, EquipartitionFailure
-from ergolab.spectral import _l2_pairs, _scan_columns, _spectral_scan
+from ergolab.spectral import (
+    _lag_centers,
+    _lag_correlation,
+    _lag_distances,
+    _lag_summary,
+    _spectral_scan,
+)
 from ergolab.systems import make_system
 
 # ---------------------------------------------------------------------------
-# Old code: greedy, summary and equipartition readers over full matrices
-
-
-def _old_l2(a, b):
-    return np.sqrt(np.mean(np.abs(a - b) ** 2, axis=-1))
-
-
-def _old_greedy(V, r):
-    covered = np.zeros(V.shape[0], dtype=bool)
-    centers = []
-    for i in range(V.shape[0]):
-        if covered[i]:
-            continue
-        covered |= _old_l2(V, V[i]) <= r
-        centers.append(i)
-    return centers
-
-
-def _old_summary(V):
-    N = V.shape[0]
-    if N < 2:
-        return 0.0, 0.0, 0.0
-    if N > 512:
-        V = V[np.unique(np.linspace(0, N - 1, 256).astype(int))]
-    flat = np.concatenate([_old_l2(V[i + 1:], V[i]) for i in range(V.shape[0] - 1)])
-    return float(flat.min()), float(np.median(flat)), float(flat.max())
+# Old code: equipartition readers over full matrices
 
 
 def _old_matrix(kind, system, samples, n):
@@ -121,7 +104,11 @@ OBSERVABLE_CASES = {
 }
 SIZES_M = (1, 2, 40, 300)
 SIZES_N = (1, 2, 3, 7, 256, 601)
-WIDTHS = (1, 7, 64, None)  # None: one block of at least N columns
+ROWS = (1, 7, 64, None)  # None: one block of at least m rows
+# FFT rounding is relative to the energy of the whole read, so the lag sum
+# of lag k, over N - k terms, is off by up to about u log2(L) N / (N - k)
+# in units of max |f|^2: D^2 is compared within TOL * N * max |f|^2
+TOL = 1e-13
 
 
 def _orbit_read(case, m, N):
@@ -131,15 +118,31 @@ def _orbit_read(case, m, N):
     return f.orbit_rows(system, samples, N), radius
 
 
-def _scan(X, r, horizons=(), width=None):
-    """Greedy centers and the summaries at `horizons` of the streamed scan
-    over the columns of X, read in blocks of `width` columns."""
-    N = X.shape[1]
-    return _scan_columns(lambda lo, n: X[:, lo : lo + n], N, r, horizons, width or N + 3)
+def _scan(X, r, horizons=(), rows=None):
+    """The lag distances, the greedy centers and the summaries at `horizons`
+    of the pooled estimate over the rows of X, read in blocks of `rows`."""
+    m, N = X.shape
+    D = _lag_distances(_lag_correlation(lambda a, b: X[a:b], m, N, rows or m + 3))
+    return D, _lag_centers(D, r), {h: _lag_summary(D, h) for h in horizons}
 
 
-def _centers(X, r, width=None):
-    return _scan(X, r, (), width)[0]
+def _check_scan(X, r, horizons, rows):
+    """The pooled estimate against the direct lag sums: D^2 within TOL; the
+    centers and summaries are the references' over the estimate's own D bit
+    for bit, and over the reference D unless one of its values lies within
+    rounding of r (the summaries within the rounding of D)."""
+    D, centers, summaries = _scan(X, r, horizons, rows)
+    want = ref.distances(X)
+    atol = TOL * X.shape[1] * max(1.0, float(np.max(np.abs(X), initial=0.0)) ** 2)
+    assert np.allclose(D**2, want**2, rtol=0, atol=atol, equal_nan=True), rows
+    assert centers == ref.greedy(D, r), rows
+    if not np.any(np.abs(want - r) <= np.sqrt(atol)):
+        assert centers == ref.greedy(want, r), rows
+    for h in horizons:
+        assert np.array_equal(summaries[h], ref.summary(D, h), equal_nan=True), (h, rows)
+        assert np.allclose(summaries[h], ref.summary(want, h), rtol=0, atol=np.sqrt(atol),
+                           equal_nan=True), (h, rows)
+    return D, centers, summaries
 
 
 @pytest.mark.parametrize("case", sorted(OBSERVABLE_CASES))
@@ -147,99 +150,51 @@ def _centers(X, r, width=None):
 def test_greedy_and_summary_equal_full_matrix(case, m):
     for N in SIZES_N:
         X, radius = _orbit_read(case, m, N)
-        V = X.T
         horizons = sorted({1, N // 2, N - 1, N} - {0})
-        want = [_old_summary(V[:h]) for h in horizons]
-        for width in WIDTHS:
-            centers, summaries = _scan(X, radius, horizons, width)
-            assert centers == _old_greedy(V, radius), (N, width)
-            assert [summaries[h] for h in horizons] == want, (N, width)
+        for rows in ROWS:
+            _check_scan(X, radius, horizons, rows)
 
 
 def test_greedy_membership_at_exactly_r():
-    # rows 0, 0.5 and 1.0 on 16 samples: d(row 0, row 1) is exactly 0.5
-    X = np.repeat([[0.0, 0.5, 1.0, 0.25]], 16, axis=0)
-    assert _old_l2(X.T[0], X.T[1]) == 0.5
-    for width in WIDTHS:
-        assert _centers(X, 0.5, width) == _old_greedy(X.T, 0.5) == [0, 2]
-        assert _centers(X, np.nextafter(0.5, 0), width) == [0, 1, 2]
+    # D(2) is exactly r: a center covers lag 2 at r and not just below it
+    D = np.array([0.0, 0.7, 0.5, 0.9, 0.6])
+    assert _lag_centers(D, 0.5) == ref.greedy(D, 0.5) == [0, 1, 4]
+    assert _lag_centers(D, np.nextafter(0.5, 0)) == ref.greedy(D, 0.4) == [0, 1, 2, 3, 4]
+    assert _lag_centers(D, 0.7) == [0, 3]
 
 
 @pytest.mark.parametrize("case", ["rotation", "doubling"])
 @pytest.mark.parametrize("chunk_bytes", [1, 1 << 12])
 def test_greedy_and_summary_any_block_size(monkeypatch, case, chunk_bytes):
+    # the patched chunk size moves the orbit read's own chunks and the row
+    # blocks of the public path; the results follow neither
     monkeypatch.setattr(systems, "_CHUNK_BYTES", chunk_bytes)
     X, radius = _orbit_read(case, 40, 601)
-    want = [_old_summary(X.T[:h]) for h in (7, 256, 601)]
-    for width in WIDTHS:
-        centers, summaries = _scan(X, radius, (7, 256, 601), width)
-        assert centers == _old_greedy(X.T, radius), width
-        assert [summaries[h] for h in (7, 256, 601)] == want, width
-
-
-def _order_split():
-    """Two rows whose sequential and pairwise distances differ in the last bit."""
-    rng = np.random.default_rng(8)
-    while True:
-        X = np.exp(2j * np.pi * rng.random((64, 2)))
-        seq = _l2_pairs(X.T, [0], X.T, [1], pairwise=False)[0]
-        if seq != _l2_pairs(X.T, [0], X.T, [1], pairwise=True)[0]:
-            return X, seq
-
-
-def test_greedy_decides_ties_in_the_old_summation_order():
-    X, d = _order_split()
-    assert _old_l2(X.T[0], X.T[1]) != d  # one row alone sums pairwise ...
-    assert _old_l2(X.T, X.T[0])[1] == d  # ... the greedy's full read sequentially
-    for r in (d, np.nextafter(d, 0), np.nextafter(d, 2)):
-        for width in WIDTHS:
-            assert _centers(X, r, width) == _old_greedy(X.T, r)
+    (D, centers, summaries), *rest = [_check_scan(X, radius, (7, 256, 601), rows)
+                                      for rows in ROWS]
+    for rows, got in zip(ROWS[1:], rest):
+        assert np.array_equal(got[0], D) and got[1:] == (centers, summaries), rows
 
 
 @pytest.mark.parametrize("offset", [-1e-13, -1e-15, 0.0, 1e-15, 1e-13])
 def test_greedy_and_summary_near_ties(offset):
+    # a rotation orbit of 300 random phases whose lag-2 distance is the
+    # radius up to `offset`: near-ties go the way of D(2) <= r
     rng = np.random.default_rng(5)
-    m, r = 300, 0.5
-    base = np.exp(2j * np.pi * rng.random(m))
-    step = np.exp(2j * np.pi * rng.random(m))
-    step *= r * (1 + offset) / _old_l2(step, 0)
-    # row k is base + k * step / 2: pairs two steps apart sit at about r
-    X = np.stack([base + k * step / 2 for k in range(9)], axis=1)
-    for width in WIDTHS:
-        centers, summaries = _scan(X, r, [9], width)
-        assert centers == _old_greedy(X.T, r)
-        assert summaries[9] == _old_summary(X.T)
-
-
-def test_summation_order_pinned():
-    """The old list summed the transposed view sequentially, its single-row
-    last call and the strided copy pairwise; the recompute follows both."""
-    rng = np.random.default_rng(2)
-    m, N = 300, 40
-    V = np.exp(2j * np.pi * rng.random((m, N))).T
-    pi, pj = np.triu_indices(N, 1)  # the old list's pair order
-    seq = _l2_pairs(V, pi, V, pj, pairwise=False)
-    pair = _l2_pairs(V, pi, V, pj, pairwise=True)
-    old = np.concatenate([_old_l2(V[i + 1:], V[i]) for i in range(N - 2)])
-    assert np.array_equal(old, seq[: old.size])
-    assert not np.array_equal(old, pair[: old.size])  # the orders differ here
-    assert _old_l2(V[N - 1:], V[N - 2])[0] == pair[-1]
-    W = V[[0, 5, 9, 20, 39]]
-    assert np.array_equal(_old_l2(W[1:], W[0]), _l2_pairs(W, [0] * 4, W, [1, 2, 3, 4], True))
-    # rows of two different arrays: the store's and a block's
-    C = np.ascontiguousarray(V)
-    assert np.array_equal(_l2_pairs(C, pi, V, pj, pairwise=False), seq)
-    # add.reduce on a one-column slice is pairwise, not the sequential order
-    sq = np.abs(V[1:] - V[0]) ** 2
-    cum = np.cumsum(sq, axis=1)[:, -1]
-    col = np.array([np.add.reduce(sq[j : j + 1], axis=1)[0] for j in range(N - 1)])
-    assert np.array_equal(np.sqrt(cum / m), _old_l2(V[1:], V[0]))
-    assert not np.array_equal(cum, col)
+    m, N = 300, 9
+    phase = np.exp(2j * np.pi * rng.random((m, 1)))
+    X = phase * np.exp(2j * np.pi * 0.04 * np.arange(N))
+    D, _, _ = _scan(X, 1.0)
+    r = D[2] * (1 + offset)
+    _, centers, _ = _check_scan(X, r, [9], None)
+    assert (2 in centers) == (D[2] > r)
+    for rows in ROWS:
+        assert _scan(X, r, [9], rows)[1:] == (centers, {9: ref.summary(D, 9)})
 
 
 def test_scan_promotes_float32_values():
-    # the screen's bound is for float64 arithmetic: a float32 table is read
-    # as the float64 table of the same values
+    # the spectra are taken in float64: a float32 table is read as the
+    # float64 table of the same values
     system = make_system(e.rotation(e.GOLDEN))
     part = e.circle_intervals([0.0, 0.3, 0.7])
     f32 = e.TableObservable(part, tuple(np.float32(v) for v in (1.0, -2.0, 0.5)))
@@ -249,51 +204,20 @@ def test_scan_promotes_float32_values():
     assert _spectral_scan(system, f32, *args) == _spectral_scan(system, TABLE, *args)
 
 
-def test_screen_rechecks_few_pairs(monkeypatch):
-    X, radius = _orbit_read("rotation", 300, 256)
-    rechecked = _counting_l2_pairs(monkeypatch)
-    centers = _centers(X, radius, 64)
-    greedy = sum(rechecked)
-    assert greedy < 0.05 * len(centers) * 256
-    rechecked.clear()
-    _scan(X, radius, [256], 64)  # the same greedy, then the summary
-    assert sum(rechecked) - greedy < 0.05 * 256 * 255 / 2
-
-
-def _counting_l2_pairs(monkeypatch):
-    rechecked = []
-
-    def counting(A, i, B, j, pairwise):
-        rechecked.append(len(j))
-        return _l2_pairs(A, i, B, j, pairwise)
-
-    monkeypatch.setattr(spectral, "_l2_pairs", counting)
-    return rechecked
-
-
-def test_summary_skips_identical_rows(monkeypatch):
-    # every row of a constant orbit is the same, so every distance is 0 and
-    # no pair needs the per-pair recompute
-    X, radius = _orbit_read("constant", 300, 256)
-    rechecked = _counting_l2_pairs(monkeypatch)
-    assert _scan(X, radius, [256], 64)[1][256] == (0.0, 0.0, 0.0) == _old_summary(X.T)
-    assert sum(rechecked) == 0
-
-
 @pytest.mark.parametrize("bad", [None, np.nan])
 def test_summary_repeated_rows_equal_full_matrix(bad):
-    # repeated rows beside distinct ones; repeats of a row holding nan are
-    # not 0 apart
+    # repeated columns beside distinct ones, as no orbit of an invariant
+    # measure reads them; a nan in the read makes every lag sum nan
     X, _ = _orbit_read("rotation", 40, 12)
-    X = np.ascontiguousarray(X[:, [0, 1, 0, 2, 1, 0, 3, 4, 3, 5, 6, 7, 0]])  # as read
+    X = np.ascontiguousarray(X[:, [0, 1, 0, 2, 1, 0, 3, 4, 3, 5, 6, 7, 0]])
     if bad is not None:
         X[5, [0, 2]] = bad
-    for width in WIDTHS:
-        centers, summaries = _scan(X, 0.5, (2, 3, 6, 13), width)
-        assert centers == _old_greedy(X.T, 0.5)
-        for h in (2, 3, 6, 13):
-            got, want = summaries[h], _old_summary(X.T[:h])
-            assert np.array_equal(got, want, equal_nan=True), (bad, h, width)
+    for rows in ROWS:
+        D, centers, summaries = _check_scan(X, 0.5, (2, 3, 6, 13), rows)
+        assert np.isnan(D).all() == (bad is not None)
+        if bad is not None:
+            assert centers == list(range(13))
+            assert all(np.isnan(summaries[h]).all() for h in (2, 3, 6, 13))
 
 
 # ---------------------------------------------------------------------------
