@@ -12,7 +12,7 @@ measure strictly above 1 - eps.  Two routes are provided:
 
 Strict inequalities (< eps for ball membership, > 1-eps for covered
 mass) follow the definitions exactly.  One kernel serves every distance
-read (covers, cluster rows and blocks, the oracle, ``ball_member``):
+read (covers, cluster rows, pairs and blocks, the oracle, ``ball_member``):
 ``_distance_rows`` for a few rows, ``_distance_pairs`` for scattered
 pairs, ``_distance_matrix`` for a whole matrix.  They agree bit for bit,
 and every fbar/fhat tile is sized from the one byte budget
@@ -40,7 +40,11 @@ whole as ``_distance_matrix`` does.  That costs the pivot rows and one
 tile's screen: a doubling ``character:1`` fbar ball matrix of 500 samples
 at eps 0.5 took 0.85-1.25 times the time of ``_distance_matrix(...) <
 eps`` (medians over horizons 16, 64 and 256), inside the spread of those
-runs.
+runs.  The pivot rows (``_pivot_rows``) have a second reader:
+``equicont._cluster_maxima`` takes the largest pivot distance of a
+cluster as a real distance LB and the same rounding bound as an upper
+bound on every pair, so only pairs whose bound reaches LB can be the
+farthest, with the same first-tile rule for falling back to the block.
 
 One greedy, ``_greedy_cover``, serves the point estimate and every
 bootstrap resample of a curve in one call, and the oracle's upper bound.
@@ -154,6 +158,8 @@ def _reduce_gaps(kind: MetricKind, gaps: np.ndarray) -> np.ndarray:
     contiguous row per pair: the mean, or the maximum of the running means."""
     if isinstance(kind, FbarKind):
         return gaps.mean(axis=-1)
+    if not isinstance(kind, FhatKind):
+        raise TypeError(f"no gap reducer for {type(kind).__name__}")
     n = gaps.shape[-1]
     return (np.cumsum(gaps, axis=-1) * (1.0 / np.arange(1, n + 1))).max(axis=-1)
 
@@ -182,15 +188,19 @@ def _distance_rows(kind: MetricKind, feats: np.ndarray, rows, cols=slice(None)) 
 
 
 def _distance_pairs(kind: MetricKind, feats: np.ndarray, i, j) -> np.ndarray:
-    """The fbar/fhat distances of the row pairs (feats[i[k]], feats[j[k]]),
-    bit for bit as _distance_rows reads them: one contiguous row of gaps per
-    pair, in chunks of pairs whose gap temporary stays near
-    systems._CHUNK_BYTES."""
+    """The distances of the row pairs (feats[i[k]], feats[j[k]]), bit for bit
+    as _distance_rows reads them: one contiguous row of gaps per fbar/fhat
+    pair, or a Hamming mismatch count divided by n, in chunks of pairs whose
+    temporary stays near systems._CHUNK_BYTES."""
+    n = feats.shape[1]
     out = np.empty(len(i))
-    step = _chunk_rows(feats.shape[1])
+    step = _chunk_rows(n)
     for lo in range(0, len(i), step):
-        gaps = np.abs(feats[i[lo : lo + step]] - feats[j[lo : lo + step]])
-        out[lo : lo + step] = _reduce_gaps(kind, gaps)
+        a, b = i[lo : lo + step], j[lo : lo + step]
+        if isinstance(kind, HammingKind):
+            out[lo : lo + step] = np.count_nonzero(feats[a] != feats[b], axis=1) / n
+        else:
+            out[lo : lo + step] = _reduce_gaps(kind, np.abs(feats[a] - feats[b]))
     return out
 
 
@@ -291,8 +301,9 @@ def _distance_matrix(kind: MetricKind, feats: np.ndarray) -> np.ndarray:
 
 
 def _kernel_bound(n: int) -> float:
-    """c with which the pivot screen of _ball_matrix settles a pair only on
-    the side of eps that the kernel's own distance falls on.
+    """c with which a pivot screen settles a pair only on the side of its
+    threshold that the kernel's own distance falls on: eps in _ball_matrix,
+    the largest pivot distance in equicont._cluster_maxima.
 
     The features are float64 or complex128.  With u = 2**-53 and
     gamma_k = k u / (1 - k u), the fbar/fhat kernel computes, for two rows
@@ -327,42 +338,62 @@ def _kernel_bound(n: int) -> float:
     of under, over and room: they move the first test by at most
     3.02u (a + b) and the second by about 3.01u eps.
 
+    The cluster maxima take the upper bound alone, as over_i + over_j:
+    rounded, it is at least (a + b)(1 + c)(1 - u)^3 >= (1 + 2 kappa')(a + b)
+    >= d^(i, j).  So a pair whose bound falls below a real distance LB is
+    not a farthest pair; LB takes the place, and the range, of eps below.
+
     The errors are relative while nothing overflows; underflow adds an
     absolute error below 2**-1070 per distance, which the doubled margin
     absorbs for eps >= 2**-1000.  For eps <= 2**900, (a + b)(1 + c) < eps
     also bounds every partial sum of d^(i, j) far below overflow.  Outside
     that range, and for other feature types (narrower floats round more
-    coarsely, integer differences and running sums can wrap), _ball_matrix
-    screens nothing.  A pivot distance that is not finite becomes nan and
-    fails every test, so its pairs are reduced exactly.
+    coarsely, integer differences and running sums can wrap), neither
+    screen is used (_bound_holds).  In the ball screen a pivot distance
+    that is not finite becomes nan and fails every test, so its pairs are
+    reduced exactly; the cluster maxima then reduce the whole block.
     """
     k, u = n + 6, 2.0**-53
     kappa = k * u / (1 - k * u)
     return 4.0 * kappa / (1 - kappa)
 
 
-def _pivot_screen(kind: MetricKind, feats: np.ndarray, eps: float) -> tuple:
-    """(under, over, room), each (P, m), from the exact distance rows a of up
-    to _PIVOTS pivots picked by farthest-first traversal from row 0 (nan
-    distances count as near): under = a (1 - c) - eps, over = a (1 + c) and
-    room = eps - over, with c = _kernel_bound(n).
-
-    Against pivot p, pair (i, j) is surely out of the ball when
-    under_i >= over_j or under_j >= over_i, and surely in when
-    over_i < room_j.  No pivot is taken where _kernel_bound does not hold:
-    for eps outside [2**-1000, 2**900], and for features other than float64
-    or complex128.
-    """
-    m, n = feats.shape
+def _pivot_rows(kind: MetricKind, feats: np.ndarray) -> np.ndarray:
+    """(P, m): the exact distance rows of P = min(_PIVOTS, m) pivots, picked
+    by farthest-first traversal from row 0, nan distances counting as near.
+    The one pivot read of the ball screen (_pivot_screen) and of the cluster
+    maxima (equicont._cluster_maxima)."""
+    m = feats.shape[0]
     rows = []
-    if m and feats.dtype in (np.float64, np.complex128) and 2.0**-1000 <= eps <= 2.0**900:
+    if m:
         rows.append(_distance_rows(kind, feats, [0])[0])
         near = rows[0]
         for _ in range(1, min(_PIVOTS, m)):
             far = int(np.argmax(np.fmax(near, -1.0)))
             rows.append(_distance_rows(kind, feats, [far])[0])
             near = np.fmin(near, rows[-1])
-    a = np.array(rows).reshape(len(rows), m)
+    return np.array(rows).reshape(len(rows), m)
+
+
+def _bound_holds(feats: np.ndarray, scale: float) -> bool:
+    """Whether _kernel_bound covers distances of these features compared at
+    this scale: float64 or complex128 features, scale in [2**-1000, 2**900]."""
+    return feats.dtype in (np.float64, np.complex128) and 2.0**-1000 <= scale <= 2.0**900
+
+
+def _pivot_screen(kind: MetricKind, feats: np.ndarray, eps: float) -> tuple:
+    """(under, over, room), each (P, m), from the pivot rows a (_pivot_rows):
+    under = a (1 - c) - eps, over = a (1 + c) and room = eps - over, with
+    c = _kernel_bound(n).
+
+    Against pivot p, pair (i, j) is surely out of the ball when
+    under_i >= over_j or under_j >= over_i, and surely in when
+    over_i < room_j.  No pivot is taken where _kernel_bound does not hold
+    (_bound_holds): for eps outside [2**-1000, 2**900], and for features
+    other than float64 or complex128.
+    """
+    m, n = feats.shape
+    a = _pivot_rows(kind, feats) if _bound_holds(feats, eps) else np.empty((0, m))
     a[~np.isfinite(a)] = np.nan
     c = _kernel_bound(n)
     over = a * (1 + c)

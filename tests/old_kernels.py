@@ -3,9 +3,12 @@
 The distance kernels that ``cover._distance_matrix`` replaced: fbar and
 fhat filled mirrored tiles of 32 (fhat: 16) rows from their own gap
 reducer, and Hamming summed float32 indicator-plane products, one product
-and one m x m sum per symbol (``agreements``).  The hash steps that ``rng``
-now runs in place: splitmix64 and zigzag as whole-array expressions, with a
-``& ~0`` pass.  The bit-identity tests compare the current code with these.
+and one m x m sum per symbol (``agreements``).  The farthest pair of each
+cluster, which ``equicont._cluster_maxima`` now finds through a pivot
+screen, came from the cluster's whole distance block (``cluster_maxima``,
+here on the old kernels).  The hash steps that ``rng`` now runs in place:
+splitmix64 and zigzag as whole-array expressions, with a ``& ~0`` pass.
+The bit-identity tests compare the current code with these.
 """
 
 import numpy as np
@@ -86,3 +89,19 @@ def distance_matrix(kind, feats):
     if kind.label == "fbar":
         return pairwise_gaps(feats, fbar_reduce, 32)
     return pairwise_gaps(feats, fhat_reduce, 16)
+
+
+def cluster_maxima(kind, feats, clusters):
+    out = []
+    for cluster in clusters:
+        if len(cluster) < 2:
+            out.append((cluster[0] if cluster else -1, -1, 0.0))
+            continue
+        idx = np.array(cluster)
+        sub = distance_matrix(kind, feats[idx])
+        # -inf on and below the diagonal: argmax is then the first maximum
+        # above it in row order
+        sub[np.tri(len(idx), dtype=bool)] = -np.inf
+        i, j = divmod(int(np.argmax(sub)), len(idx))
+        out.append((int(idx[i]), int(idx[j]), float(sub[i, j])))
+    return out

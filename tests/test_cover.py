@@ -505,6 +505,18 @@ def test_distance_pairs_equal_tile_entries(n):
         for kind in (FbarKind(None), FhatKind(None)):
             D = _distance_matrix(kind, feats)
             assert np.array_equal(_distance_pairs(kind, feats, i, j), D[i, j])
+    # Hamming counts mismatches: unsigned labels must not wrap into gaps
+    for labels in (rng.integers(0, 2, (12, n), dtype=np.uint8),
+                   rng.integers(0, 300, (12, n)).astype(np.uint16)):
+        D = _distance_matrix(HAM, labels)
+        assert np.array_equal(_distance_pairs(HAM, labels, i, j), D[i, j])
+
+
+def test_distance_pairs_hamming_counts_mismatches():
+    labels = np.array([[0, 1, 1, 0], [1, 1, 0, 0]], dtype=np.uint8)
+    assert _distance_pairs(HAM, labels, [0], [1]).tolist() == [0.5]
+    with pytest.raises(TypeError):
+        cover._reduce_gaps(HAM, np.zeros((1, 4)))
 
 
 def test_ball_matrix_screen_settles_most_pairs(monkeypatch):

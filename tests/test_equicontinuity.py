@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ergolab as e
+import old_kernels
 from ergolab import cover, equicont, observables, systems
 from ergolab.report import config_from_json, run_experiment
 from ergolab.systems import make_system
@@ -230,5 +231,123 @@ def test_cluster_block_peak_within_its_charge(spec, kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 12 bytes per entry, and 1 MB for the feature copy and the tiles
-    assert peak < 12 * c * c + (1 << 20)
+    if isinstance(kind, e.HammingKind):
+        # the whole block: 12 bytes per entry, and 1 MB for the feature copy
+        # and the tiles
+        assert peak < 12 * c * c + (1 << 20)
+    else:
+        # the fbar pivot screen builds no block: the cluster's complex
+        # feature copy (1 KB per sample at horizon 64) and pivot rows grow
+        # with c, the screen tiles and pair chunks do not; 4.07 MB measured
+        assert peak < 2048 * c + (3 << 20)
+
+
+def _bits(maxima):
+    # each distance as its bytes: nan matches nan, and only itself
+    return [(i, j, np.float64(d).tobytes()) for i, j, d in maxima]
+
+
+def _cluster_cases(system, kind, m=64, eps=0.5):
+    """Features of m samples at horizon 64 and clusters to read in them: the
+    greedy's, an empty one, one of 1 and 2 samples, a pair and a cluster
+    listed out of ascending order, a cluster that lists each sample twice
+    (each farthest pair then comes four times) and every sample."""
+    feats = cover._sample_features(kind, system, system.sample_measure(m, PLAN.child(11)), 64)
+    clusters, _ = equicont._greedy_clusters(kind, feats, eps, m, cover._units_needed(m, eps))
+    big = max(clusters, key=len)
+    twice = tuple(i for i in big for _ in range(2))
+    return feats, [*clusters, (), (5,), (3, 9), (9, 3), big[::-1], twice, tuple(range(m))]
+
+
+@pytest.mark.parametrize("chunk", [1, 4096, systems._CHUNK_BYTES])
+@pytest.mark.parametrize("metric", [e.FbarKind, e.FhatKind])
+@pytest.mark.parametrize("spec", [e.rotation(e.GOLDEN), e.doubling()],
+                         ids=["rotation", "doubling"])
+def test_cluster_maxima_equal_full_block(monkeypatch, spec, metric, chunk):
+    # on the whole sample set a rotation takes the pivot screen and doubling
+    # falls back to the block, but for a probe tile of one entry, which has
+    # no pair to leave open; either way the triples are the block's, bit
+    # for bit
+    system = make_system(spec)
+    kind = metric(e.Character(1))
+    feats, clusters = _cluster_cases(system, kind)
+    monkeypatch.setattr(systems, "_CHUNK_BYTES", chunk)
+    want = _bits(old_kernels.cluster_maxima(kind, feats, clusters))
+    assert _bits(equicont._cluster_maxima(kind, feats, clusters)) == want
+    screened = equicont._screened_maximum(kind, feats) is not None
+    assert screened == (spec.family == "rotation" or chunk == 1)
+
+
+@pytest.mark.parametrize("metric", [e.FbarKind, e.FhatKind])
+def test_cluster_maxima_first_pair_wins_a_tie(metric):
+    # every distance of a constant is 0: the first pair in row order wins
+    kind = metric(e.Constant(2.0))
+    feats = cover._sample_features(kind, SYS_R, SYS_R.sample_measure(50, PLAN), 64)
+    clusters = [tuple(range(50)), (7, 3, 5)]
+    got = equicont._cluster_maxima(kind, feats, clusters)
+    assert got == [(0, 1, 0.0), (7, 3, 0.0)]
+    assert _bits(got) == _bits(old_kernels.cluster_maxima(kind, feats, clusters))
+
+
+@pytest.mark.parametrize("metric", [e.FbarKind, e.FhatKind])
+def test_cluster_maxima_nan_pair_matches_block(metric):
+    # fixed points in the nan cell of the table read nan at every step
+    system = make_system(e.identity())
+    kind = metric(e.TableObservable(e.halves(), (0.25, np.nan)))
+    feats = cover._sample_features(kind, system, system.sample_measure(60, PLAN), 16)
+    finite = tuple(np.flatnonzero(np.isfinite(feats[:, 0])))
+    assert 0 < len(finite) < 60
+    clusters = [tuple(range(60)), tuple(range(59, -1, -1)), finite]
+    got = equicont._cluster_maxima(kind, feats, clusters)
+    assert np.isnan(got[0][2]) and np.isnan(got[1][2]) and got[2][2] == 0.0
+    assert _bits(got) == _bits(old_kernels.cluster_maxima(kind, feats, clusters))
+
+
+@pytest.mark.parametrize("metric", [e.FbarKind, e.FhatKind])
+def test_cluster_maxima_ties_across_screen_tiles(monkeypatch, metric):
+    # constant rows at 0 and at four points of the unit circle: the two
+    # diameters (5, 50) and (10, 30) tie at 2 exactly, and so does (5, 55);
+    # with 22-row tiles the row band of rows 0-21 meets (10, 30) in an
+    # earlier column tile than the first pair in row order, (5, 50)
+    feats = np.zeros((66, 4), dtype=complex)
+    for row, point in ((5, 1), (10, 1j), (30, -1j), (50, -1), (55, -1)):
+        feats[row] = point
+    monkeypatch.setattr(systems, "_CHUNK_BYTES", 4096)
+    kind = metric(None)
+    clusters = [tuple(range(66))]
+    assert equicont._screened_maximum(kind, feats) is not None
+    got = equicont._cluster_maxima(kind, feats, clusters)
+    assert got[0][:2] == (5, 50)
+    assert _bits(got) == _bits(old_kernels.cluster_maxima(kind, feats, clusters))
+
+
+def test_cluster_maxima_screen_reduces_few_pairs(monkeypatch):
+    # on a rotation cluster the pivot bounds leave few pairs that could be
+    # the farthest; count the distances the kernel reduces, pivot rows too
+    reduced = []
+
+    def counted(read):
+        def wrapped(*args):
+            out = read(*args)
+            reduced.append(out.size)
+            return out
+        return wrapped
+
+    def unreachable(*args):
+        raise AssertionError("the screen built the whole block")
+
+    monkeypatch.setattr(cover, "_distance_rows", counted(cover._distance_rows))
+    monkeypatch.setattr(equicont, "_distance_pairs", counted(equicont._distance_pairs))
+    monkeypatch.setattr(equicont, "_distance_matrix", unreachable)
+    samples = SYS_R.sample_measure(1000, PLAN.child(12))
+    for metric in (e.FbarKind, e.FhatKind):
+        kind = metric(e.Character(1))
+        feats = cover._sample_features(kind, SYS_R, samples, 64)
+        clusters, _ = equicont._greedy_clusters(kind, feats, 1.0, 1000,
+                                                cover._units_needed(1000, 1.0))
+        big = max(clusters, key=len)
+        s = len(big)
+        reduced.clear()
+        assert equicont._cluster_maxima(kind, feats, [big]) == \
+            old_kernels.cluster_maxima(kind, feats, [big])
+        assert s > 100 and sum(reduced) < 0.05 * s * (s - 1) / 2
