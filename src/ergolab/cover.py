@@ -92,9 +92,11 @@ _COVER_ENTRY_BYTES = 13
 # bytes per entry of _distance_matrix at its peak: the float64 distances
 # beside the float32 Hamming agreement counts they are divided from
 _MATRIX_ENTRY_BYTES = 12
-# bytes per entry charged for a feature read: int64 name labels, or observable
-# values read as complex128, the widest type an observable returns
-_LABEL_BYTES = 8
+# bytes per entry charged for a feature read that is not a sampled name read
+# (which is charged at the width it stores): the int64 labels of NameWords,
+# or observable values read as complex128, the widest type an observable
+# returns
+_WORD_BYTES = 8
 _VALUE_BYTES = 16
 # pivot rows of the fbar/fhat ball screen
 _PIVOTS = 4
@@ -136,20 +138,29 @@ def _metric_kind(target, fhat: bool = False) -> MetricKind:
 def _sample_features(kind, system, samples, n) -> np.ndarray:
     """(m, n) horizon-n features: observable values, or name labels (cell
     indices, precomputed NameWords taken as they are) in the narrowest
-    unsigned type that holds them."""
+    unsigned type that holds them.
+
+    Sampled labels are read straight into the narrowest type that holds
+    every cell index of the partition, chunk by chunk, and that read is
+    charged at its own width; no (m, n) int64 array is built.  NameWords
+    are stacked as int64 and charged 8 bytes per entry.
+    """
     if n < 1:
         raise InvalidParameterError("horizon must be >= 1")
-    hamming = isinstance(kind, HammingKind)
-    _check_bytes(len(samples) * n * (_LABEL_BYTES if hamming else _VALUE_BYTES),
-                 f"a feature read of {len(samples)} samples at horizon {n}")
-    if not hamming:
+    what = f"a feature read of {len(samples)} samples at horizon {n}"
+    if not isinstance(kind, HammingKind):
+        _check_bytes(len(samples) * n * _VALUE_BYTES, what)
         return kind.observable.orbit_rows(system, samples, n)
     if len(samples) and isinstance(samples[0], NameWord):
+        _check_bytes(len(samples) * n * _WORD_BYTES, what)
         if any(w.n != n for w in samples):
             raise InvalidParameterError("name word length differs from horizon")
         labels = np.array([w.symbols for w in samples], dtype=np.int64).reshape(-1, n)
     else:
-        labels = name_rows(system, kind.partition, samples, n)
+        # capped at uint64: past 2**64 cells the type would be object
+        cells = np.min_scalar_type(min(kind.partition.cell_count, 2**64) - 1)
+        _check_bytes(len(samples) * n * cells.itemsize, what)
+        labels = name_rows(system, kind.partition, samples, n, dtype=cells)
     return labels.astype(np.min_scalar_type(labels.max(initial=0)), copy=False)
 
 
@@ -162,6 +173,12 @@ def _reduce_gaps(kind: MetricKind, gaps: np.ndarray) -> np.ndarray:
         raise TypeError(f"no gap reducer for {type(kind).__name__}")
     n = gaps.shape[-1]
     return (np.cumsum(gaps, axis=-1) * (1.0 / np.arange(1, n + 1))).max(axis=-1)
+
+
+def _gap_width(feats: np.ndarray) -> int:
+    """Width, in 8-byte items, of one row of a gap temporary of feats: a
+    complex128 difference takes two items per entry."""
+    return feats.shape[1] * max(8, feats.itemsize) // 8
 
 
 def _distance_rows(kind: MetricKind, feats: np.ndarray, rows, cols=slice(None)) -> np.ndarray:
@@ -177,7 +194,7 @@ def _distance_rows(kind: MetricKind, feats: np.ndarray, rows, cols=slice(None)) 
     head = feats[rows][:, None, :]
     tail = feats[cols]
     out = np.empty((head.shape[0], len(tail)))
-    step = _chunk_rows(head.shape[0] * n)
+    step = _chunk_rows(head.shape[0] * _gap_width(feats))
     for lo in range(0, len(tail), step):
         other = tail[None, lo : lo + step]
         if isinstance(kind, HammingKind):
@@ -194,7 +211,7 @@ def _distance_pairs(kind: MetricKind, feats: np.ndarray, i, j) -> np.ndarray:
     temporary stays near systems._CHUNK_BYTES."""
     n = feats.shape[1]
     out = np.empty(len(i))
-    step = _chunk_rows(n)
+    step = _chunk_rows(_gap_width(feats))
     for lo in range(0, len(i), step):
         a, b = i[lo : lo + step], j[lo : lo + step]
         if isinstance(kind, HammingKind):

@@ -125,19 +125,21 @@ def _cylinder_labels(symbol_rows: np.ndarray, alphabet: int) -> np.ndarray:
 
 
 def name_rows(system: SystemHandle, partition: Partition, samples, n: int,
-              lo: int = 0) -> np.ndarray:
-    """(m, n) labels: row k holds the cells of T^i samples[k] for
-    lo <= i < lo + n."""
+              lo: int = 0, dtype=np.int64) -> np.ndarray:
+    """(m, n) labels of type `dtype`: row k holds the cells of T^i
+    samples[k] for lo <= i < lo + n.  Each chunk of rows is read as int64
+    and stored into the output as it is read, so a narrow `dtype` that
+    holds every cell index never builds an (m, n) int64 array."""
     if n < 1:
         raise InvalidParameterError("name length must be >= 1")
     if partition.kind == TRIVIAL:
-        return np.zeros((len(samples), n), dtype=np.int64)
+        return np.zeros((len(samples), n), dtype=dtype)
     if partition.kind == CIRCLE_INTERVALS:
         if not system.has_circle_values:
             raise IncompatiblePartitionError(
                 "circle-interval partition cannot classify a symbolic point"
             )
-        return system.circle_labels(samples, partition.cuts, n, lo)
+        return system.circle_labels(samples, partition.cuts, n, lo, dtype)
     if partition.kind == CYLINDER:
         if system.kind not in ("shift", "odometer"):
             raise IncompatiblePartitionError(
@@ -152,7 +154,7 @@ def name_rows(system: SystemHandle, partition: Partition, samples, n: int,
                 )
             return _cylinder_labels(cols, partition.alphabet)
 
-        return _batched(len(samples), (n,), np.int64, read)
+        return _batched(len(samples), (n,), dtype, read)
     raise InvalidParameterError(f"unknown partition kind {partition.kind!r}")
 
 

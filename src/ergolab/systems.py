@@ -296,8 +296,9 @@ def _check_bytes(nbytes: int, what: str) -> None:
 
 
 def _batched(m: int, tail: tuple, dtype, read, width=None) -> np.ndarray:
-    """An (m, *tail) array whose rows a..b-1 are read(a, b); `width` is the
-    row width of read's widest temporary, by default the size of a row."""
+    """An (m, *tail) array of type `dtype` whose rows a..b-1 are read(a, b),
+    cast as each chunk is stored; `width` is the row width, in 8-byte items,
+    of read's widest temporary, by default the size of a row."""
     out = np.empty((m,) + tail, dtype=dtype)
     step = _chunk_rows(width or int(np.prod(tail)))
     for a in range(0, m, step):
@@ -428,12 +429,14 @@ class SystemHandle:
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
         raise NotImplementedError(f"{self.kind} systems have no batched read")
 
-    def circle_labels(self, points, cuts, n: int, lo: int = 0) -> np.ndarray:
-        """(m, n) int64 labels: row k holds the cells of T^i points[k] for
-        lo <= i < lo + n in the partition of the sorted cuts (see
-        `_circle_labels`)."""
+    def circle_labels(self, points, cuts, n: int, lo: int = 0,
+                      dtype=np.int64) -> np.ndarray:
+        """(m, n) labels of type `dtype`: row k holds the cells of T^i
+        points[k] for lo <= i < lo + n in the partition of the sorted cuts
+        (see `_circle_labels`).  Each chunk's int64 labels are stored into
+        the output as they are read."""
         cuts = np.asarray(cuts)
-        return _batched(len(points), (n,), np.int64,
+        return _batched(len(points), (n,), dtype,
                         lambda a, b: _circle_labels(cuts, self.rows(points[a:b], lo, lo + n)))
 
     def value_orbit(self, x, n: int) -> np.ndarray:
@@ -509,14 +512,16 @@ class DoublingSystem(SystemHandle):
         bits = self._bits(points, points.offsets + lo, hi - lo + self._row_margin)
         return _window_values(bits, hi - lo)
 
-    def circle_labels(self, points, cuts, n: int, lo: int = 0) -> np.ndarray:
+    def circle_labels(self, points, cuts, n: int, lo: int = 0,
+                      dtype=np.int64) -> np.ndarray:
         # Labels from the integer V of the first K bits of each 53-bit window
         # W, K the cuts' largest dyadic depth clamped to [1, 53].  W 2^-53 >= c
         # exactly when V >= ceil(c 2^K): below the cap every cut is a multiple
         # of 2^-K, so no cut lies inside the 2^-K cell that V names; at K = 53,
         # V is W.  The labels equal those of the float values, and a row reads
         # only n + K - 1 bits.  Up to _TABLE_DEPTH, V is looked up in the
-        # labels of all 2^K words, built once.
+        # labels of all 2^K words, built once.  Each chunk's int64 labels are
+        # stored into the `dtype` output as they are read.
         ratios = [float(c).as_integer_ratio() for c in cuts]
         depth = max(den.bit_length() - 1 for _, den in ratios)
         depth = min(_VALUE_BITS, max(1, depth))
@@ -532,7 +537,7 @@ class DoublingSystem(SystemHandle):
                 return _circle_labels(thresholds, words)
             return np.take(table, words, out=words, mode="clip")
 
-        return _batched(len(points), (n,), np.int64, read, n + depth - 1)
+        return _batched(len(points), (n,), dtype, read, n + depth - 1)
 
     def _cut_preimages(self, c: float, k: int) -> list:
         return [(c + j) / 2**k for j in range(2**k)]

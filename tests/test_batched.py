@@ -331,6 +331,24 @@ def test_name_and_orbit_rows_equal_per_point_reads(name, chunk):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
+def test_narrow_name_rows_equal_int64_reads(name, chunk):
+    """name_rows stored in the narrowest type of a partition's cell indices
+    equals its int64 read, for every partition of the case and one of more
+    than 256 cells, which needs uint16."""
+    system, pts = _reference(name)[:2]
+    partitions = CASES[name][1]
+    wide = (e.circle_intervals(np.arange(300) / 300) if name in CIRCLE_CASES
+            else e.cylinder(range(9), partitions[0].alphabet))
+    assert np.min_scalar_type(wide.cell_count - 1) == np.uint16
+    for part in partitions + [wide]:
+        narrow = np.min_scalar_type(part.cell_count - 1)
+        for n in NS:
+            got = e.name_rows(system, part, pts, n, dtype=narrow)
+            want = e.name_rows(system, part, pts, n)
+            assert got.dtype == narrow and np.array_equal(got, want), (part, n)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_handle_rows_equal_per_point_reads(name, chunk):
     system, pts = CASES[name][0]()
     old = _old_points(system, pts)
@@ -437,6 +455,8 @@ def test_doubling_labels_equal_float_window_read(cuts, chunk):
         want = (np.searchsorted(edges, values, side="right") - 1) % len(edges)
         got = e.name_rows(system, part, pts, n)
         assert got.dtype == np.int64 and np.array_equal(got, want), n
+        narrow = e.name_rows(system, part, pts, n, dtype=np.min_scalar_type(len(edges) - 1))
+        assert narrow.dtype == np.uint8 and np.array_equal(narrow, want), n
 
 
 @pytest.mark.parametrize("spec, f", [

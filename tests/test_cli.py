@@ -73,8 +73,8 @@ def _not_reached(*args):
 ])
 def test_matrix_budget_exit_3_before_allocation(command, monkeypatch, tmp_path, capsys):
     # 50 samples need 13 * 50**2 = 32500 bytes of m x m arrays, and the
-    # report's largest feature read, 50 x 1024 int64 Hamming labels, needs
-    # 409600 bytes; at 32499 bytes its first cover fails before that read
+    # report's largest feature read, 50 x 1024 uint8 Hamming labels, needs
+    # 51200 bytes; at 32499 bytes its first cover fails before that read
     monkeypatch.setattr(systems, "_MATRIX_BYTES", 32_499)
     monkeypatch.setattr(cover, "_ball_matrix", _not_reached)
     out = tmp_path / "out"
@@ -85,7 +85,7 @@ def test_matrix_budget_exit_3_before_allocation(command, monkeypatch, tmp_path, 
         e.estimate_cover_number([e.NameWord((0,) * 4, 2)] * 50, 4, 0.2,
                                 e.HammingKind(e.halves()))
     monkeypatch.undo()
-    enough = 409_600 if command[0] == "report" else 32_500
+    enough = 51_200 if command[0] == "report" else 32_500
     monkeypatch.setattr(systems, "_MATRIX_BYTES", enough - 1)
     assert main(["--out", str(out), *command]) == 3
     monkeypatch.setattr(systems, "_MATRIX_BYTES", enough)  # exactly enough
@@ -108,6 +108,16 @@ def test_meanequi_feature_read_budget_exit_3(monkeypatch, capsys):
                  "--eps", "1.9", "--samples", "200", "--horizon", "10000",
                  "--k-max", "400"]) == 3
     assert "a feature read of 200 samples at horizon 10000 needs 32000000 bytes" in \
+        capsys.readouterr().err
+
+
+def test_meanequi_label_read_budget_exit_3(monkeypatch, capsys):
+    # 200 samples of 10000 halves labels, charged 1 byte each: the uint8
+    # they are stored in
+    monkeypatch.setattr(systems, "_MATRIX_BYTES", 1 << 20)
+    assert main(["meanequi", "--system", "rotation:golden", "--target", "halves",
+                 "--eps", "0.2", "--samples", "200", "--horizon", "10000"]) == 3
+    assert "a feature read of 200 samples at horizon 10000 needs 2000000 bytes" in \
         capsys.readouterr().err
 
 

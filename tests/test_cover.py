@@ -329,6 +329,29 @@ def test_hamming_labels_narrowed():
     assert _sample_features(cells, None, words, 50).dtype == np.uint16
 
 
+@pytest.mark.parametrize("spec, part, m, n", [
+    (e.rotation(e.GOLDEN), e.halves(), 1000, 2048),
+    (e.sturmian(e.GOLDEN), e.cylinder([0], 2), 600, 1024),
+])
+def test_hamming_feature_read_peak_within_narrow_labels(spec, part, m, n):
+    # the labels are stored as uint8 chunk by chunk: beside them the read
+    # holds one chunk's temporaries (its values or symbols, int64 labels and
+    # the alphabet check), never an (m, n) int64 array, which alone would
+    # take 8 m n bytes
+    system = make_system(spec)
+    kind = HammingKind(part)
+    samples = system.sample_measure(m, PLAN)
+    _sample_features(kind, system, samples, n)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        feats = _sample_features(kind, system, samples, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert feats.dtype == np.uint8 and feats.shape == (m, n)
+    assert peak < m * n * feats.itemsize + 6 * systems._CHUNK_BYTES
+
+
 @pytest.mark.parametrize("chunk_bytes", [64, systems._CHUNK_BYTES])
 @pytest.mark.parametrize("m", [0, 1, 2, 31, 300])
 def test_agreements_equal_plane_loop(monkeypatch, chunk_bytes, m):
@@ -401,8 +424,8 @@ def test_complexity_run_reads_features_once(monkeypatch, target, reader):
     reads = []
     if reader == "name_rows":
         read = cover.name_rows
-        monkeypatch.setattr(cover, "name_rows", lambda system, part, samples, n: (
-            reads.append((len(samples), n)) or read(system, part, samples, n)))
+        monkeypatch.setattr(cover, "name_rows", lambda system, part, samples, n, **kw: (
+            reads.append((len(samples), n)) or read(system, part, samples, n, **kw)))
     else:
         read = observables.Character.orbit_rows
         monkeypatch.setattr(observables.Character, "orbit_rows", lambda f, system, samples, n: (

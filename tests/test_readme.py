@@ -1,14 +1,17 @@
-"""Every command of the README "Command line" block runs and exits 0."""
+"""Every command of the README "Command line" block runs and exits 0, and
+holds no more memory than it charges against its budget."""
 
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from ergolab import systems
 from ergolab.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,3 +49,41 @@ def test_readme_command_runs_as_module(tmp_path):
     done = subprocess.run([sys.executable, "-m", "ergolab", *argv], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "0,1,1,0\n", "")
+
+
+@pytest.mark.parametrize("argv", _commands(), ids=lambda a: " ".join(a)[:60])
+def test_readme_command_peak_within_its_charge(argv, tmp_path, capsys, monkeypatch):
+    """Every large array is charged before it is built: the traced peak of a
+    README command stays within the largest byte count it passed to
+    `_check_bytes` plus 8 chunks.
+
+    The 8 chunks cover what no charge counts: the temporaries of chunked
+    reads and tiles, each near `_CHUNK_BYTES`.  Measured, expansivity
+    makes no charge and peaks at 3.2 MiB, 6.3 chunks, at any chunk size:
+    a chunk of pairs holds the reads of both points and their gaps at
+    once.  The complexity command peaks at 5.6 MiB beside a 4.5 MiB
+    charge, the 13 * 600**2 bytes of its cover arrays.  The run is traced
+    after one warm-up run, so the peak leaves out caches filled once per
+    process.
+    """
+    if "--out" in argv:
+        argv[argv.index("--out") + 1] = str(tmp_path)
+    charges = [0]
+    check = systems._check_bytes
+
+    def recording(nbytes, what):
+        charges.append(nbytes)
+        check(nbytes, what)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ergolab.") and getattr(module, "_check_bytes", None) is check:
+            monkeypatch.setattr(module, "_check_bytes", recording)
+    assert main(argv) == 0
+    charges[1:] = []
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(charges) + 8 * systems._CHUNK_BYTES, (peak, max(charges))
