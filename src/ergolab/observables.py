@@ -27,8 +27,8 @@ class Observable:
     def orbit_values(self, system: SystemHandle, x, n: int) -> np.ndarray:
         return self.orbit_rows(system, system.as_batch(x), n)[0]
 
-    def orbit_rows(self, system: SystemHandle, samples, n: int, lo: int = 0) -> np.ndarray:
-        """(m, n): row k holds f(T^i samples[k]) for lo <= i < lo + n."""
+    def orbit_rows(self, system: SystemHandle, samples, n: int) -> np.ndarray:
+        """(m, n): row k holds f(T^i samples[k]) for 0 <= i < n."""
         raise NotImplementedError
 
     def gap_rows(self, system: SystemHandle, xs, ys, n: int) -> np.ndarray:
@@ -49,11 +49,11 @@ class Character(Observable):
 
     k: int = 1
 
-    def orbit_rows(self, system, samples, n, lo=0):
+    def orbit_rows(self, system, samples, n):
         self._check_circle(system)
         # one complex buffer: the same product and exp as
         # np.exp(2j * np.pi * k * rows), with the exp written in place
-        z = np.multiply(2j * np.pi * self.k, system.rows(samples, lo, lo + n))
+        z = np.multiply(2j * np.pi * self.k, system.rows(samples, 0, n))
         return np.exp(z, out=z)
 
     def gap_rows(self, system, xs, ys, n):
@@ -97,8 +97,8 @@ class CellIndicator(Observable):
                 f"cell label must be an integer in [0, {count}), got {self.label}"
             )
 
-    def orbit_rows(self, system, samples, n, lo=0):
-        return (name_rows(system, self.partition, samples, n, lo) == self.label).astype(float)
+    def orbit_rows(self, system, samples, n):
+        return (name_rows(system, self.partition, samples, n) == self.label).astype(float)
 
     def sup_bound(self):
         return 1.0
@@ -117,12 +117,12 @@ class CoordinateRead(Observable):
 
     index: int = 0
 
-    def orbit_rows(self, system, samples, n, lo=0):
+    def orbit_rows(self, system, samples, n):
         if system.kind != "shift":
             raise IncompatibleObservableError(
                 "coordinate reads are only defined on shift families"
             )
-        return system.rows(samples, self.index + lo, self.index + lo + n).astype(float)
+        return system.rows(samples, self.index, self.index + n).astype(float)
 
     def to_json(self):
         return {"kind": "coordinate_read", "index": self.index}
@@ -132,7 +132,7 @@ class CoordinateRead(Observable):
 class Constant(Observable):
     value: complex = 0.0
 
-    def orbit_rows(self, system, samples, n, lo=0):
+    def orbit_rows(self, system, samples, n):
         return np.full((len(samples), n), self.value)
 
     def sup_bound(self):
@@ -158,8 +158,8 @@ class TableObservable(Observable):
                 "table needs one value per partition cell"
             )
 
-    def orbit_rows(self, system, samples, n, lo=0):
-        return np.asarray(self.values)[name_rows(system, self.partition, samples, n, lo)]
+    def orbit_rows(self, system, samples, n):
+        return np.asarray(self.values)[name_rows(system, self.partition, samples, n)]
 
     def sup_bound(self):
         return float(np.max(np.abs(self.values)))

@@ -125,9 +125,9 @@ def _cylinder_labels(symbol_rows: np.ndarray, alphabet: int) -> np.ndarray:
 
 
 def name_rows(system: SystemHandle, partition: Partition, samples, n: int,
-              lo: int = 0, dtype=np.int64) -> np.ndarray:
+              dtype=np.int64) -> np.ndarray:
     """(m, n) labels of type `dtype`: row k holds the cells of T^i
-    samples[k] for lo <= i < lo + n.  Each chunk of rows is read as int64
+    samples[k] for 0 <= i < n.  Each chunk of rows is read as int64
     and stored into the output as it is read, so a narrow `dtype` that
     holds every cell index never builds an (m, n) int64 array."""
     if n < 1:
@@ -139,7 +139,7 @@ def name_rows(system: SystemHandle, partition: Partition, samples, n: int,
             raise IncompatiblePartitionError(
                 "circle-interval partition cannot classify a symbolic point"
             )
-        return system.circle_labels(samples, partition.cuts, n, lo, dtype)
+        return system.circle_labels(samples, partition.cuts, n, dtype)
     if partition.kind == CYLINDER:
         if system.kind not in ("shift", "odometer"):
             raise IncompatiblePartitionError(
@@ -147,7 +147,7 @@ def name_rows(system: SystemHandle, partition: Partition, samples, n: int,
             )
 
         def read(a, b):
-            cols = system.cylinder_rows(samples[a:b], partition.coords, n, lo)
+            cols = system.cylinder_rows(samples[a:b], partition.coords, n)
             if (cols >= partition.alphabet).any():
                 raise IncompatiblePartitionError(
                     "point symbols exceed the cylinder alphabet"

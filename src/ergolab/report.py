@@ -41,6 +41,7 @@ from .spectral import OrbitGeometry, _spectral_scan
 from .systems import (
     GOLDEN,
     SystemSpec,
+    _check_bytes,
     bernoulli_shift,
     make_system,
     rotation,
@@ -180,9 +181,27 @@ def bundle_from_json(obj: dict) -> ReportBundle:
 # Task runners
 
 
+# bytes a name run holds per symbol at its peak, json.dumps of bundle.json:
+# the table row's pointer (8), the encoder's chunk list pointer (8), one
+# chunk str per symbol (a 49-byte header, then ",\n", a 10-space indent and
+# the label's digits) and the joined text (12 + digits).  That is 89 bytes
+# plus 2 per digit, rounded up here to 96 plus 2 per digit; labels above 256
+# are not cached small ints and hold a 28-byte int each, charged 32.  Printing
+# to stdout alone peaks lower, at the CSV join.  Measured under tracemalloc
+# at n = 10**6 with --out: 91.5 bytes per symbol (halves), 94.6 (256
+# cells), 119.3 (1024 cells), 133.3 (2**20 cells).
+_NAME_SYMBOL_BYTES = 96
+_NAME_INT_BYTES = 32
+
+
 def _run_name(config, plan):
     system = make_system(config.system)
     n = int(config.params["n"])
+    cells = config.target.cell_count
+    per_symbol = _NAME_SYMBOL_BYTES + 2 * len(str(cells - 1))
+    if cells - 1 > 256:
+        per_symbol += _NAME_INT_BYTES
+    _check_bytes(n * per_symbol, f"a name of {n} symbols")
     if "point" in config.params:
         if not system.has_circle_values:
             raise InvalidParameterError(

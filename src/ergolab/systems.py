@@ -419,6 +419,8 @@ class SystemHandle:
         """The batched read every estimator goes through: row k holds
         positions lo..hi-1 of points[k], as circle values of T^i x (circle
         kinds, float64) or as symbols x_i (shift and odometer kinds, int64).
+        The one read that takes a start, which may be negative (the past);
+        every read derived from it starts at position 0.
         Circle partitions read their labels through `circle_labels`, which
         reads these values or, on doubling, the bits the cuts need."""
         dtype = np.float64 if self.has_circle_values else np.int64
@@ -429,15 +431,14 @@ class SystemHandle:
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
         raise NotImplementedError(f"{self.kind} systems have no batched read")
 
-    def circle_labels(self, points, cuts, n: int, lo: int = 0,
-                      dtype=np.int64) -> np.ndarray:
+    def circle_labels(self, points, cuts, n: int, dtype=np.int64) -> np.ndarray:
         """(m, n) labels of type `dtype`: row k holds the cells of T^i
-        points[k] for lo <= i < lo + n in the partition of the sorted cuts
-        (see `_circle_labels`).  Each chunk's int64 labels are stored into
-        the output as they are read."""
+        points[k] for 0 <= i < n in the partition of the sorted cuts (see
+        `_circle_labels`).  Each chunk's int64 labels are stored into the
+        output as they are read."""
         cuts = np.asarray(cuts)
         return _batched(len(points), (n,), dtype,
-                        lambda a, b: _circle_labels(cuts, self.rows(points[a:b], lo, lo + n)))
+                        lambda a, b: _circle_labels(cuts, self.rows(points[a:b], 0, n)))
 
     def value_orbit(self, x, n: int) -> np.ndarray:
         """Circle positions of x, Tx, ..., T^{n-1}x (circle families only)."""
@@ -482,12 +483,9 @@ class RotationSystem(SystemHandle):
 
 
 class IdentitySystem(RotationSystem):
-    """The rotation by 0, with a plain copy for its rows."""
+    """The rotation by 0."""
 
     theta = 0.0
-
-    def _rows(self, points, lo: int, hi: int) -> np.ndarray:
-        return np.repeat(circle_value(points)[:, None], hi - lo, axis=1)
 
 
 class DoublingSystem(SystemHandle):
@@ -512,8 +510,7 @@ class DoublingSystem(SystemHandle):
         bits = self._bits(points, points.offsets + lo, hi - lo + self._row_margin)
         return _window_values(bits, hi - lo)
 
-    def circle_labels(self, points, cuts, n: int, lo: int = 0,
-                      dtype=np.int64) -> np.ndarray:
+    def circle_labels(self, points, cuts, n: int, dtype=np.int64) -> np.ndarray:
         # Labels from the integer V of the first K bits of each 53-bit window
         # W, K the cuts' largest dyadic depth clamped to [1, 53].  W 2^-53 >= c
         # exactly when V >= ceil(c 2^K): below the cap every cut is a multiple
@@ -531,7 +528,7 @@ class DoublingSystem(SystemHandle):
 
         def read(a, b):
             part = points[a:b]
-            bits = self._bits(part, part.offsets + lo, n + depth - 1)
+            bits = self._bits(part, part.offsets, n + depth - 1)
             words = _window_words(bits, n, depth)
             if depth > _TABLE_DEPTH:
                 return _circle_labels(thresholds, words)
@@ -550,11 +547,12 @@ class _SymbolSystem(SystemHandle):
     def metric(self, x, y) -> float:
         return _first_difference_metric(*self.rows(x + y, 0, DEFAULT_WINDOW))
 
-    def cylinder_rows(self, points, coords, n: int, lo: int = 0) -> np.ndarray:
-        """(m, n, len(coords)): coordinate c of T^(lo+i) points[k] at [k, i, j],
-        for the sorted coords; on a shift it is symbol lo + i + c."""
+    def cylinder_rows(self, points, coords, n: int) -> np.ndarray:
+        """(m, n, len(coords)): coordinate c of T^i points[k] at [k, i, j],
+        for 0 <= i < n and the sorted coords; on a shift it is symbol i + c,
+        read through `rows`, so a negative c reads the past."""
         first, last = coords[0], coords[-1]
-        window = self.rows(points, lo + first, lo + last + n)
+        window = self.rows(points, first, last + n)
         cols = np.lib.stride_tricks.sliding_window_view(window, last - first + 1, axis=1)[:, :n]
         if len(coords) == last - first + 1:  # consecutive coords: a view
             return cols
@@ -640,10 +638,10 @@ class OdometerSystem(_SymbolSystem):
             raise InvalidParameterError("odometer digits have nonnegative indices")
         return self._digits(points, hi, 1)[:, 0, lo:]
 
-    def cylinder_rows(self, points, coords, n: int, lo: int = 0) -> np.ndarray:
+    def cylinder_rows(self, points, coords, n: int) -> np.ndarray:
         if coords[0] < 0:
             raise InvalidParameterError("odometer digits have nonnegative indices")
-        return self._digits(points.step(lo), coords[-1] + 1, n)[:, :, list(coords)]
+        return self._digits(points, coords[-1] + 1, n)[:, :, list(coords)]
 
 
 class _Family(NamedTuple):

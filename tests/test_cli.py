@@ -1,5 +1,6 @@
 import argparse
 import json
+import tracemalloc
 
 import pytest
 
@@ -119,6 +120,49 @@ def test_meanequi_label_read_budget_exit_3(monkeypatch, capsys):
                  "--eps", "0.2", "--samples", "200", "--horizon", "10000"]) == 3
     assert "a feature read of 200 samples at horizon 10000 needs 2000000 bytes" in \
         capsys.readouterr().err
+
+
+def _not_read(*args):
+    raise AssertionError("a name was read")
+
+
+def test_name_budget_exit_3_before_read(monkeypatch, capsys):
+    # a name is charged per symbol before it is read: 100000 one-digit
+    # halves labels at 98 bytes each
+    monkeypatch.setattr(systems, "_MATRIX_BYTES", 1024)
+    monkeypatch.setattr(report, "name_word", _not_read)
+    assert main(["name", "--system", "doubling", "--target", "halves", "--n", "100000"]) == 3
+    assert "a name of 100000 symbols needs 9800000 bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system, target, per_symbol", [
+    ("doubling", "halves", 98),
+    ("bernoulli:0.5", "cylinder:" + ",".join(map(str, range(10))) + ":2", 136),
+])
+def test_name_peak_within_its_charge(system, target, per_symbol, monkeypatch, tmp_path,
+                                     capsys):
+    """A name of 200000 symbols written with --out peaks, under tracemalloc
+    and after a warm-up run, within its charge plus 8 chunks of 64 KiB
+    (0.5 MiB); 1024 cells need four digits and an int object per label.
+    Measured at 10**6 symbols, they peak at 91.5 and 119.3 bytes each."""
+    n = 2 * 10**5
+    monkeypatch.setattr(systems, "_CHUNK_BYTES", 1 << 16)
+    charges = []
+    check = systems._check_bytes
+    monkeypatch.setattr(report, "_check_bytes",
+                        lambda nbytes, what: charges.append(nbytes) or check(nbytes, what))
+    argv = ["--out", str(tmp_path), "name", "--system", system, "--target", target,
+            "--n", str(n)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert charges == [per_symbol * n] * 2
+    assert peak <= charges[-1] + 8 * systems._CHUNK_BYTES, (peak, charges[-1])
 
 
 def test_unknown_task_param_exit_2(tmp_path, capsys):
