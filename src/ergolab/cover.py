@@ -12,10 +12,11 @@ measure strictly above 1 - eps.  Two routes are provided:
 
 Strict inequalities (< eps for ball membership, > 1-eps for covered
 mass) follow the definitions exactly.  One kernel serves every distance
-read (covers, cluster rows, pairs and blocks, the oracle, ``ball_member``):
-``_distance_rows`` for a few rows, ``_distance_pairs`` for scattered
-pairs, ``_distance_matrix`` for a whole matrix.  They agree bit for bit,
-and every fbar/fhat tile is sized from the one byte budget
+read (covers, cluster rows and farthest pairs, the oracle, ``ball_member``,
+``pairwise_distances``): ``_distance_rows`` for a few rows,
+``_distance_pairs`` for scattered pairs, ``_distance_matrix`` for a whole
+matrix.  They share one per-pair formula (``_chunk_distances``), agree bit
+for bit, and every fbar/fhat tile is sized from the one byte budget
 ``systems._CHUNK_BYTES``.  Both cover routes count mass in exact integer
 units, so boundary ties resolve to "not covered".
 
@@ -40,11 +41,12 @@ whole as ``_distance_matrix`` does.  That costs the pivot rows and one
 tile's screen: a doubling ``character:1`` fbar ball matrix of 500 samples
 at eps 0.5 took 0.85-1.25 times the time of ``_distance_matrix(...) <
 eps`` (medians over horizons 16, 64 and 256), inside the spread of those
-runs.  The pivot rows (``_pivot_rows``) have a second reader:
-``equicont._cluster_maxima`` takes the largest pivot distance of a
-cluster as a real distance LB and the same rounding bound as an upper
-bound on every pair, so only pairs whose bound reaches LB can be the
-farthest, with the same first-tile rule for falling back to the block.
+runs.  The pivot rows (``_pivot_rows``) have a second reader, the
+farthest pair of an equipartition cluster (``_farthest_pair``).  It takes
+the largest pivot distance as a real distance LB and the same rounding
+bound as an upper bound on every pair, so only pairs whose bound reaches
+LB can be the farthest; it has no first-tile rule and builds no block.  A
+Hamming cluster's farthest pair is its least exact agreement count.
 
 One greedy, ``_greedy_cover``, serves the point estimate and every
 bootstrap resample of a curve in one call, and the oracle's upper bound.
@@ -90,7 +92,9 @@ _ORACLE_WORDS = 4096
 # label read of it (at most 4 bytes); the greedy holds no m x m float copy
 _COVER_ENTRY_BYTES = 13
 # bytes per entry of _distance_matrix at its peak: the float64 distances
-# beside the float32 Hamming agreement counts they are divided from
+# beside the float32 Hamming agreement counts they are divided from; also
+# charged for the agreement counts of a Hamming cluster (_farthest_pair),
+# whose plane block and block product peak near it at long horizons
 _MATRIX_ENTRY_BYTES = 12
 # bytes per entry charged for a feature read that is not a sampled name read
 # (which is charged at the width it stores): the int64 labels of NameWords,
@@ -171,8 +175,23 @@ def _reduce_gaps(kind: MetricKind, gaps: np.ndarray) -> np.ndarray:
         return gaps.mean(axis=-1)
     if not isinstance(kind, FhatKind):
         raise TypeError(f"no gap reducer for {type(kind).__name__}")
-    n = gaps.shape[-1]
-    return (np.cumsum(gaps, axis=-1) * (1.0 / np.arange(1, n + 1))).max(axis=-1)
+    return _running_means(gaps).max(axis=-1)
+
+
+def _running_means(gaps: np.ndarray) -> np.ndarray:
+    """The means of the first k gaps along the last axis, k = 1..n."""
+    return np.cumsum(gaps, axis=-1) * (1.0 / np.arange(1, gaps.shape[-1] + 1))
+
+
+def _chunk_distances(kind: MetricKind, a: np.ndarray, b: np.ndarray, gaps=None) -> np.ndarray:
+    """The distances of the row pairs of two broadcastable chunks of
+    features, along their last axis: a Hamming mismatch count divided by n,
+    or one contiguous row of fbar/fhat gaps per pair (_reduce_gaps).  The
+    fbar/fhat differences a - b are written into gaps when it is given (it
+    may be a itself), else into a fresh temporary."""
+    if isinstance(kind, HammingKind):
+        return np.count_nonzero(a != b, axis=-1) / a.shape[-1]
+    return _reduce_gaps(kind, np.abs(np.subtract(a, b, out=gaps)))
 
 
 def _gap_width(feats: np.ndarray) -> int:
@@ -186,38 +205,31 @@ def _distance_rows(kind: MetricKind, feats: np.ndarray, rows, cols=slice(None)) 
     bit for bit, without the rest of it; those columns are read in chunks
     whose gap temporary stays near systems._CHUNK_BYTES.
 
-    The per-pair arithmetic does not depend on the chunk shape: fbar and
-    fhat reduce one contiguous row of gaps per pair (_reduce_gaps), and a
-    Hamming distance is an exact mismatch count divided by n.
+    The per-pair arithmetic (_chunk_distances) does not depend on the chunk
+    shape.
     """
-    n = feats.shape[1]
     head = feats[rows][:, None, :]
     tail = feats[cols]
     out = np.empty((head.shape[0], len(tail)))
     step = _chunk_rows(head.shape[0] * _gap_width(feats))
     for lo in range(0, len(tail), step):
-        other = tail[None, lo : lo + step]
-        if isinstance(kind, HammingKind):
-            out[:, lo : lo + step] = np.count_nonzero(head != other, axis=2) / n
-        else:
-            out[:, lo : lo + step] = _reduce_gaps(kind, np.abs(head - other))
+        out[:, lo : lo + step] = _chunk_distances(kind, head, tail[None, lo : lo + step])
     return out
 
 
 def _distance_pairs(kind: MetricKind, feats: np.ndarray, i, j) -> np.ndarray:
     """The distances of the row pairs (feats[i[k]], feats[j[k]]), bit for bit
-    as _distance_rows reads them: one contiguous row of gaps per fbar/fhat
-    pair, or a Hamming mismatch count divided by n, in chunks of pairs whose
-    temporary stays near systems._CHUNK_BYTES."""
-    n = feats.shape[1]
+    as _distance_rows reads them (_chunk_distances), in chunks of pairs whose
+    temporary stays near systems._CHUNK_BYTES.  The gathered left rows are
+    the read's own, so their differences overwrite them: with a fresh
+    difference per chunk, the farthest pair of a 600-sample Bernoulli
+    cell-indicator cluster at n = 64 took 4 times as long in a fresh
+    process."""
     out = np.empty(len(i))
     step = _chunk_rows(_gap_width(feats))
     for lo in range(0, len(i), step):
-        a, b = i[lo : lo + step], j[lo : lo + step]
-        if isinstance(kind, HammingKind):
-            out[lo : lo + step] = np.count_nonzero(feats[a] != feats[b], axis=1) / n
-        else:
-            out[lo : lo + step] = _reduce_gaps(kind, np.abs(feats[a] - feats[b]))
+        a = feats[i[lo : lo + step]]
+        out[lo : lo + step] = _chunk_distances(kind, a, feats[j[lo : lo + step]], a)
     return out
 
 
@@ -320,7 +332,7 @@ def _distance_matrix(kind: MetricKind, feats: np.ndarray) -> np.ndarray:
 def _kernel_bound(n: int) -> float:
     """c with which a pivot screen settles a pair only on the side of its
     threshold that the kernel's own distance falls on: eps in _ball_matrix,
-    the largest pivot distance in equicont._cluster_maxima.
+    the largest pivot distance in _farthest_pair.
 
     The features are float64 or complex128.  With u = 2**-53 and
     gamma_k = k u / (1 - k u), the fbar/fhat kernel computes, for two rows
@@ -355,7 +367,7 @@ def _kernel_bound(n: int) -> float:
     of under, over and room: they move the first test by at most
     3.02u (a + b) and the second by about 3.01u eps.
 
-    The cluster maxima take the upper bound alone, as over_i + over_j:
+    The farthest pair takes the upper bound alone, as over_i + over_j:
     rounded, it is at least (a + b)(1 + c)(1 - u)^3 >= (1 + 2 kappa')(a + b)
     >= d^(i, j).  So a pair whose bound falls below a real distance LB is
     not a farthest pair; LB takes the place, and the range, of eps below.
@@ -368,7 +380,7 @@ def _kernel_bound(n: int) -> float:
     coarsely, integer differences and running sums can wrap), neither
     screen is used (_bound_holds).  In the ball screen a pivot distance
     that is not finite becomes nan and fails every test, so its pairs are
-    reduced exactly; the cluster maxima then reduce the whole block.
+    reduced exactly; in the farthest-pair screen it leaves every pair open.
     """
     k, u = n + 6, 2.0**-53
     kappa = k * u / (1 - k * u)
@@ -378,8 +390,8 @@ def _kernel_bound(n: int) -> float:
 def _pivot_rows(kind: MetricKind, feats: np.ndarray) -> np.ndarray:
     """(P, m): the exact distance rows of P = min(_PIVOTS, m) pivots, picked
     by farthest-first traversal from row 0, nan distances counting as near.
-    The one pivot read of the ball screen (_pivot_screen) and of the cluster
-    maxima (equicont._cluster_maxima)."""
+    The one pivot read of the ball screen (_pivot_screen) and of the
+    farthest-pair screen (_farthest_pair)."""
     m = feats.shape[0]
     rows = []
     if m:
@@ -471,6 +483,54 @@ def _ball_matrix(kind: MetricKind, feats: np.ndarray, eps: float) -> np.ndarray:
             out[lo:hi, left:right] = block
             out[left:right, lo:hi] = block.T
     return out
+
+
+def _farthest_pair(kind: MetricKind, feats: np.ndarray) -> tuple:
+    """(i, j, d), i < j: the first farthest pair of rows of feats in row
+    order and its distance, bit for bit as _distance_matrix gives them (a
+    nan ranks above every number), without a float m x m array.
+
+    Hamming takes the least exact agreement count (_agreements), charged at
+    _MATRIX_ENTRY_BYTES per entry before the counts are built; the counts
+    are symmetric, so with inf on the diagonal the first least count in row
+    order lies above it.  fbar/fhat screen every pair against the exact
+    rows a of a few pivots (_pivot_rows).  LB, their largest entry, is the
+    distance of a real pair, and over_i + over_j, over = a (1 + c) with c =
+    _kernel_bound(n), bounds the kernel's own distance of pair (i, j) from
+    above through each pivot.  Only pairs whose bound reaches LB through
+    every pivot can be farthest, every tied farthest pair among them, and
+    only those are reduced (_distance_pairs), tile by tile in square tiles
+    of about systems._CHUNK_BYTES of bounds.  Where the bound does not hold
+    (_bound_holds, which a nan or inf LB fails too) every pair is open.
+    """
+    m, n = feats.shape
+    if isinstance(kind, HammingKind):
+        _check_bytes(_MATRIX_ENTRY_BYTES * m * m, f"a distance matrix of {m} samples")
+        agree = _agreements(feats)
+        np.fill_diagonal(agree, np.inf)
+        i, j = divmod(int(np.argmin(agree)), m)
+        return i, j, (n - float(agree[i, j])) / n
+    a = _pivot_rows(kind, feats)
+    lb = float(a.max())
+    over = a * (1 + _kernel_bound(n)) if _bound_holds(feats, lb) else a[:0]
+    side = isqrt(_chunk_rows(1))
+    found = []  # the first farthest pair of each tile and its distance
+    for lo in range(0, m, side):
+        hi = min(lo + side, m)
+        for left in range(lo, m, side):
+            right = min(left + side, m)
+            tile = np.ones((hi - lo, right - left), dtype=bool)
+            for row in over:
+                tile &= row[lo:hi, None] + row[left:right] >= lb
+            i, j = np.nonzero(np.triu(tile, lo - left + 1))
+            if i.size:
+                d = _distance_pairs(kind, feats, lo + i, left + j)
+                k = int(np.argmax(d))  # the first nan, else the first maximum
+                found.append((lo + i[k], left + j[k], d[k]))
+    i, j, d = (np.array(x) for x in zip(*found))
+    first = np.lexsort((j, i))  # the tiles' pairs in row order
+    k = first[np.argmax(d[first])]
+    return int(i[k]), int(j[k]), float(d[k])
 
 
 def pairwise_distances(kind: MetricKind, system, samples, n: int) -> np.ndarray:

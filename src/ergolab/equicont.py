@@ -8,22 +8,21 @@ hitting the cluster budget is evidence against it.  The opposite regime is
 probed by ``mean_expansivity_estimate``: the fraction of independent pairs
 whose averaged gap exceeds a fixed delta.
 
-The equipartition readers never build the m x m distance matrix: the
+The equipartition readers never build a float distance matrix: the
 greedy computes one row per center, and the diameter bound and
 ``verify_equipartition`` share one reader of the farthest pair inside
-each cluster (_cluster_maxima).  For fbar/fhat that reader screens the
-cluster's pairs against the exact rows of a few pivots and reduces only
-those that could be the farthest; Hamming clusters, and clusters the
-screen does not serve, read their whole block.  Rows, pairs and blocks
-come from the same per-pair reducers as the full matrix, so they equal
-its entries bit for bit.  Each block is charged against
-systems._MATRIX_BYTES before it is built.
+each cluster (_cluster_maxima), cover._farthest_pair on each cluster's
+features.  fbar/fhat clusters screen their pairs against the exact rows
+of a few pivots and reduce only those that could be the farthest; Hamming
+clusters take their least exact agreement count, charged against
+systems._MATRIX_BYTES before the counts are built.  Rows and pairs come
+from the same per-pair reducers as the full matrix, so they equal its
+entries bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import isqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,15 +30,11 @@ import numpy as np
 from .cover import (
     FbarKind,
     HammingKind,
-    _bound_holds,
     _check_budget,
-    _distance_matrix,
-    _distance_pairs,
     _distance_rows,
-    _kernel_bound,
+    _farthest_pair,
     _ladder,
     _metric_kind,
-    _pivot_rows,
     _sample_features,
     _units_needed,
 )
@@ -112,76 +107,19 @@ def _greedy_clusters(kind, feats: np.ndarray, eps: float, k_max: int, need: int)
     return clusters, covered
 
 
-def _block_maximum(kind, feats: np.ndarray) -> tuple:
-    """(i, j, d) for the first farthest pair of rows in row order, from the
-    whole distance matrix of feats."""
-    s = len(feats)
-    sub = _distance_matrix(kind, feats)
-    # -inf on and below the diagonal: argmax is then the first maximum
-    # above it in row order (the first nan, if any), with a bool mask the
-    # only other block
-    sub[np.tri(s, dtype=bool)] = -np.inf
-    i, j = divmod(int(np.argmax(sub)), s)
-    return i, j, float(sub[i, j])
-
-
-def _screened_maximum(kind, feats: np.ndarray) -> Optional[tuple]:
-    """_block_maximum(kind, feats) bit for bit, reducing only the pairs that
-    a pivot screen leaves open; None where the screen does not apply.
-
-    LB, the largest entry of the pivot rows (cover._pivot_rows), is the
-    distance of a real pair, and over_i + over_j, over = a (1 + c) with
-    c = cover._kernel_bound(n), bounds the kernel's own distance of pair
-    (i, j) from above through each pivot.  Only pairs whose bound reaches
-    LB through every pivot can be a maximum; every tied maximum is among
-    them, so the first in row order is the block's.  None for Hamming
-    labels, whose GEMM block is faster, for a pivot distance that is not
-    finite, where the bound does not hold (cover._bound_holds), and where
-    the first square tile leaves more than half of its pairs open, the
-    rule of cover._ball_matrix.  Tiles hold about systems._CHUNK_BYTES of
-    float bounds.
-    """
-    if isinstance(kind, HammingKind):
-        return None
-    s, n = feats.shape
-    a = _pivot_rows(kind, feats)
-    lb = float(a.max())
-    if not (np.isfinite(a).all() and _bound_holds(feats, lb)):
-        return None
-    over = a * (1 + _kernel_bound(n))
-    side = isqrt(_chunk_rows(1))
-    best = (-1.0, 0, 0)  # (d, -i, -j): the largest is the first maximum in row order
-    for lo in range(0, s, side):
-        hi = min(lo + side, s)
-        for left in range(lo, s, side):
-            right = min(left + side, s)
-            tile = np.ones((hi - lo, right - left), dtype=bool)
-            for row in over:
-                tile &= row[lo:hi, None] + row[left:right] >= lb
-            i, j = np.nonzero(np.triu(tile, lo - left + 1))
-            if left == 0 and 2 * i.size > hi * (hi - 1) // 2:
-                return None  # the probe tile leaves most of its pairs open
-            if i.size:
-                d = _distance_pairs(kind, feats, lo + i, left + j)
-                k = int(np.argmax(d))
-                best = max(best, (float(d[k]), -lo - int(i[k]), -left - int(j[k])))
-    d, i, j = best
-    return -i, -j, d
-
-
 def _cluster_maxima(kind, feats: np.ndarray, clusters) -> list:
     """(i, j, d) for the farthest pair inside each cluster, the first in
     row order among ties; (i, -1, 0.0) for a single sample i and
     (-1, -1, 0.0) for an empty cluster.
 
-    No distance outside the clusters is computed.  fbar/fhat clusters take
-    the pivot screen (_screened_maximum) and reduce only the pairs it
-    leaves open: a 1000-sample rotation cluster at horizon 64 peaked at
-    4.1 MB under tracemalloc, 1 MB of it the cluster's feature copy and
-    most of the rest the pair chunks of _distance_pairs, where its block
-    would take 12 MB.  Hamming clusters, and those the screen does not
-    serve, build the whole block (_block_maximum), charged at 12 bytes
-    per entry against systems._MATRIX_BYTES before it is built.
+    No distance outside the clusters is computed, and no cluster's float
+    distance block is built (cover._farthest_pair): a Hamming cluster reads
+    its exact agreement counts, charged at 12 bytes per entry against
+    systems._MATRIX_BYTES before they are built, and an fbar/fhat cluster
+    reduces only the pairs its pivot screen leaves open.  A 1000-sample
+    rotation cluster at horizon 64 peaked at 3.3 MB under tracemalloc, 1 MB
+    of it the cluster's feature copy and most of the rest the pair chunks
+    of _distance_pairs, where its block would take 12 MB.
     """
     out = []
     for cluster in clusters:
@@ -189,8 +127,7 @@ def _cluster_maxima(kind, feats: np.ndarray, clusters) -> list:
             out.append((cluster[0] if cluster else -1, -1, 0.0))
             continue
         idx = np.array(cluster)
-        sub = feats[idx]
-        i, j, d = _screened_maximum(kind, sub) or _block_maximum(kind, sub)
+        i, j, d = _farthest_pair(kind, feats[idx])
         out.append((int(idx[i]), int(idx[j]), d))
     return out
 

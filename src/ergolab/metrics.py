@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cover import FbarKind, FhatKind, _ladder, _pair_distance
+from .cover import FbarKind, FhatKind, _ladder, _pair_distance, _running_means
 from .errors import InvalidParameterError, LengthMismatchError
 from .observables import Observable
 from .partitions import NameWord
@@ -38,8 +38,7 @@ def fbar_prefix_means(system: SystemHandle, f: Observable, x, y, n: int) -> np.n
     in the last bits."""
     if n < 1:
         raise InvalidParameterError("n must be >= 1")
-    gaps = np.abs(f.orbit_values(system, x, n) - f.orbit_values(system, y, n))
-    return np.cumsum(gaps) * (1.0 / np.arange(1, n + 1))
+    return _running_means(np.abs(f.orbit_values(system, x, n) - f.orbit_values(system, y, n)))
 
 
 def fbar_n(system: SystemHandle, f: Observable, x, y, n: int) -> float:

@@ -45,18 +45,10 @@ def _shifted(z, k: int, scratch):
     return np.right_shift(z, _U64(k), out=scratch)
 
 
-def zigzag(i, scratch=None):
-    """Map signed ints (scalar or array) to unsigned, preserving injectivity.
-    With `scratch`, an int64 array shaped like the int64 array i, the map
-    runs in place on i and returns its uint64 view."""
-    if np.isscalar(i):
-        i = int(i)  # a numpy int64 would overflow at 2i
-        return (2 * i) if i >= 0 else (-2 * i - 1)
-    if scratch is None:
-        i = np.asarray(i, dtype=np.int64)
-        z = i << 1
-        z ^= i >> 63  # 2i, or -2i-1 = ~2i below 0
-        return z.view(np.uint64)
+def zigzag(i: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Map the int64 array i to unsigned, preserving injectivity: 2i, or
+    -2i-1 below 0.  The map runs in place on i through scratch, an int64
+    array shaped like i, and returns i's uint64 view."""
     np.right_shift(i, 63, out=scratch)
     i <<= 1
     i ^= scratch

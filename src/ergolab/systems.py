@@ -282,10 +282,11 @@ def _chunk_rows(width: int) -> int:
     return max(1, _CHUNK_BYTES // (8 * max(1, width)))
 
 
-# cap on the bytes of the m x m arrays of one cover (its distance matrix,
-# ball matrix and greedy copy), of the m x n feature read a cover or an
-# equipartition takes, and of the orbit columns a Koopman scan keeps; a
-# larger request fails before it allocates
+# cap on the bytes of each large array a run builds, charged before it
+# allocates (a larger request fails): the m x m arrays of one cover, the
+# m x n feature read of a cover, an equipartition or a verify, a
+# pairwise_distances matrix and the agreement counts of a Hamming cluster
+# (12 bytes per entry), the lag spectrum of a Koopman orbit, and a name run
 _MATRIX_BYTES = 1 << 31
 
 

@@ -4,9 +4,10 @@ The distance kernels that ``cover._distance_matrix`` replaced: fbar and
 fhat filled mirrored tiles of 32 (fhat: 16) rows from their own gap
 reducer, and Hamming summed float32 indicator-plane products, one product
 and one m x m sum per symbol (``agreements``).  The farthest pair of each
-cluster, which ``equicont._cluster_maxima`` now finds through a pivot
-screen, came from the cluster's whole distance block (``cluster_maxima``,
-here on the old kernels).  The hash steps that ``rng`` now runs in place:
+cluster, which ``cover._farthest_pair`` now finds through a pivot screen
+(fbar/fhat) or the least agreement count (Hamming), came from the
+cluster's whole distance block (``cluster_maxima``, here on the old
+kernels).  The hash steps that ``rng`` now runs in place:
 splitmix64 and zigzag as whole-array expressions, with a ``& ~0`` pass.
 The bit-identity tests compare the current code with these.
 """

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import ergolab as e
+import old_kernels
 from ergolab import equicont, systems
 from ergolab.partitions import CIRCLE_INTERVALS, CYLINDER, TRIVIAL
-from ergolab.rng import hash64, uniform01, zigzag
+from ergolab.rng import hash64, uniform01
 from ergolab.spectral import _TAG_L2
 from ergolab.systems import FloatBits, PrefixSymbols, make_system
 
@@ -89,7 +90,7 @@ def _old_step(system, x, k):
 
 def _old_stream(src, lo, hi):
     if isinstance(src, _OldHashSymbols):
-        idx = zigzag(np.arange(lo, hi, dtype=np.int64))
+        idx = old_kernels.zigzag(np.arange(lo, hi, dtype=np.int64))
         u = uniform01(hash64(src.seed, systems._TAG_SYMBOL, idx))
         out = np.zeros(hi - lo, dtype=np.int64)
         for t in src.thresholds:
@@ -101,7 +102,7 @@ def _old_stream(src, lo, hi):
             out[j - lo] = src.prefix[j]
         return out
     if isinstance(src, _OldHashBits):
-        idx = zigzag(np.arange(lo, hi, dtype=np.int64))
+        idx = old_kernels.zigzag(np.arange(lo, hi, dtype=np.int64))
         return (hash64(src.seed, systems._TAG_SYMBOL, idx) >> np.uint64(63)).astype(np.int64)
     out = np.zeros(hi - lo, dtype=np.int64)
     for j in range(max(lo, 0), min(hi, src.exponent)):

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -232,13 +233,13 @@ def test_cluster_block_peak_within_its_charge(spec, kind):
     finally:
         tracemalloc.stop()
     if isinstance(kind, e.HammingKind):
-        # the whole block: 12 bytes per entry, and 1 MB for the feature copy
-        # and the tiles
+        # the agreement counts, charged 12 bytes per entry, and 1 MB for the
+        # feature copy and the plane blocks
         assert peak < 12 * c * c + (1 << 20)
     else:
         # the fbar pivot screen builds no block: the cluster's complex
         # feature copy (1 KB per sample at horizon 64) and pivot rows grow
-        # with c, the screen tiles and pair chunks do not; 4.07 MB measured
+        # with c, the screen tiles and pair chunks do not; 3.29 MB measured
         assert peak < 2048 * c + (3 << 20)
 
 
@@ -264,18 +265,14 @@ def _cluster_cases(system, kind, m=64, eps=0.5):
 @pytest.mark.parametrize("spec", [e.rotation(e.GOLDEN), e.doubling()],
                          ids=["rotation", "doubling"])
 def test_cluster_maxima_equal_full_block(monkeypatch, spec, metric, chunk):
-    # on the whole sample set a rotation takes the pivot screen and doubling
-    # falls back to the block, but for a probe tile of one entry, which has
-    # no pair to leave open; either way the triples are the block's, bit
-    # for bit
+    # the pivot screen settles most pairs of a rotation and few of doubling;
+    # either way the triples are the block's, bit for bit
     system = make_system(spec)
     kind = metric(e.Character(1))
     feats, clusters = _cluster_cases(system, kind)
     monkeypatch.setattr(systems, "_CHUNK_BYTES", chunk)
     want = _bits(old_kernels.cluster_maxima(kind, feats, clusters))
     assert _bits(equicont._cluster_maxima(kind, feats, clusters)) == want
-    screened = equicont._screened_maximum(kind, feats) is not None
-    assert screened == (spec.family == "rotation" or chunk == 1)
 
 
 @pytest.mark.parametrize("metric", [e.FbarKind, e.FhatKind])
@@ -315,7 +312,6 @@ def test_cluster_maxima_ties_across_screen_tiles(monkeypatch, metric):
     monkeypatch.setattr(systems, "_CHUNK_BYTES", 4096)
     kind = metric(None)
     clusters = [tuple(range(66))]
-    assert equicont._screened_maximum(kind, feats) is not None
     got = equicont._cluster_maxima(kind, feats, clusters)
     assert got[0][:2] == (5, 50)
     assert _bits(got) == _bits(old_kernels.cluster_maxima(kind, feats, clusters))
@@ -337,8 +333,8 @@ def test_cluster_maxima_screen_reduces_few_pairs(monkeypatch):
         raise AssertionError("the screen built the whole block")
 
     monkeypatch.setattr(cover, "_distance_rows", counted(cover._distance_rows))
-    monkeypatch.setattr(equicont, "_distance_pairs", counted(equicont._distance_pairs))
-    monkeypatch.setattr(equicont, "_distance_matrix", unreachable)
+    monkeypatch.setattr(cover, "_distance_pairs", counted(cover._distance_pairs))
+    monkeypatch.setattr(cover, "_distance_matrix", unreachable)
     samples = SYS_R.sample_measure(1000, PLAN.child(12))
     for metric in (e.FbarKind, e.FhatKind):
         kind = metric(e.Character(1))
@@ -351,3 +347,36 @@ def test_cluster_maxima_screen_reduces_few_pairs(monkeypatch):
         assert equicont._cluster_maxima(kind, feats, [big]) == \
             old_kernels.cluster_maxima(kind, feats, [big])
         assert s > 100 and sum(reduced) < 0.05 * s * (s - 1) / 2
+
+
+_NO_BLOCK_CASES = [
+    *[pytest.param(spec, metric(e.Character(1)), id=f"{spec.family}-{metric.__name__}")
+      for spec in (e.rotation(e.GOLDEN), e.doubling()) for metric in (e.FbarKind, e.FhatKind)],
+    *[pytest.param(e.identity(), metric(f), id=f"identity-{name}-{metric.__name__}")
+      for name, f in (
+          ("nan-table", e.TableObservable(e.halves(), (0.25, np.nan))),
+          ("constant", e.Constant(2.0)),
+          ("int-table", e.TableObservable(e.halves(), (0, 3))),  # no pivot bound
+      ) for metric in (e.FbarKind, e.FhatKind)],
+    pytest.param(e.identity(), e.HammingKind(e.halves()), id="identity-halves"),
+    pytest.param(e.doubling(), e.HammingKind(e.circle_intervals([0.0, 0.3, 0.7])),
+                 id="doubling-cuts3"),
+]
+
+
+@pytest.mark.parametrize("chunk", [4096, systems._CHUNK_BYTES])
+@pytest.mark.parametrize("spec, kind", _NO_BLOCK_CASES)
+def test_cluster_maxima_build_no_distance_matrix(monkeypatch, spec, kind, chunk):
+    # screened or not, Hamming or fbar/fhat, no farthest pair reads a whole
+    # float distance matrix, and every triple is the block's, bit for bit
+    def unreachable(*args):
+        raise AssertionError("a cluster read built a distance matrix")
+
+    matrix = cover._distance_matrix
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ergolab") and getattr(module, "_distance_matrix", None) is matrix:
+            monkeypatch.setattr(module, "_distance_matrix", unreachable)
+    monkeypatch.setattr(systems, "_CHUNK_BYTES", chunk)
+    feats, clusters = _cluster_cases(make_system(spec), kind)
+    want = _bits(old_kernels.cluster_maxima(kind, feats, clusters))
+    assert _bits(equicont._cluster_maxima(kind, feats, clusters)) == want

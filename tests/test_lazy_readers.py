@@ -4,7 +4,7 @@ The Koopman leg estimates the lag autocorrelation of the orbit read with
 one FFT per sample row, in blocks of rows; its lag distances, greedy
 centers and distance summaries are compared with the direct O(m N^2) lag
 sums over the whole read in ``lag_reference``.  The equipartition readers
-compute only center rows and in-cluster blocks; every value they return
+compute only center rows and in-cluster pairs; every value they return
 must equal, bit for bit, what the old code computed from the whole
 matrix.  The ``_old_*`` helpers below copy that code; they read whole
 matrices from the old kernels in ``old_kernels``.

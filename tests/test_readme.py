@@ -68,6 +68,29 @@ def test_readme_command_peak_within_its_charge(argv, tmp_path, capsys, monkeypat
     """
     if "--out" in argv:
         argv[argv.index("--out") + 1] = str(tmp_path)
+    _check_peak_within_charge(argv, monkeypatch)
+
+
+@pytest.mark.parametrize("argv", [
+    ["meanequi", "--system", "rotation:golden", "--target", "character:1", "--eps", "0.5",
+     "--samples", "800", "--horizon", "128"],
+    ["meanequi", "--system", "rotation:golden", "--target", "halves", "--eps", "0.2",
+     "--samples", "1000", "--horizon", "2048"],
+    ["meanequi", "--system", "rotation:golden", "--target", "cuts:0:0.3:0.7", "--eps", "0.3",
+     "--samples", "300", "--horizon", "256"],
+    ["meanequi", "--system", "identity", "--target", "halves", "--eps", "0.2",
+     "--samples", "2000", "--horizon", "8"],
+], ids=["fbar-equi", "hamming-equi", "cuts3-equi", "identity-halves"])
+def test_meanequi_peak_within_its_charge(argv, capsys, monkeypatch):
+    """The same bound on the benchmark's three meanequi runs (fbar, two-cell
+    and three-cell Hamming clusters) and on an identity run whose halves
+    names make two Hamming clusters of about 1000 samples.  Measured peaks:
+    2.5, 3.5, 1.6 and 4.3 MiB; the identity run peaked at 12.5 MiB while a
+    cluster's farthest pair came from its float64 distance block."""
+    _check_peak_within_charge(argv, monkeypatch)
+
+
+def _check_peak_within_charge(argv, monkeypatch):
     charges = [0]
     check = systems._check_bytes
 
