@@ -34,19 +34,16 @@ distance through the triangle inequality, |d(i,p) - d(j,p)| <= d(i,j) <=
 d(i,p) + d(j,p).  Widened by a proved bound on the kernel's rounding
 (``_kernel_bound``), these settle most pairs as surely in or surely out
 on a rotation; only the rest are reduced exactly, one pair at a time.  On
-mixing families such as doubling every distance sits near its mean and
-the screen settles little, so ``_ball_matrix`` tries it on the first tile
-and, where it settles fewer than half of those pairs, reduces every block
-whole as ``_distance_matrix`` does.  That costs the pivot rows and one
-tile's screen: a doubling ``character:1`` fbar ball matrix of 500 samples
-at eps 0.5 took 0.85-1.25 times the time of ``_distance_matrix(...) <
-eps`` (medians over horizons 16, 64 and 256), inside the spread of those
-runs.  The pivot rows (``_pivot_rows``) have a second reader, the
-farthest pair of an equipartition cluster (``_farthest_pair``).  It takes
-the largest pivot distance as a real distance LB and the same rounding
-bound as an upper bound on every pair, so only pairs whose bound reaches
-LB can be the farthest; it has no first-tile rule and builds no block.  A
-Hamming cluster's farthest pair is its least exact agreement count.
+mixing families such as doubling every distance sits near its mean, the
+screen settles little, and most pairs are reduced alone.  The pivot rows
+(``_pivot_rows``) have a second reader, the farthest pair of an
+equipartition cluster (``_farthest_pair``).  It takes the largest pivot
+distance as a real distance LB and the same rounding bound as an upper
+bound on every pair, so only pairs whose bound reaches LB can be the
+farthest; it builds no block.  Both screens, and ``_distance_matrix``,
+walk the tiles on and above the diagonal (``_upper_tiles``), each in its
+own tile shape.  A Hamming cluster's farthest pair is its least exact
+agreement count.
 
 One greedy, ``_greedy_cover``, serves the point estimate and every
 bootstrap resample of a curve in one call, and the oracle's upper bound.
@@ -306,13 +303,22 @@ def _hamming_balls(labels: np.ndarray, horizons, eps: float):
         yield agree >= _least_agreement(n, eps)
 
 
+def _upper_tiles(m: int, side: int, width: int):
+    """(lo, hi, left, right) for the tiles of an m x m matrix on and above
+    its diagonal: rows lo..hi-1 in steps of side, and for each, columns
+    left..right-1 in steps of width from the diagonal on."""
+    for lo in range(0, m, side):
+        hi = min(lo + side, m)
+        for left in range(lo, m, width):
+            yield lo, hi, left, min(left + width, m)
+
+
 def _distance_matrix(kind: MetricKind, feats: np.ndarray) -> np.ndarray:
     """The m x m distance matrix of feats; equal, entry for entry, to
     _distance_rows, so a block of it is _distance_matrix on its own rows.
 
     Hamming divides n minus the exact agreement counts by n.  fbar/fhat take
-    square blocks of _distance_rows on and above the diagonal and mirror
-    them: |v_i - v_j| and |v_j - v_i| are bitwise equal.  A matrix over
+    strips of _distance_rows from the diagonal on and mirror them: |v_i - v_j| and |v_j - v_i| are bitwise equal.  A matrix over
     systems._MATRIX_BYTES raises BudgetExhaustedError before it is built.
     """
     m, n = feats.shape
@@ -321,11 +327,10 @@ def _distance_matrix(kind: MetricKind, feats: np.ndarray) -> np.ndarray:
         agree = _agreements(feats)
         return np.true_divide(np.subtract(n, agree, out=agree), n, dtype=np.float64)
     out = np.empty((m, m))
-    step = isqrt(_chunk_rows(n))
-    for lo in range(0, m, step):
-        block = _distance_rows(kind, feats, slice(lo, lo + step), slice(lo, None))
-        out[lo : lo + step, lo:] = block
-        out[lo:, lo : lo + step] = block.T
+    for lo, hi, left, right in _upper_tiles(m, isqrt(_chunk_rows(n)), m):
+        block = _distance_rows(kind, feats, slice(lo, hi), slice(left, right))
+        out[lo:hi, left:right] = block
+        out[left:right, lo:hi] = block.T
     return out
 
 
@@ -449,39 +454,28 @@ def _ball_matrix(kind: MetricKind, feats: np.ndarray, eps: float) -> np.ndarray:
 
     Hamming is the one-horizon case of _hamming_balls: the exact agreement
     counts against the least count at which the kernel's distance falls
-    below eps (_least_agreement), so no ball moves.  fbar/fhat screen each
-    block against the exact distance rows of a few pivots (_pivot_screen,
-    _kernel_bound), on and above the diagonal, mirrored, and reduce only
-    the pairs it leaves open (_distance_pairs).  A screened pair costs
-    about as much as a distance at horizon 16, and a pair reduced alone
-    more than one in a whole block, so the screen is kept only where it
-    settles at least half of the pairs of the first tile (the samples are
-    independent, so those pairs stand for the rest); otherwise every block
-    is reduced whole with _distance_rows, as in _distance_matrix.
+    below eps (_least_agreement), so no ball moves.  fbar/fhat screen every
+    tile on and above the diagonal against the exact distance rows of a few
+    pivots (_pivot_screen, _kernel_bound), mirror it, and reduce only the
+    pairs the screen leaves open (_distance_pairs), written straight into
+    the matrix and its mirror.
     """
     m, n = feats.shape
     if isinstance(kind, HammingKind):
         return next(_hamming_balls(feats, [n], eps))
     screen = _pivot_screen(kind, feats, eps)
     side = isqrt(_chunk_rows(n))
-    probe = min(side, m)
-    settled = _screen_block(screen, 0, probe, 0, probe)[1]
-    screened = 2 * np.count_nonzero(settled) >= settled.size > 0
-    # side x width blocks whose screen temporaries stay near _CHUNK_BYTES
+    # side x width tiles whose screen temporaries stay near _CHUNK_BYTES
     width = side * max(1, _chunk_rows(side) // side)
     out = np.empty((m, m), dtype=bool)
-    for lo in range(0, m, side):
-        hi = min(lo + side, m)
-        for left in range(lo, m, width):
-            right = min(left + width, m)
-            if screened:
-                block, settled = _screen_block(screen, lo, hi, left, right)
-                i, j = np.nonzero(~settled)
-                block[i, j] = _distance_pairs(kind, feats, lo + i, left + j) < eps
-            else:
-                block = _distance_rows(kind, feats, slice(lo, hi), slice(left, right)) < eps
-            out[lo:hi, left:right] = block
-            out[left:right, lo:hi] = block.T
+    for lo, hi, left, right in _upper_tiles(m, side, width):
+        block, settled = _screen_block(screen, lo, hi, left, right)
+        out[lo:hi, left:right] = block
+        out[left:right, lo:hi] = block.T
+        i, j = np.nonzero(~settled)
+        i += lo
+        j += left
+        out[i, j] = out[j, i] = _distance_pairs(kind, feats, i, j) < eps
     return out
 
 
@@ -515,18 +509,17 @@ def _farthest_pair(kind: MetricKind, feats: np.ndarray) -> tuple:
     over = a * (1 + _kernel_bound(n)) if _bound_holds(feats, lb) else a[:0]
     side = isqrt(_chunk_rows(1))
     found = []  # the first farthest pair of each tile and its distance
-    for lo in range(0, m, side):
-        hi = min(lo + side, m)
-        for left in range(lo, m, side):
-            right = min(left + side, m)
-            tile = np.ones((hi - lo, right - left), dtype=bool)
-            for row in over:
-                tile &= row[lo:hi, None] + row[left:right] >= lb
-            i, j = np.nonzero(np.triu(tile, lo - left + 1))
-            if i.size:
-                d = _distance_pairs(kind, feats, lo + i, left + j)
-                k = int(np.argmax(d))  # the first nan, else the first maximum
-                found.append((lo + i[k], left + j[k], d[k]))
+    for lo, hi, left, right in _upper_tiles(m, side, side):
+        tile = np.ones((hi - lo, right - left), dtype=bool)
+        for row in over:
+            tile &= row[lo:hi, None] + row[left:right] >= lb
+        i, j = np.nonzero(np.triu(tile, lo - left + 1))
+        if i.size:
+            i += lo
+            j += left
+            d = _distance_pairs(kind, feats, i, j)
+            k = int(np.argmax(d))  # the first nan, else the first maximum
+            found.append((i[k], j[k], d[k]))
     i, j, d = (np.array(x) for x in zip(*found))
     first = np.lexsort((j, i))  # the tiles' pairs in row order
     k = first[np.argmax(d[first])]

@@ -564,16 +564,27 @@ def test_ball_matrix_screen_settles_most_pairs(monkeypatch):
         assert sum(reduced) < 0.2 * 400 * 401 / 2
 
 
-def test_ball_matrix_drops_a_screen_that_settles_little(monkeypatch):
-    # doubling puts fbar distances near their mean, so the first tile's pairs
-    # stay mostly open: every block is reduced whole and no pair alone
-    alone = []
-    monkeypatch.setattr(cover, "_distance_pairs", lambda *args: alone.append(args))
-    samples = SYS_D.sample_measure(300, PLAN.child(7))
-    kind = FbarKind(e.Character(1))
-    feats = _sample_features(kind, SYS_D, samples, 64)
-    assert np.array_equal(_ball_matrix(kind, feats, 0.5), _distance_matrix(kind, feats) < 0.5)
-    assert not alone
+@pytest.mark.parametrize("metric", [FbarKind, FhatKind])
+@pytest.mark.parametrize("system, child, eps", [(SYS_D, 7, 0.5), (SYS_R, 6, 0.2)],
+                         ids=["doubling", "rotation"])
+def test_ball_matrix_screens_every_tile(monkeypatch, metric, system, child, eps):
+    # doubling puts fbar distances near their mean, so the screen leaves most
+    # pairs open; they are still reduced pair by pair, and the only row reads
+    # are the pivots' single rows
+    kind = metric(e.Character(1))
+    feats = _sample_features(kind, system, system.sample_measure(300, PLAN.child(child)), 64)
+    D = _distance_matrix(kind, feats)
+    rows = []
+    read = cover._distance_rows
+
+    def counted(kind, feats, at, *cols):
+        out = read(kind, feats, at, *cols)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(cover, "_distance_rows", counted)
+    assert np.array_equal(_ball_matrix(kind, feats, eps), D < eps)
+    assert rows and max(rows) == 1
 
 
 def test_ball_member_strict():

@@ -221,6 +221,7 @@ def test_cluster_blocks_charged_before_they_are_built(monkeypatch):
     (e.identity(), e.HammingKind(e.halves())),
     (e.doubling(), e.HammingKind(e.circle_intervals([0.0, 0.3, 0.7]))),
     (e.rotation(e.GOLDEN), e.FbarKind(e.Character(1))),
+    (e.doubling(), e.FbarKind(e.Character(1))),
 ])
 def test_cluster_block_peak_within_its_charge(spec, kind):
     system = make_system(spec)
@@ -240,6 +241,8 @@ def test_cluster_block_peak_within_its_charge(spec, kind):
         # the fbar pivot screen builds no block: the cluster's complex
         # feature copy (1 KB per sample at horizon 64) and pivot rows grow
         # with c, the screen tiles and pair chunks do not; 3.29 MB measured
+        # on rotation, 4.37 MiB on doubling, whose screen leaves most tiles
+        # open
         assert peak < 2048 * c + (3 << 20)
 
 
