@@ -17,8 +17,10 @@ read (covers, cluster rows and farthest pairs, the oracle, ``ball_member``,
 ``_distance_pairs`` for scattered pairs, ``_distance_matrix`` for a whole
 matrix.  They share one per-pair formula (``_chunk_distances``), agree bit
 for bit, and every fbar/fhat tile is sized from the one byte budget
-``systems._CHUNK_BYTES``.  Both cover routes count mass in exact integer
-units, so boundary ties resolve to "not covered".
+``systems._CHUNK_BYTES``.  A Hamming row sums its mismatch flags into the
+narrowest unsigned type that holds n, an exact count, and divides by n.
+Both cover routes count mass in exact integer units, so boundary ties
+resolve to "not covered".
 
 A cover needs only the relation d < eps, and ``_ball_matrix`` builds it
 bit for bit as ``_distance_matrix(...) < eps`` without a float m x m
@@ -184,10 +186,14 @@ def _chunk_distances(kind: MetricKind, a: np.ndarray, b: np.ndarray, gaps=None) 
     """The distances of the row pairs of two broadcastable chunks of
     features, along their last axis: a Hamming mismatch count divided by n,
     or one contiguous row of fbar/fhat gaps per pair (_reduce_gaps).  The
-    fbar/fhat differences a - b are written into gaps when it is given (it
-    may be a itself), else into a fresh temporary."""
+    Hamming mismatch flags a != b, or the fbar/fhat differences a - b, are
+    written into gaps when it is given (it may be a itself), else into a
+    fresh temporary.  The flags are summed in the narrowest unsigned type
+    that holds n: an exact count, so its float quotient by n is the one
+    every kernel reads."""
     if isinstance(kind, HammingKind):
-        return np.count_nonzero(a != b, axis=-1) / a.shape[-1]
+        n = a.shape[-1]
+        return np.not_equal(a, b, out=gaps).sum(axis=-1, dtype=np.min_scalar_type(n)) / n
     return _reduce_gaps(kind, np.abs(np.subtract(a, b, out=gaps)))
 
 
@@ -209,8 +215,13 @@ def _distance_rows(kind: MetricKind, feats: np.ndarray, rows, cols=slice(None)) 
     tail = feats[cols]
     out = np.empty((head.shape[0], len(tail)))
     step = _chunk_rows(head.shape[0] * _gap_width(feats))
+    flags = None  # one Hamming flag buffer for every chunk of the read
+    if isinstance(kind, HammingKind):
+        flags = np.empty((head.shape[0], min(step, len(tail)), feats.shape[1]), dtype=bool)
     for lo in range(0, len(tail), step):
-        out[:, lo : lo + step] = _chunk_distances(kind, head, tail[None, lo : lo + step])
+        part = tail[None, lo : lo + step]
+        gaps = None if flags is None else flags[:, : part.shape[1]]
+        out[:, lo : lo + step] = _chunk_distances(kind, head, part, gaps)
     return out
 
 
@@ -218,7 +229,8 @@ def _distance_pairs(kind: MetricKind, feats: np.ndarray, i, j) -> np.ndarray:
     """The distances of the row pairs (feats[i[k]], feats[j[k]]), bit for bit
     as _distance_rows reads them (_chunk_distances), in chunks of pairs whose
     temporary stays near systems._CHUNK_BYTES.  The gathered left rows are
-    the read's own, so their differences overwrite them: with a fresh
+    the read's own, so their differences, or their Hamming mismatch flags
+    (an unsigned label takes the bool safely), overwrite them: with a fresh
     difference per chunk, the farthest pair of a 600-sample Bernoulli
     cell-indicator cluster at n = 64 took 4 times as long in a fresh
     process."""
@@ -637,11 +649,13 @@ def _components(balls: np.ndarray) -> tuple:
     case of one component that holds them all.  Otherwise labels start as
     the sample indices.  Each round lowers every label, and the label its
     label points to, to the least label in its ball, then takes the label's
-    own label, until every component carries its least index.  Ball rows are
-    read in chunks, and the members are kept in the narrowest index type.
+    own label, until every component carries its least index.  Ball sizes are
+    summed from a uint8 view of the balls in the narrowest type that holds
+    m, ball rows are read in chunks, and the members are kept in the
+    narrowest index type.
     """
     m = len(balls)
-    size = np.count_nonzero(balls, axis=1)
+    size = balls.view(np.uint8).sum(axis=1, dtype=np.min_scalar_type(m)).astype(np.intp)
     rows = np.flatnonzero(size > 1)
     step = _chunk_rows(m)
     seen = np.zeros(m, dtype=bool)

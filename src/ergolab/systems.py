@@ -344,12 +344,16 @@ def _window_values(bits: np.ndarray, n: int) -> np.ndarray:
 
 
 def _circle_labels(cuts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # half-open [c_i, c_{i+1}) cells, wrapping at 1: searchsorted gives i + 1
-    # in cell i, and 0 below the first cut, which is in the last cell.  Every
-    # index is in the table, so "clip" changes nothing but skips the checked
-    # copy that take makes of `out` under its default mode.
-    labels = np.searchsorted(cuts, values, side="right")
-    wrap = (np.arange(len(cuts) + 1) - 1) % len(cuts)
+    # half-open [c_i, c_{i+1}) cells, wrapping at 1: the count of cuts c <= v
+    # is i + 1 in cell i, and 0 below the first cut, which is in the last
+    # cell.  The count is summed one comparison per cut in the narrowest type
+    # that holds len(cuts), and the wrap table is of that type.  Every index
+    # is in the table, so "clip" changes nothing but skips the checked copy
+    # that take makes of `out` under its default mode.
+    labels = np.zeros(values.shape, dtype=np.min_scalar_type(len(cuts)))
+    for c in cuts:
+        labels += values >= c
+    wrap = ((np.arange(len(cuts) + 1) - 1) % len(cuts)).astype(labels.dtype)
     return np.take(wrap, labels, out=labels, mode="clip")
 
 
@@ -435,8 +439,8 @@ class SystemHandle:
     def circle_labels(self, points, cuts, n: int, dtype=np.int64) -> np.ndarray:
         """(m, n) labels of type `dtype`: row k holds the cells of T^i
         points[k] for 0 <= i < n in the partition of the sorted cuts (see
-        `_circle_labels`).  Each chunk's int64 labels are stored into the
-        output as they are read."""
+        `_circle_labels`).  Each chunk's labels, in the narrowest type that
+        holds the cut count, are stored into the output as they are read."""
         cuts = np.asarray(cuts)
         return _batched(len(points), (n,), dtype,
                         lambda a, b: _circle_labels(cuts, self.rows(points[a:b], 0, n)))
@@ -518,14 +522,15 @@ class DoublingSystem(SystemHandle):
         # of 2^-K, so no cut lies inside the 2^-K cell that V names; at K = 53,
         # V is W.  The labels equal those of the float values, and a row reads
         # only n + K - 1 bits.  Up to _TABLE_DEPTH, V is looked up in the
-        # labels of all 2^K words, built once.  Each chunk's int64 labels are
-        # stored into the `dtype` output as they are read.
+        # labels of all 2^K words, built once and cast once to the words'
+        # int64.  Each chunk's labels are stored into the `dtype` output as
+        # they are read.
         ratios = [float(c).as_integer_ratio() for c in cuts]
         depth = max(den.bit_length() - 1 for _, den in ratios)
         depth = min(_VALUE_BITS, max(1, depth))
         thresholds = np.array([-((-num << depth) // den) for num, den in ratios])
         if depth <= _TABLE_DEPTH:
-            table = _circle_labels(thresholds, np.arange(2**depth))
+            table = _circle_labels(thresholds, np.arange(2**depth)).astype(np.int64)
 
         def read(a, b):
             part = points[a:b]

@@ -9,7 +9,13 @@ cluster, which ``cover._farthest_pair`` now finds through a pivot screen
 cluster's whole distance block (``cluster_maxima``, here on the old
 kernels).  The hash steps that ``rng`` now runs in place:
 splitmix64 and zigzag as whole-array expressions, with a ``& ~0`` pass.
-The bit-identity tests compare the current code with these.
+Circle cell labels, which ``systems._circle_labels`` now counts one cut
+comparison at a time in the narrowest unsigned type, placed the values
+among the cuts with ``searchsorted`` into int64 (``circle_labels``).  A
+Hamming row, whose mismatch flags ``cover._chunk_distances`` now sums in
+the narrowest unsigned type that holds n, was ``count_nonzero`` of the
+flags (``hamming_rows``).  The bit-identity tests compare the current code
+with these.
 """
 
 import numpy as np
@@ -45,6 +51,14 @@ def hash64(*parts):
             p = np.asarray(p, dtype=np.uint64)
         h = mix(h ^ p)
     return h
+
+
+def circle_labels(cuts, values):
+    return (np.searchsorted(cuts, values, side="right") - 1) % len(cuts)
+
+
+def hamming_rows(a, b):
+    return np.count_nonzero(a != b, axis=-1) / a.shape[-1]
 
 
 def pairwise_gaps(values, reduce, chunk):

@@ -148,7 +148,7 @@ def _old_classify(system, partition, x):
     if partition.kind == CIRCLE_INTERVALS:
         cuts = np.asarray(partition.cuts)
         value = _old_value_orbit(system, x, 1)[0]
-        return int((np.searchsorted(cuts, value, side="right") - 1) % len(cuts))
+        return int(old_kernels.circle_labels(cuts, value))
     row = np.array([_old_symbols(system, x, c, c + 1)[0] for c in partition.coords])
     assert (row < partition.alphabet).all()
     return int(row @ (partition.alphabet ** np.arange(len(row))))
@@ -159,7 +159,7 @@ def _old_name(system, partition, x, n):
         return np.zeros(n, dtype=np.int64)
     if partition.kind == CIRCLE_INTERVALS and system.has_circle_values:
         cuts = np.asarray(partition.cuts)
-        return (np.searchsorted(cuts, _old_value_orbit(system, x, n), side="right") - 1) % len(cuts)
+        return old_kernels.circle_labels(cuts, _old_value_orbit(system, x, n))
     if partition.kind == CYLINDER and system.kind == "shift":
         lo, hi = partition.coords[0], partition.coords[-1]
         window = _old_symbols(system, x, lo, hi + n)
@@ -442,8 +442,9 @@ DOUBLING_CUTS = {
 
 @pytest.mark.parametrize("cuts", sorted(DOUBLING_CUTS))
 def test_doubling_labels_equal_float_window_read(cuts, chunk):
-    """The integer labels of doubling equal searchsorted on the 53-bit float
-    window values, on sampled, stepped and own points at and next to a cut."""
+    """The integer labels of doubling equal the searchsorted labels of the
+    53-bit float window values, on sampled, stepped and own points at and
+    next to a cut."""
     part = e.circle_intervals(DOUBLING_CUTS[cuts])
     system, pts = _doubling_points()
     near = [v for c in part.cuts for v in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))
@@ -453,7 +454,7 @@ def test_doubling_labels_equal_float_window_read(cuts, chunk):
     edges = np.asarray(part.cuts)
     for n in NS:
         values = np.stack([_old_value_orbit(system, x, n) for x in old])
-        want = (np.searchsorted(edges, values, side="right") - 1) % len(edges)
+        want = old_kernels.circle_labels(edges, values)
         got = e.name_rows(system, part, pts, n)
         assert got.dtype == np.int64 and np.array_equal(got, want), n
         narrow = e.name_rows(system, part, pts, n, dtype=np.min_scalar_type(len(edges) - 1))

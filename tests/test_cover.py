@@ -535,6 +535,22 @@ def test_distance_pairs_equal_tile_entries(n):
         assert np.array_equal(_distance_pairs(HAM, labels, i, j), D[i, j])
 
 
+@pytest.mark.parametrize("n", [255, 256, 65536])
+def test_hamming_counts_hold_n_mismatches(n):
+    # every symbol of rows 0-2 differs from the others', so their counts
+    # reach n: a uint8 count wraps at 256 and a uint16 count at 65536
+    rng = np.random.default_rng(n)
+    labels = np.stack([np.zeros(n), np.ones(n), np.full(n, 2), rng.integers(0, 3, n)])
+    labels = labels.astype(np.uint8)
+    D = old_kernels.pairwise_hamming(labels)
+    assert D[0, 1] == D[0, 2] == D[1, 2] == 1.0
+    rows = cover._distance_rows(HAM, labels, slice(None))
+    assert np.array_equal(rows, D)
+    assert np.array_equal(rows, old_kernels.hamming_rows(labels[:, None], labels[None]))
+    i, j = np.nonzero(np.ones((4, 4), dtype=bool))
+    assert np.array_equal(_distance_pairs(HAM, labels, i, j), D[i, j])
+
+
 def test_distance_pairs_hamming_counts_mismatches():
     labels = np.array([[0, 1, 1, 0], [1, 1, 0, 0]], dtype=np.uint8)
     assert _distance_pairs(HAM, labels, [0], [1]).tolist() == [0.5]
@@ -818,6 +834,17 @@ def test_components_match_bfs():
         got = [c.tolist() for c in np.split(nodes, starts[1:])] if nodes.size else []
         assert sorted(got) == [c for c in _bfs_components(balls) if len(c) > 1]
     assert _components(np.ones((0, 0), dtype=bool))[0].size == 0
+
+
+def test_components_count_full_balls_past_uint8():
+    # a ball of all 256 samples has size 256, which a uint8 count wraps to 0
+    nodes, starts = _components(np.ones((256, 256), dtype=bool))
+    assert nodes.tolist() == list(range(256)) and starts.tolist() == [0]
+    # two full components of 256 and one lone sample: the label rounds
+    two = np.zeros((513, 513), dtype=bool)
+    two[:256, :256] = two[256:512, 256:512] = two[512, 512] = True
+    nodes, starts = _components(two)
+    assert nodes.tolist() == list(range(512)) and starts.tolist() == [0, 256]
 
 
 def test_batched_rows_match_argmax_greedy_row_by_row():

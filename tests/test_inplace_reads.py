@@ -1,9 +1,10 @@
 """The in-place circle feature reads against the forms they replaced.
 
 Circle values are reduced mod 1 as v - floor(v) in place (`systems._frac`),
-cell labels wrap through a lookup table, doubling labels of shallow dyadic
-cuts come from a table of every window's label, a character read is one
-complex buffer, and the splitmix64 and zigzag steps run in place, the
+cell labels are counted one cut comparison at a time in the narrowest
+unsigned type and wrap through a lookup table, doubling labels of shallow
+dyadic cuts come from a table of every window's label, a character read is
+one complex buffer, and the splitmix64 and zigzag steps run in place, the
 stream hash in one output and one scratch array.  Each must equal its old
 form bit for bit, leave the caller's arrays alone and not depend on the
 chunk size.
@@ -55,11 +56,7 @@ def test_frac_equals_remainder_at_edges(x):
 
 
 # ---------------------------------------------------------------------------
-# The label table wrap is (searchsorted - 1) % L
-
-
-def _old_labels(cuts, values):
-    return (np.searchsorted(cuts, values, side="right") - 1) % len(cuts)
+# The counted labels through the wrap table are (searchsorted - 1) % L
 
 
 LABEL_CUTS = {
@@ -69,6 +66,7 @@ LABEL_CUTS = {
     "three": (0.0, 0.3, 0.7),
     "not-at-zero": (0.3, 0.7),  # below 0.3 is the last cell
     "refine7": e.refine(e.halves(), make_system(e.doubling()), 7).cuts,  # 128 cuts
+    "refine9": e.refine(e.halves(), make_system(e.doubling()), 9).cuts,  # 512: past uint8
 }
 
 
@@ -83,21 +81,25 @@ def test_label_wrap_equals_remainder_formula(name):
     values = np.concatenate([np.random.default_rng(3).random((50, 30)).ravel(),
                              _values_at_cuts(cuts)])
     got = systems._circle_labels(cuts, values)
-    assert got.dtype == np.int64 and np.array_equal(got, _old_labels(cuts, values))
+    # the count's narrowest type holds len(cuts): uint16 for 512 cuts
+    assert got.dtype == np.min_scalar_type(len(cuts))
+    assert np.array_equal(got, old_kernels.circle_labels(cuts, values))
     # the rotation route: labels of the float values of rows
     rot = make_system(e.rotation(e.GOLDEN))
     pts = np.concatenate([rot.sample_measure(40, PLAN), _values_at_cuts(cuts)])
-    assert np.array_equal(rot.circle_labels(pts, cuts, 50), _old_labels(cuts, rot.rows(pts, 0, 50)))
+    want = old_kernels.circle_labels(cuts, rot.rows(pts, 0, 50))
+    assert np.array_equal(rot.circle_labels(pts, cuts, 50), want)
     # the doubling route: labels of K-bit integer windows
     dbl = make_system(e.doubling())
     pts = dbl.sample_measure(40, PLAN)
     for v in _values_at_cuts(cuts):
         pts = pts + dbl.point(v)
-    assert np.array_equal(dbl.circle_labels(pts, cuts, 50), _old_labels(cuts, dbl.rows(pts, 0, 50)))
+    want = old_kernels.circle_labels(cuts, dbl.rows(pts, 0, 50))
+    assert np.array_equal(dbl.circle_labels(pts, cuts, 50), want)
 
 
 # ---------------------------------------------------------------------------
-# Doubling labels from a table of every K-bit window equal the searched ones
+# Doubling labels from a table of every K-bit window equal the counted ones
 
 
 def _dyadic_cuts(depth, at_zero):
@@ -116,9 +118,9 @@ def _doubling_points(dbl, cuts):
     return pts + pts[::4].step(-5)  # bits at negative indices too
 
 
-def _searched_labels(dbl, pts, cuts, n):
-    """The labels as searchsorted gives them: thresholds ceil(c 2^K) placed
-    among the K-bit window words."""
+def _word_labels(dbl, pts, cuts, n):
+    """The labels of the K-bit window words among the thresholds
+    ceil(c 2^K), counted word by word with no table."""
     ratios = [float(c).as_integer_ratio() for c in cuts]
     depth = min(53, max(1, max(den.bit_length() - 1 for _, den in ratios)))
     thresholds = np.array([-((-num << depth) // den) for num, den in ratios])
@@ -129,11 +131,11 @@ def _searched_labels(dbl, pts, cuts, n):
 def _label_calls(monkeypatch):
     """The value arrays that systems._circle_labels is called with."""
     calls = []
-    search = systems._circle_labels
+    count = systems._circle_labels
 
     def spy(cuts, values):
         calls.append(np.array(values))
-        return search(cuts, values)
+        return count(cuts, values)
 
     monkeypatch.setattr(systems, "_circle_labels", spy)
     return calls
@@ -145,12 +147,12 @@ def test_table_labels_equal_searched_labels(depth, at_zero, monkeypatch):
     dbl = make_system(e.doubling())
     cuts = _dyadic_cuts(depth, at_zero)
     pts = _doubling_points(dbl, cuts)
-    want = _searched_labels(dbl, pts, cuts, 40)
-    assert np.array_equal(want, _old_labels(cuts, dbl.rows(pts, 0, 40)))
+    want = _word_labels(dbl, pts, cuts, 40)
+    assert np.array_equal(want, old_kernels.circle_labels(cuts, dbl.rows(pts, 0, 40)))
     calls = _label_calls(monkeypatch)
     got = dbl.circle_labels(pts, cuts, 40)
     assert got.dtype == np.int64 and np.array_equal(got, want)
-    # one search, over every word
+    # one count, over every word
     assert len(calls) == 1 and np.array_equal(calls[0], np.arange(2**depth))
     monkeypatch.setattr(systems, "_CHUNK_BYTES", 64)
     assert np.array_equal(dbl.circle_labels(pts, cuts, 40), want)
@@ -163,10 +165,12 @@ def test_table_labels_equal_searched_labels(depth, at_zero, monkeypatch):
     (0.1, 0.6),
 ])
 def test_deep_cuts_keep_searching(cuts, monkeypatch):
+    """Past systems._TABLE_DEPTH every chunk's window words are labelled
+    against the thresholds directly, with no table."""
     dbl = make_system(e.doubling())
     cuts = np.array(cuts)
     pts = _doubling_points(dbl, cuts)
-    want = _old_labels(cuts, dbl.rows(pts, 0, 40))
+    want = old_kernels.circle_labels(cuts, dbl.rows(pts, 0, 40))
     calls = _label_calls(monkeypatch)
     assert np.array_equal(dbl.circle_labels(pts, cuts, 40), want)
     assert calls and all(c.shape == (len(pts), 40) for c in calls)

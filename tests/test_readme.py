@@ -90,6 +90,21 @@ def test_meanequi_peak_within_its_charge(argv, capsys, monkeypatch):
     _check_peak_within_charge(argv, monkeypatch)
 
 
+@pytest.mark.parametrize("argv", [
+    ["complexity", "--system", "rotation:golden", "--target", "cuts:0:0.3:0.7", "--eps", "0.1",
+     "--horizons", "8,64,256,1024", "--samples", "700"],
+    ["spectral", "--system", "rotation:golden", "--target", "character:1",
+     "--horizons", "64,256,1024", "--radius", "0.5", "--samples", "1500"],
+], ids=["cuts3", "spectral-rotation"])
+def test_benchmark_run_peak_within_its_charge(argv, capsys, monkeypatch):
+    """The same bound on the benchmark's three-cell complexity curve, whose
+    counted labels are read at n = 1024, and on its Koopman scan at
+    N = 1024.  Measured peaks: 7.5 MiB beside the 6.1 MiB charge of the
+    cover arrays (13 * 700**2 bytes), and 1.3 MiB beside the 1.3 MiB charge
+    of the lag spectrum."""
+    _check_peak_within_charge(argv, monkeypatch)
+
+
 def _check_peak_within_charge(argv, monkeypatch):
     charges = [0]
     check = systems._check_bytes
