@@ -13,12 +13,12 @@ measure strictly above 1 - eps.  Two routes are provided:
 Strict inequalities (< eps for ball membership, > 1-eps for covered
 mass) follow the definitions exactly.  One kernel serves every distance
 read (covers, cluster rows and farthest pairs, the oracle, ``ball_member``,
-``pairwise_distances``): ``_distance_rows`` for a few rows,
+``pairwise_distances``): ``_distance_row`` for one row,
 ``_distance_pairs`` for scattered pairs, ``_distance_matrix`` for a whole
 matrix.  They share one per-pair formula (``_chunk_distances``), agree bit
-for bit, and every fbar/fhat tile is sized from the one byte budget
-``systems._CHUNK_BYTES``.  A Hamming row sums its mismatch flags into the
-narrowest unsigned type that holds n, an exact count, and divides by n.
+for bit, and every fbar/fhat chunk and tile is sized from the one byte
+budget ``systems._CHUNK_BYTES``.  A Hamming row sums its mismatch flags into
+the narrowest unsigned type that holds n, an exact count, and divides by n.
 Both cover routes count mass in exact integer units, so boundary ties
 resolve to "not covered".
 
@@ -31,21 +31,17 @@ integers, so a complexity curve reads its labels once at the top horizon
 and adds each rung's new columns to the counts of the rung before
 (_hamming_balls); ``_ball_matrix`` is the one-horizon case.  fbar/fhat
 curves take prefixes of one value read.  fbar/fhat are pseudo-metrics, so
-the exact distance rows of four far-apart pivots bound every other
-distance through the triangle inequality, |d(i,p) - d(j,p)| <= d(i,j) <=
-d(i,p) + d(j,p).  Widened by a proved bound on the kernel's rounding
-(``_kernel_bound``), these settle most pairs as surely in or surely out
-on a rotation; only the rest are reduced exactly, one pair at a time.  On
-mixing families such as doubling every distance sits near its mean, the
-screen settles little, and most pairs are reduced alone.  The pivot rows
-(``_pivot_rows``) have a second reader, the farthest pair of an
-equipartition cluster (``_farthest_pair``).  It takes the largest pivot
-distance as a real distance LB and the same rounding bound as an upper
-bound on every pair, so only pairs whose bound reaches LB can be the
-farthest; it builds no block.  Both screens, and ``_distance_matrix``,
-walk the tiles on and above the diagonal (``_upper_tiles``), each in its
-own tile shape.  A Hamming cluster's farthest pair is its least exact
-agreement count.
+the exact distance rows of four far-apart pivots (``_pivot_rows``) bound
+every other distance through the triangle inequality, |d(i,p) - d(j,p)| <=
+d(i,j) <= d(i,p) + d(j,p); widened by a proved bound on the kernel's
+rounding (``_kernel_bound``), they prove pairs inside or outside a radius
+r.  One walk over the square tiles above the diagonal (``_screened_pairs``)
+tests them and reduces each pair left open once.  Balls take r = eps: a
+rotation settles most pairs, a mixing family such as doubling few.  The
+farthest pair of an equipartition cluster (``_farthest_pair``) takes r =
+LB, the largest pivot distance: no pair is proved beyond it, and a pair
+proved below it is not the farthest.  ``_distance_matrix`` takes no pivot.
+A Hamming cluster's farthest pair is its least exact agreement count.
 
 One greedy, ``_greedy_cover``, serves the point estimate and every
 bootstrap resample of a curve in one call, and the oracle's upper bound.
@@ -101,7 +97,7 @@ _MATRIX_ENTRY_BYTES = 12
 # returns
 _WORD_BYTES = 8
 _VALUE_BYTES = 16
-# pivot rows of the fbar/fhat ball screen
+# pivot rows of the fbar/fhat tile walk (_screened_pairs)
 _PIVOTS = 4
 
 
@@ -146,15 +142,19 @@ def _sample_features(kind, system, samples, n) -> np.ndarray:
     Sampled labels are read straight into the narrowest type that holds
     every cell index of the partition, chunk by chunk, and that read is
     charged at its own width; no (m, n) int64 array is built.  NameWords
-    are stacked as int64 and charged 8 bytes per entry.
+    are stacked as int64 and charged 8 bytes per entry; they are the one
+    Hamming input read without a system.
     """
     if n < 1:
         raise InvalidParameterError("horizon must be >= 1")
+    words = len(samples) and isinstance(samples[0], NameWord)
+    if system is None and not (words and isinstance(kind, HammingKind)):
+        raise InvalidParameterError("samples other than Hamming NameWords need a system")
     what = f"a feature read of {len(samples)} samples at horizon {n}"
     if not isinstance(kind, HammingKind):
         _check_bytes(len(samples) * n * _VALUE_BYTES, what)
         return kind.observable.orbit_rows(system, samples, n)
-    if len(samples) and isinstance(samples[0], NameWord):
+    if words:
         _check_bytes(len(samples) * n * _WORD_BYTES, what)
         if any(w.n != n for w in samples):
             raise InvalidParameterError("name word length differs from horizon")
@@ -203,31 +203,27 @@ def _gap_width(feats: np.ndarray) -> int:
     return feats.shape[1] * max(8, feats.itemsize) // 8
 
 
-def _distance_rows(kind: MetricKind, feats: np.ndarray, rows, cols=slice(None)) -> np.ndarray:
-    """Rows `rows` of the distance matrix of feats, at the columns `cols`,
-    bit for bit, without the rest of it; those columns are read in chunks
-    whose gap temporary stays near systems._CHUNK_BYTES.
-
-    The per-pair arithmetic (_chunk_distances) does not depend on the chunk
-    shape.
-    """
-    head = feats[rows][:, None, :]
-    tail = feats[cols]
-    out = np.empty((head.shape[0], len(tail)))
-    step = _chunk_rows(head.shape[0] * _gap_width(feats))
+def _distance_row(kind: MetricKind, feats: np.ndarray, i) -> np.ndarray:
+    """Row i of the distance matrix of feats, bit for bit, without the rest
+    of it; its columns are read in chunks whose gap temporary stays near
+    systems._CHUNK_BYTES.  The per-pair arithmetic (_chunk_distances) does
+    not depend on the chunk shape."""
+    m = len(feats)
+    out = np.empty(m)
+    step = _chunk_rows(_gap_width(feats))
     flags = None  # one Hamming flag buffer for every chunk of the read
     if isinstance(kind, HammingKind):
-        flags = np.empty((head.shape[0], min(step, len(tail)), feats.shape[1]), dtype=bool)
-    for lo in range(0, len(tail), step):
-        part = tail[None, lo : lo + step]
-        gaps = None if flags is None else flags[:, : part.shape[1]]
-        out[:, lo : lo + step] = _chunk_distances(kind, head, part, gaps)
+        flags = np.empty((min(step, m), feats.shape[1]), dtype=bool)
+    for lo in range(0, m, step):
+        part = feats[lo : lo + step]
+        gaps = None if flags is None else flags[: len(part)]
+        out[lo : lo + step] = _chunk_distances(kind, feats[i], part, gaps)
     return out
 
 
 def _distance_pairs(kind: MetricKind, feats: np.ndarray, i, j) -> np.ndarray:
     """The distances of the row pairs (feats[i[k]], feats[j[k]]), bit for bit
-    as _distance_rows reads them (_chunk_distances), in chunks of pairs whose
+    as _distance_row reads them (_chunk_distances), in chunks of pairs whose
     temporary stays near systems._CHUNK_BYTES.  The gathered left rows are
     the read's own, so their differences, or their Hamming mismatch flags
     (an unsigned label takes the bool safely), overwrite them: with a fresh
@@ -315,41 +311,11 @@ def _hamming_balls(labels: np.ndarray, horizons, eps: float):
         yield agree >= _least_agreement(n, eps)
 
 
-def _upper_tiles(m: int, side: int, width: int):
-    """(lo, hi, left, right) for the tiles of an m x m matrix on and above
-    its diagonal: rows lo..hi-1 in steps of side, and for each, columns
-    left..right-1 in steps of width from the diagonal on."""
-    for lo in range(0, m, side):
-        hi = min(lo + side, m)
-        for left in range(lo, m, width):
-            yield lo, hi, left, min(left + width, m)
-
-
-def _distance_matrix(kind: MetricKind, feats: np.ndarray) -> np.ndarray:
-    """The m x m distance matrix of feats; equal, entry for entry, to
-    _distance_rows, so a block of it is _distance_matrix on its own rows.
-
-    Hamming divides n minus the exact agreement counts by n.  fbar/fhat take
-    strips of _distance_rows from the diagonal on and mirror them: |v_i - v_j| and |v_j - v_i| are bitwise equal.  A matrix over
-    systems._MATRIX_BYTES raises BudgetExhaustedError before it is built.
-    """
-    m, n = feats.shape
-    _check_bytes(_MATRIX_ENTRY_BYTES * m * m, f"a distance matrix of {m} samples")
-    if isinstance(kind, HammingKind):
-        agree = _agreements(feats)
-        return np.true_divide(np.subtract(n, agree, out=agree), n, dtype=np.float64)
-    out = np.empty((m, m))
-    for lo, hi, left, right in _upper_tiles(m, isqrt(_chunk_rows(n)), m):
-        block = _distance_rows(kind, feats, slice(lo, hi), slice(left, right))
-        out[lo:hi, left:right] = block
-        out[left:right, lo:hi] = block.T
-    return out
-
-
 def _kernel_bound(n: int) -> float:
-    """c with which a pivot screen settles a pair only on the side of its
-    threshold that the kernel's own distance falls on: eps in _ball_matrix,
-    the largest pivot distance in _farthest_pair.
+    """c with which the pivot screen of the tile walk (_screened_pairs)
+    settles a pair only on the side of its radius r that the kernel's own
+    distance falls on: eps in _ball_matrix, the largest pivot distance in
+    _farthest_pair.
 
     The features are float64 or complex128.  With u = 2**-53 and
     gamma_k = k u / (1 - k u), the fbar/fhat kernel computes, for two rows
@@ -375,29 +341,24 @@ def _kernel_bound(n: int) -> float:
         d^(i, j) >= (1 - kappa) D >= |a - b| - 2 kappa (a + b),
         d^(i, j) <= (1 + kappa) D <= (1 + 2 kappa') (a + b).
 
-    So (a - b) - 2 kappa (a + b) >= eps proves d^(i, j) >= eps, and
-    (a + b)(1 + 2 kappa') < eps proves d^(i, j) < eps.  The screen tests
-    them as under_i >= over_j and over_i < room_j, with under =
-    a (1 - c) - eps, over = a (1 + c) and room = eps - over
-    (_pivot_screen).  The returned c = 4 kappa' doubles both margins, and
-    the half it adds, at least 2 kappa >= 14u, covers the five roundings
-    of under, over and room: they move the first test by at most
-    3.02u (a + b) and the second by about 3.01u eps.
-
-    The farthest pair takes the upper bound alone, as over_i + over_j:
-    rounded, it is at least (a + b)(1 + c)(1 - u)^3 >= (1 + 2 kappa')(a + b)
-    >= d^(i, j).  So a pair whose bound falls below a real distance LB is
-    not a farthest pair; LB takes the place, and the range, of eps below.
+    So (a - b) - 2 kappa (a + b) >= r proves d^(i, j) >= r, and
+    (a + b)(1 + 2 kappa') < r proves d^(i, j) < r.  The screen tests them
+    as under_i >= over_j and over_i < room_j, with under = a (1 - c) - r,
+    over = a (1 + c) and room = r - over.  The returned c = 4 kappa'
+    doubles both margins, and the half it adds, at least 2 kappa >= 14u,
+    covers the five roundings of under, over and room: they move the first
+    test by at most 3.02u (a + b) and the second by about 3.01u r.  At r =
+    LB, the largest pivot distance, every a <= LB gives under < 0 <= over,
+    so no pair is proved outside, and every pair not proved < LB is open.
 
     The errors are relative while nothing overflows; underflow adds an
     absolute error below 2**-1070 per distance, which the doubled margin
-    absorbs for eps >= 2**-1000.  For eps <= 2**900, (a + b)(1 + c) < eps
-    also bounds every partial sum of d^(i, j) far below overflow.  Outside
-    that range, and for other feature types (narrower floats round more
-    coarsely, integer differences and running sums can wrap), neither
-    screen is used (_bound_holds).  In the ball screen a pivot distance
-    that is not finite becomes nan and fails every test, so its pairs are
-    reduced exactly; in the farthest-pair screen it leaves every pair open.
+    absorbs for r >= 2**-1000.  For r <= 2**900, (a + b)(1 + c) < r also
+    bounds every partial sum of d^(i, j) far below overflow.  Outside that
+    range, and for other feature types (narrower floats round more
+    coarsely, integer differences and running sums can wrap), no pivot is
+    tested (_bound_holds).  A pivot distance that is not finite becomes nan
+    and fails every test, so its pairs stay open.
     """
     k, u = n + 6, 2.0**-53
     kappa = k * u / (1 - k * u)
@@ -406,17 +367,15 @@ def _kernel_bound(n: int) -> float:
 
 def _pivot_rows(kind: MetricKind, feats: np.ndarray) -> np.ndarray:
     """(P, m): the exact distance rows of P = min(_PIVOTS, m) pivots, picked
-    by farthest-first traversal from row 0, nan distances counting as near.
-    The one pivot read of the ball screen (_pivot_screen) and of the
-    farthest-pair screen (_farthest_pair)."""
+    by farthest-first traversal from row 0, nan distances counting as near."""
     m = feats.shape[0]
     rows = []
     if m:
-        rows.append(_distance_rows(kind, feats, [0])[0])
+        rows.append(_distance_row(kind, feats, 0))
         near = rows[0]
         for _ in range(1, min(_PIVOTS, m)):
             far = int(np.argmax(np.fmax(near, -1.0)))
-            rows.append(_distance_rows(kind, feats, [far])[0])
+            rows.append(_distance_row(kind, feats, far))
             near = np.fmin(near, rows[-1])
     return np.array(rows).reshape(len(rows), m)
 
@@ -427,37 +386,68 @@ def _bound_holds(feats: np.ndarray, scale: float) -> bool:
     return feats.dtype in (np.float64, np.complex128) and 2.0**-1000 <= scale <= 2.0**900
 
 
-def _pivot_screen(kind: MetricKind, feats: np.ndarray, eps: float) -> tuple:
-    """(under, over, room), each (P, m), from the pivot rows a (_pivot_rows):
-    under = a (1 - c) - eps, over = a (1 + c) and room = eps - over, with
-    c = _kernel_bound(n).
+def _screened_pairs(kind: MetricKind, feats: np.ndarray, pivots: np.ndarray, r: float):
+    """Yield (rows, cols, inside, i, j, d) for each square tile rows x cols
+    on and above the diagonal of the m x m distance matrix, of side
+    isqrt(_chunk_rows(1)) at the call: inside marks the tile's pairs above
+    the diagonal that the pivot rows prove at distance < r, and d holds the
+    distances (_distance_pairs) of the pairs (i, j) above it left open.
 
-    Against pivot p, pair (i, j) is surely out of the ball when
-    under_i >= over_j or under_j >= over_i, and surely in when
-    over_i < room_j.  No pivot is taken where _kernel_bound does not hold
-    (_bound_holds): for eps outside [2**-1000, 2**900], and for features
-    other than float64 or complex128.
+    Through each pivot, with the under, over and room of _kernel_bound, a
+    pair is proved inside when over_i < room_j and outside when under_i >=
+    over_j or under_j >= over_i.  Where the bound does not hold at r
+    (_bound_holds) no pivot is tested, and every pair is open.  A tile's
+    arrays are dropped before the next is built.
     """
     m, n = feats.shape
-    a = _pivot_rows(kind, feats) if _bound_holds(feats, eps) else np.empty((0, m))
-    a[~np.isfinite(a)] = np.nan
+    a = pivots if _bound_holds(feats, r) else pivots[:0]
+    a = np.where(np.isfinite(a), a, np.nan)
     c = _kernel_bound(n)
     over = a * (1 + c)
-    return a * (1 - c) - eps, over, eps - over
+    under, room = a * (1 - c) - r, r - over
+    side = isqrt(_chunk_rows(1))
+    for lo in range(0, m, side):
+        rows = slice(lo, min(lo + side, m))
+        for left in range(lo, m, side):
+            cols = slice(left, min(left + side, m))
+            inside = np.zeros((rows.stop - lo, cols.stop - left), dtype=bool)
+            settled = inside.copy()
+            for u, o, rm in zip(under, over, room):
+                inside |= o[rows, None] < rm[cols]
+                settled |= u[rows, None] >= o[cols]
+                settled |= o[rows, None] <= u[cols]
+            settled |= inside
+            if left == lo:  # only the pairs above the diagonal
+                settled |= np.tri(len(inside), dtype=bool)
+                inside = np.triu(inside, 1)
+            i, j = np.nonzero(~settled)
+            i += lo
+            j += left
+            yield rows, cols, inside, i, j, _distance_pairs(kind, feats, i, j)
+            del inside, settled, i, j
 
 
-def _screen_block(screen, lo, hi, left, right) -> tuple:
-    """(inside, settled), each (hi - lo, right - left): the pairs of rows
-    lo..hi-1 and columns left..right-1 that the pivot screen (_pivot_screen)
-    proves in the ball, and those it decides either way."""
-    inside = np.zeros((hi - lo, right - left), dtype=bool)
-    settled = inside.copy()
-    for under, over, room in zip(*screen):
-        inside |= over[lo:hi, None] < room[left:right]
-        settled |= under[lo:hi, None] >= over[left:right]
-        settled |= over[lo:hi, None] <= under[left:right]
-    settled |= inside
-    return inside, settled
+def _distance_matrix(kind: MetricKind, feats: np.ndarray) -> np.ndarray:
+    """The m x m distance matrix of feats; equal, entry for entry, to
+    _distance_row, so a block of it is _distance_matrix on its own rows.
+
+    Hamming divides n minus the exact agreement counts by n.  fbar/fhat
+    read the diagonal and, through the tile walk with no pivot
+    (_screened_pairs), each pair above it, mirrored: |v_i - v_j| and
+    |v_j - v_i| are bitwise equal.  A matrix over systems._MATRIX_BYTES
+    raises BudgetExhaustedError before it is built.
+    """
+    m, n = feats.shape
+    _check_bytes(_MATRIX_ENTRY_BYTES * m * m, f"a distance matrix of {m} samples")
+    if isinstance(kind, HammingKind):
+        agree = _agreements(feats)
+        return np.true_divide(np.subtract(n, agree, out=agree), n, dtype=np.float64)
+    out = np.empty((m, m))
+    np.fill_diagonal(out, _distance_pairs(kind, feats, *np.diag_indices(m)))
+    for *_, i, j, d in _screened_pairs(kind, feats, np.empty((0, m)), np.inf):
+        out[i, j] = out[j, i] = d
+        del i, j, d
+    return out
 
 
 def _ball_matrix(kind: MetricKind, feats: np.ndarray, eps: float) -> np.ndarray:
@@ -466,28 +456,21 @@ def _ball_matrix(kind: MetricKind, feats: np.ndarray, eps: float) -> np.ndarray:
 
     Hamming is the one-horizon case of _hamming_balls: the exact agreement
     counts against the least count at which the kernel's distance falls
-    below eps (_least_agreement), so no ball moves.  fbar/fhat screen every
-    tile on and above the diagonal against the exact distance rows of a few
-    pivots (_pivot_screen, _kernel_bound), mirror it, and reduce only the
-    pairs the screen leaves open (_distance_pairs), written straight into
-    the matrix and its mirror.
+    below eps (_least_agreement), so no ball moves.  fbar/fhat read the
+    diagonal, then walk the tiles above it at r = eps (_screened_pairs):
+    the pairs the pivots prove inside and the open pairs' exact balls are
+    written into the matrix and its mirror.
     """
     m, n = feats.shape
     if isinstance(kind, HammingKind):
         return next(_hamming_balls(feats, [n], eps))
-    screen = _pivot_screen(kind, feats, eps)
-    side = isqrt(_chunk_rows(n))
-    # side x width tiles whose screen temporaries stay near _CHUNK_BYTES
-    width = side * max(1, _chunk_rows(side) // side)
-    out = np.empty((m, m), dtype=bool)
-    for lo, hi, left, right in _upper_tiles(m, side, width):
-        block, settled = _screen_block(screen, lo, hi, left, right)
-        out[lo:hi, left:right] = block
-        out[left:right, lo:hi] = block.T
-        i, j = np.nonzero(~settled)
-        i += lo
-        j += left
-        out[i, j] = out[j, i] = _distance_pairs(kind, feats, i, j) < eps
+    out = np.zeros((m, m), dtype=bool)
+    np.fill_diagonal(out, _distance_pairs(kind, feats, *np.diag_indices(m)) < eps)
+    for rows, cols, inside, i, j, d in _screened_pairs(kind, feats, _pivot_rows(kind, feats), eps):
+        out[rows, cols] |= inside
+        out[cols, rows] |= inside.T
+        out[i, j] = out[j, i] = d < eps
+        del inside, i, j, d
     return out
 
 
@@ -499,15 +482,9 @@ def _farthest_pair(kind: MetricKind, feats: np.ndarray) -> tuple:
     Hamming takes the least exact agreement count (_agreements), charged at
     _MATRIX_ENTRY_BYTES per entry before the counts are built; the counts
     are symmetric, so with inf on the diagonal the first least count in row
-    order lies above it.  fbar/fhat screen every pair against the exact
-    rows a of a few pivots (_pivot_rows).  LB, their largest entry, is the
-    distance of a real pair, and over_i + over_j, over = a (1 + c) with c =
-    _kernel_bound(n), bounds the kernel's own distance of pair (i, j) from
-    above through each pivot.  Only pairs whose bound reaches LB through
-    every pivot can be farthest, every tied farthest pair among them, and
-    only those are reduced (_distance_pairs), tile by tile in square tiles
-    of about systems._CHUNK_BYTES of bounds.  Where the bound does not hold
-    (_bound_holds, which a nan or inf LB fails too) every pair is open.
+    order lies above it.  fbar/fhat walk the tiles (_screened_pairs) at r =
+    LB, the largest entry of the pivot rows, a real distance: a pair proved
+    < LB is not the farthest, and every tied farthest pair stays open.
     """
     m, n = feats.shape
     if isinstance(kind, HammingKind):
@@ -517,21 +494,12 @@ def _farthest_pair(kind: MetricKind, feats: np.ndarray) -> tuple:
         i, j = divmod(int(np.argmin(agree)), m)
         return i, j, (n - float(agree[i, j])) / n
     a = _pivot_rows(kind, feats)
-    lb = float(a.max())
-    over = a * (1 + _kernel_bound(n)) if _bound_holds(feats, lb) else a[:0]
-    side = isqrt(_chunk_rows(1))
     found = []  # the first farthest pair of each tile and its distance
-    for lo, hi, left, right in _upper_tiles(m, side, side):
-        tile = np.ones((hi - lo, right - left), dtype=bool)
-        for row in over:
-            tile &= row[lo:hi, None] + row[left:right] >= lb
-        i, j = np.nonzero(np.triu(tile, lo - left + 1))
+    for *_, i, j, d in _screened_pairs(kind, feats, a, float(a.max())):
         if i.size:
-            i += lo
-            j += left
-            d = _distance_pairs(kind, feats, i, j)
             k = int(np.argmax(d))  # the first nan, else the first maximum
             found.append((i[k], j[k], d[k]))
+        del i, j, d
     i, j, d = (np.array(x) for x in zip(*found))
     first = np.lexsort((j, i))  # the tiles' pairs in row order
     k = first[np.argmax(d[first])]
@@ -545,11 +513,12 @@ def pairwise_distances(kind: MetricKind, system, samples, n: int) -> np.ndarray:
 def _pair_distance(kind: MetricKind, system, x, y, n: int) -> float:
     """The kernel's distance between two points, each a batch of one (or
     anything the system's as_batch takes); Hamming points may also be
-    NameWords of length n."""
+    NameWords of length n, the one kind of point read without a system."""
     feats = np.concatenate([
-        _sample_features(kind, system, [p] if isinstance(p, NameWord) else system.as_batch(p), n)
+        _sample_features(kind, system,
+                         [p] if system is None or isinstance(p, NameWord) else system.as_batch(p), n)
         for p in (x, y)])
-    return float(_distance_rows(kind, feats, [0])[0, 1])
+    return float(_distance_row(kind, feats, 0)[1])
 
 
 def ball_member(center, candidate, n: int, eps: float, kind: MetricKind,
@@ -890,6 +859,8 @@ def estimate_cover_number(
         raise InvalidParameterError("eps must be positive")
     _check_budget(max_centers)
     m = len(samples)
+    if not m:
+        raise InvalidParameterError("need at least one sample")
     if weights is not None:
         if len(weights) != m:
             raise InvalidParameterError(

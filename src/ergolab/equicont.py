@@ -12,12 +12,12 @@ The equipartition readers never build a float distance matrix: the
 greedy computes one row per center, and the diameter bound and
 ``verify_equipartition`` share one reader of the farthest pair inside
 each cluster (_cluster_maxima), cover._farthest_pair on each cluster's
-features.  fbar/fhat clusters screen their pairs against the exact rows
-of a few pivots and reduce only those that could be the farthest; Hamming
-clusters take their least exact agreement count, charged against
-systems._MATRIX_BYTES before the counts are built.  Rows and pairs come
-from the same per-pair reducers as the full matrix, so they equal its
-entries bit for bit.
+features.  fbar/fhat clusters walk their tiles of pairs once, screened at
+the largest distance of a few pivot rows, and reduce only the pairs not
+proved closer (cover._screened_pairs); Hamming clusters take their least
+exact agreement count, charged against systems._MATRIX_BYTES before the
+counts are built.  Rows and pairs come from the same per-pair reducers as
+the full matrix, so they equal its entries bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .cover import (
     FbarKind,
     HammingKind,
     _check_budget,
-    _distance_rows,
+    _distance_row,
     _farthest_pair,
     _ladder,
     _metric_kind,
@@ -99,7 +99,7 @@ def _greedy_clusters(kind, feats: np.ndarray, eps: float, k_max: int, need: int)
         center = int(np.argmax(unassigned))  # lowest unassigned index
         if not unassigned[center]:
             break
-        row = _distance_rows(kind, feats, [center])[0]
+        row = _distance_row(kind, feats, center)
         members = np.nonzero(unassigned & (row < eps / 2.0))[0]
         clusters.append(tuple(int(i) for i in members))
         unassigned[members] = False
@@ -116,10 +116,11 @@ def _cluster_maxima(kind, feats: np.ndarray, clusters) -> list:
     distance block is built (cover._farthest_pair): a Hamming cluster reads
     its exact agreement counts, charged at 12 bytes per entry against
     systems._MATRIX_BYTES before they are built, and an fbar/fhat cluster
-    reduces only the pairs its pivot screen leaves open.  A 1000-sample
-    rotation cluster at horizon 64 peaked at 3.3 MB under tracemalloc, 1 MB
-    of it the cluster's feature copy and most of the rest the pair chunks
-    of _distance_pairs, where its block would take 12 MB.
+    reduces only the pairs its pivot rows do not prove closer than their
+    largest distance.  A 1000-sample rotation cluster at horizon 64 peaked
+    at 3.0 MiB under tracemalloc, 1 MiB of it the cluster's feature copy and
+    most of the rest one tile's open pairs and pair chunks, where its block
+    would take 12 MB.
     """
     out = []
     for cluster in clusters:
@@ -136,6 +137,8 @@ def _build_equipartition(
     kind, system, samples, eps: float, k_max: int, horizon: int
 ) -> EquiPartition | EquipartitionFailure:
     _check_budget(k_max)
+    if not len(samples):
+        raise InvalidParameterError("need at least one sample")
     feats = _sample_features(kind, system, samples, horizon)
     m = feats.shape[0]
     need = _units_needed(m, eps)

@@ -3,12 +3,14 @@
 The distance kernels that ``cover._distance_matrix`` replaced: fbar and
 fhat filled mirrored tiles of 32 (fhat: 16) rows from their own gap
 reducer, and Hamming summed float32 indicator-plane products, one product
-and one m x m sum per symbol (``agreements``).  The farthest pair of each
-cluster, which ``cover._farthest_pair`` now finds through a pivot screen
-(fbar/fhat) or the least agreement count (Hamming), came from the
-cluster's whole distance block (``cluster_maxima``, here on the old
-kernels).  The hash steps that ``rng`` now runs in place:
-splitmix64 and zigzag as whole-array expressions, with a ``& ~0`` pass.
+and one m x m sum per symbol (``agreements``); fbar/fhat matrices are now
+read pair by pair in the one screened tile walk (``cover._screened_pairs``)
+with no pivot.  The farthest pair of each cluster, which
+``cover._farthest_pair`` now finds in that walk, screened at the largest
+pivot distance (fbar/fhat), or as the least agreement count (Hamming), came
+from the cluster's whole distance block (``cluster_maxima``, here on the
+old kernels).  The hash steps that ``rng`` now runs in place: splitmix64
+and zigzag as whole-array expressions, with a ``& ~0`` pass.
 Circle cell labels, which ``systems._circle_labels`` now counts one cut
 comparison at a time in the narrowest unsigned type, placed the values
 among the cuts with ``searchsorted`` into int64 (``circle_labels``).  A

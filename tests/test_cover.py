@@ -544,7 +544,7 @@ def test_hamming_counts_hold_n_mismatches(n):
     labels = labels.astype(np.uint8)
     D = old_kernels.pairwise_hamming(labels)
     assert D[0, 1] == D[0, 2] == D[1, 2] == 1.0
-    rows = cover._distance_rows(HAM, labels, slice(None))
+    rows = np.stack([cover._distance_row(HAM, labels, i) for i in range(4)])
     assert np.array_equal(rows, D)
     assert np.array_equal(rows, old_kernels.hamming_rows(labels[:, None], labels[None]))
     i, j = np.nonzero(np.ones((4, 4), dtype=bool))
@@ -570,7 +570,7 @@ def test_ball_matrix_screen_settles_most_pairs(monkeypatch):
             return out
         return wrapped
 
-    for name in ("_distance_rows", "_distance_pairs"):
+    for name in ("_distance_row", "_distance_pairs"):
         monkeypatch.setattr(cover, name, counted(getattr(cover, name)))
     samples = SYS_R.sample_measure(400, PLAN.child(6))
     for kind in (FbarKind(e.Character(1)), FhatKind(e.Character(1))):
@@ -586,21 +586,74 @@ def test_ball_matrix_screen_settles_most_pairs(monkeypatch):
 def test_ball_matrix_screens_every_tile(monkeypatch, metric, system, child, eps):
     # doubling puts fbar distances near their mean, so the screen leaves most
     # pairs open; they are still reduced pair by pair, and the only row reads
-    # are the pivots' single rows
+    # are the pivots' rows
     kind = metric(e.Character(1))
     feats = _sample_features(kind, system, system.sample_measure(300, PLAN.child(child)), 64)
     D = _distance_matrix(kind, feats)
     rows = []
-    read = cover._distance_rows
+    read = cover._distance_row
 
-    def counted(kind, feats, at, *cols):
-        out = read(kind, feats, at, *cols)
-        rows.append(len(out))
-        return out
+    def counted(kind, feats, at):
+        rows.append(at)
+        return read(kind, feats, at)
 
-    monkeypatch.setattr(cover, "_distance_rows", counted)
+    monkeypatch.setattr(cover, "_distance_row", counted)
     assert np.array_equal(_ball_matrix(kind, feats, eps), D < eps)
-    assert rows and max(rows) == 1
+    assert len(rows) == cover._PIVOTS
+
+
+@pytest.mark.parametrize("chunk_bytes", [4096, systems._CHUNK_BYTES])
+@pytest.mark.parametrize("metric", [FbarKind, FhatKind])
+@pytest.mark.parametrize("system", [SYS_R, SYS_D], ids=["rotation", "doubling"])
+def test_each_pair_reduced_once_above_the_diagonal(monkeypatch, chunk_bytes, metric, system):
+    # the tile walk reduces each pair at most once, and only above the
+    # diagonal; the ball and distance matrices read the diagonal in one call
+    kind = metric(e.Character(1))
+    feats = _sample_features(kind, system, system.sample_measure(300, PLAN.child(8)), 64)
+    m = len(feats)
+    monkeypatch.setattr(systems, "_CHUNK_BYTES", chunk_bytes)
+    calls = []
+    read = cover._distance_pairs
+
+    def recorded(kind, feats, i, j):
+        calls.append((np.asarray(i), np.asarray(j)))
+        return read(kind, feats, i, j)
+
+    monkeypatch.setattr(cover, "_distance_pairs", recorded)
+    for run, diagonals in ((lambda: _ball_matrix(kind, feats, 0.5), 1),
+                           (lambda: cover._farthest_pair(kind, feats), 0),
+                           (lambda: _distance_matrix(kind, feats), 1)):
+        calls.clear()
+        run()
+        diagonal = [np.array_equal(i, j) and i.size > 0 for i, j in calls]
+        assert sum(diagonal) == diagonals
+        assert all(np.array_equal(i, np.arange(m)) for (i, _), d in zip(calls, diagonal) if d)
+        i, j = (np.concatenate([c[k] for c, d in zip(calls, diagonal) if not d]) for k in (0, 1))
+        assert np.all(i < j)
+        assert len(np.unique(i * m + j)) == len(i)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: e.ball_member(0.1, 0.2, 4, 0.3, e.HammingKind(e.halves())),
+    lambda: e.estimate_cover_number([0.1, 0.2], 4, 0.3, e.FbarKind(e.Character(1))),
+], ids=["ball_member", "estimate_cover_number"])
+def test_points_without_a_system_raise(call):
+    with pytest.raises(InvalidParameterError, match="need a system"):
+        call()
+
+
+def test_name_words_need_no_system():
+    words = [e.NameWord((0, 1, 1, 0), 2), e.NameWord((0, 1, 0, 0), 2)]
+    kind = e.HammingKind(e.halves())
+    assert e.ball_member(*words, 4, 0.3, kind)
+    assert e.estimate_cover_number(words, 4, 0.3, kind).count == 1
+
+
+@pytest.mark.parametrize("kind", [e.HammingKind(e.halves()), e.FbarKind(e.Character(1))],
+                         ids=["hamming", "fbar"])
+def test_cover_of_no_samples_raises(kind):
+    with pytest.raises(InvalidParameterError, match="need at least one sample"):
+        e.estimate_cover_number(np.array([]), 4, 0.3, kind, SYS_R)
 
 
 def test_ball_member_strict():

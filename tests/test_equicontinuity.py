@@ -335,7 +335,7 @@ def test_cluster_maxima_screen_reduces_few_pairs(monkeypatch):
     def unreachable(*args):
         raise AssertionError("the screen built the whole block")
 
-    monkeypatch.setattr(cover, "_distance_rows", counted(cover._distance_rows))
+    monkeypatch.setattr(cover, "_distance_row", counted(cover._distance_row))
     monkeypatch.setattr(cover, "_distance_pairs", counted(cover._distance_pairs))
     monkeypatch.setattr(cover, "_distance_matrix", unreachable)
     samples = SYS_R.sample_measure(1000, PLAN.child(12))
@@ -383,3 +383,48 @@ def test_cluster_maxima_build_no_distance_matrix(monkeypatch, spec, kind, chunk)
     feats, clusters = _cluster_cases(make_system(spec), kind)
     want = _bits(old_kernels.cluster_maxima(kind, feats, clusters))
     assert _bits(equicont._cluster_maxima(kind, feats, clusters)) == want
+
+
+def _screen_at_lb(kind, feats) -> int:
+    """Walk the tiles of feats at r = LB, the largest pivot distance, and
+    check that every pair above the diagonal is proved inside or left open,
+    none proved outside; the count of pairs proved inside."""
+    a = cover._pivot_rows(kind, feats)
+    proved = 0
+    for rows, cols, inside, i, j, _ in cover._screened_pairs(kind, feats, a, float(a.max())):
+        h, w = inside.shape
+        above = h * w - (h * (h + 1) // 2 if rows == cols else 0)
+        assert np.count_nonzero(inside) + i.size == above, (rows, cols)
+        proved += np.count_nonzero(inside)
+    return proved
+
+
+@pytest.mark.parametrize("chunk", [4096, systems._CHUNK_BYTES])
+@pytest.mark.parametrize("spec, kind", [
+    case for case in _NO_BLOCK_CASES if not isinstance(case.values[1], e.HammingKind)])
+def test_no_pair_proved_beyond_the_largest_pivot_distance(monkeypatch, spec, kind, chunk):
+    # the farthest pair reduces every pair the screen leaves open at r = LB:
+    # that is every pair not proved below LB only if none is proved beyond
+    monkeypatch.setattr(systems, "_CHUNK_BYTES", chunk)
+    feats, clusters = _cluster_cases(make_system(spec), kind)
+    for cluster in clusters:
+        if len(cluster) > 1:
+            _screen_at_lb(kind, feats[list(cluster)])
+
+
+def test_no_pair_proved_beyond_lb_on_tight_triangles():
+    # rows t * v on a line meet the triangle inequality with equality
+    rng = np.random.default_rng(11)
+    t = np.concatenate([[0.0], np.sort(rng.random(149)), [1.0]])
+    for v in (rng.random(37), np.exp(2j * np.pi * rng.random(37))):
+        for kind in (e.FbarKind(None), e.FhatKind(None)):
+            assert _screen_at_lb(kind, t[:, None] * v) > 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda samples: e.find_equipartition(SYS_R, e.Character(1), 0.5, samples, 8),
+    lambda samples: e.hamming_equipartition(SYS_R, e.halves(), 0.5, samples, 8),
+], ids=["fbar", "hamming"])
+def test_equipartition_of_no_samples_raises(build):
+    with pytest.raises(e.InvalidParameterError, match="need at least one sample"):
+        build(np.array([]))
