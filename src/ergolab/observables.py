@@ -5,7 +5,8 @@ Each observable reads many orbits in one shot: ``orbit_rows`` returns an
 batched read.  ``orbit_values``, ``eval`` and ``eval_many`` are batches of
 one point or of one time step.  ``gap_rows`` returns the aligned-pair gaps
 |f(T^i xs[k]) - f(T^i ys[k])| that the mean-expansivity estimate averages;
-characters compute them from one real sine instead of two orbit reads.
+characters compute them from one real sine instead of two orbit reads, and
+cell indicators from one xor of their two masks.
 """
 
 from __future__ import annotations
@@ -49,12 +50,23 @@ class Character(Observable):
 
     k: int = 1
 
+    def __post_init__(self):
+        if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool):
+            raise InvalidParameterError(f"character k must be an integer, got {self.k!r}")
+
     def orbit_rows(self, system, samples, n):
+        """The values e(k T^i x) of one complex buffer: the phase 2 pi k x
+        is written into its imaginary half, and cos and sin of it into both
+        halves.  Bit for bit np.exp(2j * np.pi * k * rows): that product's
+        real part is a signed zero, whose exp is 1, and its imaginary part
+        is the phase."""
         self._check_circle(system)
-        # one complex buffer: the same product and exp as
-        # np.exp(2j * np.pi * k * rows), with the exp written in place
-        z = np.multiply(2j * np.pi * self.k, system.rows(samples, 0, n))
-        return np.exp(z, out=z)
+        x = system.rows(samples, 0, n)
+        z = np.empty(x.shape, dtype=np.complex128)
+        np.multiply(x, 2 * np.pi * self.k, out=z.imag)
+        np.cos(z.imag, out=z.real)
+        np.sin(z.imag, out=z.imag)
+        return z
 
     def gap_rows(self, system, xs, ys, n):
         # |e(ka) - e(kb)| = 2 |sin(pi k (a - b))|: one real sine per step in
@@ -92,13 +104,21 @@ class CellIndicator(Observable):
 
     def __post_init__(self):
         count = self.partition.cell_count
-        if not isinstance(self.label, (int, np.integer)) or not 0 <= self.label < count:
+        label = self.label
+        if not isinstance(label, (int, np.integer)) or isinstance(label, bool) \
+                or not 0 <= label < count:
             raise InvalidParameterError(
-                f"cell label must be an integer in [0, {count}), got {self.label}"
+                f"cell label must be an integer in [0, {count}), got {label}"
             )
 
     def orbit_rows(self, system, samples, n):
         return (name_rows(system, self.partition, samples, n) == self.label).astype(float)
+
+    def gap_rows(self, system, xs, ys, n):
+        # |1_A(x) - 1_A(y)| is 1_A(x) xor 1_A(y): one cast of the xor
+        gap = name_rows(system, self.partition, xs, n) == self.label
+        gap ^= name_rows(system, self.partition, ys, n) == self.label
+        return gap.astype(float)
 
     def sup_bound(self):
         return 1.0

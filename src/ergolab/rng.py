@@ -4,6 +4,13 @@ Every random quantity in the package is derived from a ``RandomPlan`` by
 hashing the master seed together with small integer tags, so that sample j
 of any stream depends only on (master_seed, tags, j).  This is what makes
 results reproducible bit-for-bit and independent of evaluation order.
+
+The symbol streams of the stream families are read a block at a time:
+``stream_hash`` gives the (m, width) hashes of m streams over a window of
+indices, and ``stream_bits`` their top bits, the doubling bits, with no
+last splitmix64 step, which leaves the top bit alone.  Both build each
+row's zigzagged index with one add and run splitmix64 in place in their
+output.
 """
 
 from __future__ import annotations
@@ -26,6 +33,14 @@ def _mix(z, scratch=None):
     # into one) each step makes a new scalar, as the plain expressions would.
     # With `scratch`, a uint64 array shaped like the uint64 array z, every
     # step runs in place on z and the shifts go through scratch.
+    z = _mix_head(z, scratch)
+    z ^= _shifted(z, 31, scratch)
+    return z
+
+
+def _mix_head(z, scratch):
+    # every splitmix64 step but the last, z ^= z >> 31, which leaves bit 63
+    # as it is: the top bit of the head is the top bit of the hash
     with np.errstate(over="ignore"):  # wraparound is the point
         if scratch is None:
             z = z + _GOLDEN
@@ -35,7 +50,6 @@ def _mix(z, scratch=None):
         z *= _MIX1
         z ^= _shifted(z, 27, scratch)
         z *= _MIX2
-        z ^= _shifted(z, 31, scratch)
         return z
 
 
@@ -45,27 +59,39 @@ def _shifted(z, k: int, scratch):
     return np.right_shift(z, _U64(k), out=scratch)
 
 
-def zigzag(i: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Map the int64 array i to unsigned, preserving injectivity: 2i, or
-    -2i-1 below 0.  The map runs in place on i through scratch, an int64
-    array shaped like i, and returns i's uint64 view."""
-    np.right_shift(i, 63, out=scratch)
-    i <<= 1
-    i ^= scratch
-    return i.view(np.uint64)
+def _keyed_index(keys: np.ndarray, tag: int, starts: np.ndarray, width: int) -> np.ndarray:
+    """(m, width) uint64: row k is zigzag(j) ^ hash64(keys[k], tag) at
+    j = starts[k] + [0, width), zigzag(j) being 2j, or -2j-1 = ~2j below 0.
+    Each row's 2j is one add of 2 starts[k] and the even numbers, mod 2^64,
+    and only the entries whose j is negative, a prefix of
+    c_k = min(width, -starts[k]) entries, are inverted."""
+    starts = np.asarray(starts, dtype=np.int64)
+    out = np.empty((len(starts), width), dtype=np.uint64)
+    np.add((starts.view(np.uint64) << _U64(1))[:, None],
+           np.arange(0, 2 * width, 2, dtype=np.uint64), out=out)
+    negative = -np.clip(starts, -width, 0)  # clip first: -starts can wrap
+    if negative.any():
+        np.invert(out, out=out, where=np.arange(width) < negative[:, None])
+    out ^= hash64(keys, tag)[:, None]
+    return out
 
 
 def stream_hash(keys: np.ndarray, tag: int, starts: np.ndarray, width: int) -> np.ndarray:
     """(m, width) uint64 stream hashes: row k is hash64(keys[k], tag, zigzag(j))
-    at j = starts[k] + [0, width).  The index, its zigzag and the last
-    splitmix64 round run in place in the output, through one scratch array
-    of its size."""
-    out = np.empty((len(starts), width), dtype=np.int64)
-    scratch = np.empty_like(out)
-    np.add(starts[:, None], np.arange(width), out=out)
-    z = zigzag(out, scratch)
-    z ^= hash64(keys, tag)[:, None]
-    return _mix(z, scratch.view(np.uint64))
+    at j = starts[k] + [0, width), zigzag(j) being 2j, or -2j-1 below 0.
+    The zigzagged index is built in the output and the last splitmix64
+    round runs in place on it, through one scratch array of its size."""
+    z = _keyed_index(keys, tag, starts, width)
+    return _mix(z, np.empty_like(z))
+
+
+def stream_bits(keys: np.ndarray, tag: int, starts: np.ndarray, width: int) -> np.ndarray:
+    """(m, width) int64: the top bit of each stream hash of `stream_hash`.
+    splitmix64 stops before its last step, which leaves bit 63 alone, and
+    the bit is shifted down in place."""
+    z = _keyed_index(keys, tag, starts, width)
+    z = _mix_head(z, np.empty_like(z))
+    return np.right_shift(z, _U64(63), out=z).view(np.int64)
 
 
 def hash64(*parts):

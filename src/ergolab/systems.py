@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import BudgetExhaustedError, InvalidParameterError, UnsupportedRefinementError
-from .rng import _MASK, RandomPlan, hash64, stream_hash, uniform01
+from .rng import _MASK, RandomPlan, hash64, stream_bits, stream_hash, uniform01
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -142,11 +142,6 @@ class PrefixSymbols:
         if a < b:
             stream[a - lo : b - lo] = self.prefix[a:b]
         return stream
-
-
-def _top_bits(h: np.ndarray) -> np.ndarray:
-    """The top bit of each uint64 hash, as int64, in place on h."""
-    return np.right_shift(h, np.uint64(63), out=h).view(np.int64)
 
 
 @dataclass(frozen=True)
@@ -297,11 +292,19 @@ def _check_bytes(nbytes: int, what: str) -> None:
 
 
 def _batched(m: int, tail: tuple, dtype, read, width=None) -> np.ndarray:
-    """An (m, *tail) array of type `dtype` whose rows a..b-1 are read(a, b),
-    cast as each chunk is stored; `width` is the row width, in 8-byte items,
-    of read's widest temporary, by default the size of a row."""
-    out = np.empty((m,) + tail, dtype=dtype)
+    """An (m, *tail) array of type `dtype` whose rows a..b-1 are read(a, b);
+    `width` is the row width, in 8-byte items, of read's widest temporary,
+    by default the size of a row.  When one chunk holds every row, the
+    read's own array is the result, copied only if it is read-only, not
+    C-contiguous or of another type; otherwise each chunk is cast as it is
+    stored into the output.  m = 0 reads nothing."""
     step = _chunk_rows(width or int(np.prod(tail)))
+    if 0 < m <= step:
+        chunk = read(0, m)
+        if chunk.dtype == dtype and chunk.flags.c_contiguous and chunk.flags.writeable:
+            return chunk
+        return np.array(chunk, dtype=dtype, order="C")
+    out = np.empty((m,) + tail, dtype=dtype)
     for a in range(0, m, step):
         out[a : a + step] = read(a, min(a + step, m))
     return out
@@ -319,13 +322,16 @@ def _window_words(bits: np.ndarray, n: int, width: int) -> np.ndarray:
 
     Windows of doubling widths 1, 2, 4, ... are each built from the one
     before, and the word joins the windows of the widths in the binary
-    expansion of `width`, the widest leading.
+    expansion of `width`, the widest leading.  A power-of-two width is one
+    window, returned as a view: of `bits` itself at width 1.
     """
     word = None
     w, size, end = bits, 1, width
     while True:
         if width & size:
             end -= size
+            if size == width:
+                return w[:, :n]
             piece = w[:, end : end + n] << (width - end - size)
             if word is None:
                 word = piece
@@ -507,8 +513,8 @@ class DoublingSystem(SystemHandle):
 
     def _bits(self, points, starts, width) -> np.ndarray:
         """Row k holds bits starts[k] + [0, width) of points[k]'s stream."""
-        hashes = stream_hash(points.keys, _TAG_SYMBOL, starts, width)
-        return points.read_own(_top_bits(hashes), starts)
+        bits = stream_bits(points.keys, _TAG_SYMBOL, starts, width)
+        return points.read_own(bits, starts)
 
     def _rows(self, points, lo: int, hi: int) -> np.ndarray:
         # the value of T^i x is the 53-bit window of x's bits at offset + i

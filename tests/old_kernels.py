@@ -10,7 +10,14 @@ with no pivot.  The farthest pair of each cluster, which
 pivot distance (fbar/fhat), or as the least agreement count (Hamming), came
 from the cluster's whole distance block (``cluster_maxima``, here on the
 old kernels).  The hash steps that ``rng`` now runs in place: splitmix64
-and zigzag as whole-array expressions, with a ``& ~0`` pass.
+and zigzag as whole-array expressions, with a ``& ~0`` pass; a stream's
+zigzagged index is now one add with the negative entries inverted, and its
+doubling bits skip splitmix64's last step (``rng.stream_bits``).  A
+character read, which now writes cos and sin of its phase into the two
+halves of its complex buffer, was ``np.exp`` of the complex product, in
+place (``character_rows``).  A power-of-two window word, which
+``systems._window_words`` now returns as a view, was a ``<< 0`` copy of it
+(``window_words``).
 Circle cell labels, which ``systems._circle_labels`` now counts one cut
 comparison at a time in the narrowest unsigned type, placed the values
 among the cuts with ``searchsorted`` into int64 (``circle_labels``).  A
@@ -53,6 +60,28 @@ def hash64(*parts):
             p = np.asarray(p, dtype=np.uint64)
         h = mix(h ^ p)
     return h
+
+
+def character_rows(k, values):
+    z = np.multiply(2j * np.pi * k, values)
+    return np.exp(z, out=z)
+
+
+def window_words(bits, n, width):
+    word = None
+    w, size, end = bits, 1, width
+    while True:
+        if width & size:
+            end -= size
+            piece = w[:, end : end + n] << (width - end - size)
+            if word is None:
+                word = piece
+            else:
+                word += piece
+        if 2 * size > width:
+            return word
+        w = (w[:, :-size] << size) + w[:, size:]
+        size *= 2
 
 
 def circle_labels(cuts, values):

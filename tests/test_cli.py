@@ -388,6 +388,15 @@ _MEANEQUI = ["meanequi", "--system", "rotation:golden", "--target", "character:1
     (["complexity", "--system", "rotation:golden",
       "--target", '{"observable": {"kind": "character", "K": 3}}'] + _CURVE,
      "invalid config: Character.__init__() got an unexpected keyword argument 'K'"),
+    *[(["spectral", "--system", "rotation:golden", "--horizons", "8,16,32", "--radius", "0.5",
+        "--samples", "50", "--target", f'{{"observable": {{"kind": "character", "k": {k}}}}}'],
+       f"invalid config: character k must be an integer, got {shown}")
+      for k, shown in [('"1"', "'1'"), ("null", "None"), ("1.5", "1.5"), ("true", "True")]],
+    (["expansivity", "--system", "doubling", "--target",
+      '{"observable": {"kind": "cell_indicator", "label": true, "partition": '
+      '{"kind": "circle_intervals", "cuts": [0.0, 0.5]}}}',
+      "--delta", "0.4", "--pairs", "100", "--horizon", "64"],
+     "invalid config: cell label must be an integer in [0, 2), got True"),
 ])
 def test_bad_argument_exit_2(argv, message, capsys):
     assert main(argv) == 2

@@ -3,13 +3,19 @@
 Circle values are reduced mod 1 as v - floor(v) in place (`systems._frac`),
 cell labels are counted one cut comparison at a time in the narrowest
 unsigned type and wrap through a lookup table, doubling labels of shallow
-dyadic cuts come from a table of every window's label, a character read is
-one complex buffer, and the splitmix64 and zigzag steps run in place, the
-stream hash in one output and one scratch array.  Each must equal its old
-form bit for bit, leave the caller's arrays alone and not depend on the
-chunk size.
+dyadic cuts come from a table of every window's label, and a power-of-two
+window word is a view of its bits.  A character read writes cos and sin of
+its phase into the two halves of one complex buffer, and an indicator's
+gaps are one xor of its two masks.  The splitmix64 steps run in place, the
+stream hash in one output, whose zigzagged index is one add with the
+negative entries inverted, and one scratch array; the doubling bits skip
+splitmix64's last step.  Each must equal its old form bit for bit, leave
+the caller's arrays alone and not depend on the chunk size.  A read that
+fits in one chunk is the result itself, copied only when it is read-only,
+strided or of another type.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,8 +33,10 @@ PLAN = e.RandomPlan(314)
 
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and \
-        np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    word = f"u{min(a.dtype.itemsize, 8)}"  # uint64 halves of a complex
+    return np.array_equal(a.view(word), b.view(word))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +191,6 @@ def test_deep_cuts_keep_searching(cuts, monkeypatch):
 
 
 _U64_ARRAY = np.array([0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15, 12345], dtype=np.uint64)
-_I64_ARRAY = np.array([0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63)], dtype=np.int64)
 
 
 def _no_warnings(f, *args):
@@ -208,18 +215,6 @@ def test_mix_equals_old_form(z):
     _check_equal_and_untouched(rng._mix, old_kernels.mix, z)
 
 
-@pytest.mark.parametrize("i", [
-    _I64_ARRAY, _I64_ARRAY.reshape(1, 7), _I64_ARRAY[1::3], np.array(-5, dtype=np.int64),
-    np.arange(-40, 40, dtype=np.int64), [3, -4, 0], np.int64(-9), np.int64(2**61), 0, 7, -7, -(2**61),
-])
-def test_zigzag_equals_old_form(i):
-    # in place on an int64 copy of i (0-d for a scalar), returned as uint64
-    work = np.array(i, dtype=np.int64)
-    want = old_kernels.zigzag(work.copy())
-    got = _no_warnings(rng.zigzag, work, np.empty_like(work))
-    assert _same_bits(got, want) and np.shares_memory(got, work)
-
-
 @pytest.mark.parametrize("parts", [
     (42,), (42, 7, 3), (2**64 - 1, -1, 0), (np.uint64(9), np.int64(-4)),
     (99, 7, _U64_ARRAY), (99, 7, np.array(3, dtype=np.uint64)),
@@ -235,19 +230,34 @@ def test_hash64_equals_old_form(parts):
             assert _same_bits(p, k)
 
 
-@pytest.mark.parametrize("starts", [
-    [0, -1, -5, -1000, 2**40, -(2**40), 7],
-    [-3],
-    [],
-])
-def test_stream_hash_equals_old_form(starts):
+STREAM_STARTS = {
+    "edges": [0, -1, -5, -1000, 2**40, -(2**40), 2**62 - 3, -(2**62)],
+    # rows that cross 0 at every width past 1
+    "crossing": [-1, -3, -150, -299],
+    "one": [-3],
+    "none": [],
+}
+
+
+def _old_stream_hash(keys, starts, width):
+    idx = starts[:, None] + np.arange(width)
+    return old_kernels.hash64(keys[:, None], systems._TAG_SYMBOL, old_kernels.zigzag(idx))
+
+
+@pytest.mark.parametrize("width", [1, 9, 300])
+@pytest.mark.parametrize("name", sorted(STREAM_STARTS))
+def test_stream_hash_equals_old_form(name, width):
+    """The index is 2 starts[k] + 2j, wrapping mod 2^64 (the 2^62 - 3 row
+    past width 3), with the entries whose starts[k] + j is negative
+    inverted: keyed on the sign of 2i, the wrapped entries would be too."""
+    starts = np.array(STREAM_STARTS[name], dtype=np.int64)
     keys = np.resize(_U64_ARRAY, len(starts))
-    starts = np.array(starts, dtype=np.int64)
     keep_keys, keep_starts = keys.copy(), starts.copy()
-    got = _no_warnings(rng.stream_hash, keys, systems._TAG_SYMBOL, starts, 9)
-    idx = starts[:, None] + np.arange(9)
-    want = old_kernels.hash64(keys[:, None], systems._TAG_SYMBOL, old_kernels.zigzag(idx))
+    want = _old_stream_hash(keys, starts, width)
+    got = _no_warnings(rng.stream_hash, keys, systems._TAG_SYMBOL, starts, width)
     assert _same_bits(got, want)
+    bits = _no_warnings(rng.stream_bits, keys, systems._TAG_SYMBOL, starts, width)
+    assert _same_bits(bits, (want >> np.uint64(63)).astype(np.int64))
     assert _same_bits(keys, keep_keys) and _same_bits(starts, keep_starts)
 
 
@@ -276,7 +286,9 @@ def _samples(name):
     if name == "doubling":
         system = make_system(e.doubling())
         return system, system.sample_measure(20, PLAN) + system.point(0.375)
-    system = make_system(e.sturmian(e.GOLDEN))
+    specs = {"sturmian": e.sturmian(e.GOLDEN), "bernoulli": e.bernoulli_shift(0.3, 3),
+             "odometer": e.odometer(3)}
+    system = make_system(specs[name])
     pts = system.sample_measure(20, PLAN)
     return system, pts + system.step(pts[:3], -7)
 
@@ -287,7 +299,12 @@ def _reads(system, pts):
         out["circle_value"] = systems.circle_value(pts)
     if system.has_circle_values:
         out["circle_labels"] = system.circle_labels(pts, CUTS3, 33)
+        out["halves"] = e.name_rows(system, e.halves(), pts, 33, np.uint8)
         out["character"] = e.Character(3).orbit_rows(system, pts, 33)
+    else:
+        # one coordinate: a strided column, copied; two: a fresh sum
+        out["cylinder"] = e.name_rows(system, e.cylinder([0], 3), pts, 33, np.uint8)
+        out["cylinder2"] = e.name_rows(system, e.cylinder([0, 2], 3), pts, 33)
     return out
 
 
@@ -295,7 +312,8 @@ def _arrays(pts):
     return [pts] if isinstance(pts, np.ndarray) else [pts.keys, pts.offsets]
 
 
-@pytest.mark.parametrize("name", ["rotation", "identity", "doubling", "sturmian"])
+@pytest.mark.parametrize("name", ["rotation", "identity", "doubling", "sturmian", "bernoulli",
+                                  "odometer"])
 def test_reads_leave_samples_alone_and_ignore_chunk_size(name, monkeypatch):
     system, pts = _samples(name)
     keep = [a.copy() for a in _arrays(pts)]
@@ -309,3 +327,142 @@ def test_reads_leave_samples_alone_and_ignore_chunk_size(name, monkeypatch):
     if isinstance(pts, Points):
         return
     assert (whole["rows"] < 1.0).all() and (whole["circle_value"] < 1.0).all()
+
+
+# ---------------------------------------------------------------------------
+# Characters from cos and sin of the phase, indicator gaps from one xor and
+# power-of-two window words as views equal their old forms
+
+
+EDGE_VALUES = [0.0, 5e-324, 1 - 2.0**-53, 0.5, 0.25]
+
+
+def _edge_samples(name):
+    if name == "doubling":
+        system = make_system(e.doubling())
+        pts = system.sample_measure(20, PLAN)
+        for v in EDGE_VALUES:
+            pts = pts + system.point(v)
+        return system, pts
+    system = make_system(e.rotation(e.GOLDEN) if name == "rotation" else e.identity())
+    return system, np.concatenate([system.sample_measure(20, PLAN), EDGE_VALUES])
+
+
+@pytest.mark.parametrize("k", [-3, -1, 1, 2])
+@pytest.mark.parametrize("name", ["rotation", "identity", "doubling"])
+def test_character_rows_equal_complex_exp(name, k):
+    """At x = 0 the phase 2 pi k x is -0.0 for k < 0, and both forms give a
+    -0.0 imaginary part: the uint64 views tell the zeros apart."""
+    system, pts = _edge_samples(name)
+    got = e.Character(k).orbit_rows(system, pts, 40)
+    want = old_kernels.character_rows(k, system.rows(pts, 0, 40))
+    assert _same_bits(got, want)
+    assert got.flags.c_contiguous and got.dtype == np.complex128
+
+
+@pytest.mark.parametrize("name, partition, label", [
+    ("doubling", e.halves(), 1),
+    ("doubling", CUTS3, 0),
+    ("rotation", CUTS3, 2),
+    ("bernoulli", e.cylinder([-1, 0, 2], 2), 5),
+    ("bernoulli3", e.cylinder([0], 3), 2),
+])
+def test_indicator_gaps_equal_orbit_row_gaps(name, partition, label):
+    specs = {"doubling": e.doubling(), "rotation": e.rotation(e.GOLDEN),
+             "bernoulli": e.bernoulli_shift(0.3), "bernoulli3": e.bernoulli_shift(0.6, 3)}
+    system = make_system(specs[name])
+    if not isinstance(partition, e.Partition):
+        partition = e.circle_intervals(partition)
+    f = e.CellIndicator(partition, label)
+    xs, ys = system.sample_measure(60, PLAN), system.sample_measure(60, PLAN.child(1))
+    want = np.abs(f.orbit_rows(system, xs, 50) - f.orbit_rows(system, ys, 50))
+    assert _same_bits(f.gap_rows(system, xs, ys, 50), want)
+    assert 0 < want.sum() < want.size
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 16, 32, 3, 7, 53])
+def test_window_words_equal_shifted_copies(width):
+    bits = np.random.default_rng(width).integers(0, 2, size=(30, 40 + width - 1))
+    keep = bits.copy()
+    got = systems._window_words(bits, 40, width)
+    assert _same_bits(got, old_kernels.window_words(keep, 40, width))
+    assert got.flags.c_contiguous
+    if width == 1:  # one window of the bits themselves
+        assert np.shares_memory(got, bits)
+    else:
+        assert _same_bits(bits, keep)
+
+
+# ---------------------------------------------------------------------------
+# A read of one chunk is the result itself
+
+
+def test_one_chunk_read_is_the_result():
+    rot = make_system(e.rotation(e.GOLDEN))
+    pts = rot.sample_measure(30, PLAN)
+    made = []
+
+    def read(a, b):
+        made.append(rot._rows(pts[a:b], 0, 50))
+        return made[-1]
+
+    got = systems._batched(30, (50,), np.float64, read)
+    assert got is made[0] and len(made) == 1
+    rows = rot.rows(pts, 0, 50)
+    assert rows.flags.writeable and rows.flags.c_contiguous and rows.dtype == np.float64
+    assert not np.shares_memory(rows, pts)
+    assert _same_bits(rows, got)
+
+
+@pytest.mark.parametrize("view", ["read-only", "strided", "int32"])
+def test_one_chunk_view_is_copied(view):
+    base = np.arange(30 * 100, dtype=np.int64).reshape(30, 100)
+    chunk = {"read-only": base[:, :50], "strided": base[:, ::2], "int32": base[:, :50]}[view]
+    if view == "read-only":
+        chunk = np.lib.stride_tricks.as_strided(chunk, writeable=False)
+    dtype = np.int32 if view == "int32" else np.int64
+    got = systems._batched(30, (50,), dtype, lambda a, b: chunk)
+    assert got.flags.writeable and got.flags.c_contiguous and got.dtype == dtype
+    assert not np.shares_memory(got, base)
+    assert np.array_equal(got, chunk)
+
+
+@pytest.mark.parametrize("name", ["bernoulli", "odometer"])
+def test_one_coordinate_cylinder_labels_are_copied(name, monkeypatch):
+    """One-coordinate cylinder labels are a strided column: of a read-only
+    sliding window on a shift, of the digit array on an odometer."""
+    system = make_system(e.bernoulli_shift(0.4) if name == "bernoulli" else e.odometer(2))
+    pts = system.sample_measure(25, PLAN)
+    got = e.name_rows(system, e.cylinder([1], 2), pts, 30)
+    assert got.flags.writeable and got.flags.c_contiguous and got.dtype == np.int64
+    assert _same_bits(got, system.cylinder_rows(pts, (1,), 30)[:, :, 0])
+    monkeypatch.setattr(systems, "_CHUNK_BYTES", 64)
+    assert _same_bits(e.name_rows(system, e.cylinder([1], 2), pts, 30), got)
+
+
+def test_no_rows_read_nothing():
+    def read(a, b):
+        raise AssertionError(f"read({a}, {b})")
+
+    got = systems._batched(0, (7, 3), np.uint8, read)
+    assert got.shape == (0, 7, 3) and got.dtype == np.uint8
+    rot = make_system(e.rotation(e.GOLDEN))
+    assert rot.rows(np.array([]), 0, 9).shape == (0, 9)
+
+
+def test_one_chunk_read_holds_one_temporary():
+    """64 x 1024 rotation values fill one 512 KiB chunk.  Beyond the result
+    the read holds one array of its size, the floor that `systems._frac`
+    subtracts; a copy of the chunk into a second output would be one more."""
+    rot = make_system(e.rotation(e.GOLDEN))
+    pts = rot.sample_measure(64, PLAN)
+    assert systems._chunk_rows(1024) == 64
+    rot.rows(pts, 0, 1024)
+    tracemalloc.start()
+    try:
+        rows = rot.rows(pts, 0, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.nbytes == 1 << 19
+    assert peak - rows.nbytes < 1.25 * rows.nbytes

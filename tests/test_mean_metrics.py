@@ -164,3 +164,27 @@ def test_birkhoff_average_rotation_hamming():
     w1 = e.name_word(SYS_R, e.halves(), 0.0, 200000)
     w2 = e.name_word(SYS_R, e.halves(), t, 200000)
     assert e.hamming_avg(w1, w2) == pytest.approx(2 * t, abs=0.002)
+
+
+@pytest.mark.parametrize("k", ["1", None, 1.5, True, False, np.bool_(True), np.float64(2.0)])
+def test_character_needs_an_integer_k(k):
+    """e(kx) is a character of the circle only for an integer k; a bool is
+    not read as 0 or 1."""
+    with pytest.raises(e.InvalidParameterError, match="character k must be an integer"):
+        e.Character(k)
+    with pytest.raises(e.InvalidParameterError, match="character k must be an integer"):
+        e.observable_from_json({"kind": "character", "k": k})
+
+
+@pytest.mark.parametrize("k", [0, -3, 2, np.int64(5), np.int8(-1)])
+def test_character_takes_integer_k(k):
+    assert e.observable_from_json(e.Character(k).to_json()) == e.Character(k)
+
+
+@pytest.mark.parametrize("label", [True, False, np.bool_(True), 0.0, "1", None])
+def test_cell_label_needs_an_integer(label):
+    with pytest.raises(e.InvalidParameterError, match="cell label must be an integer"):
+        e.CellIndicator(e.halves(), label)
+    obj = {"kind": "cell_indicator", "partition": e.halves().to_json(), "label": label}
+    with pytest.raises(e.InvalidParameterError, match="cell label must be an integer"):
+        e.observable_from_json(obj)
